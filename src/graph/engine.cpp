@@ -62,6 +62,54 @@ void for_each_shard(
   for (auto& w : workers) w.join();
 }
 
+Subgraph compact_dominated(const CsrGraph& g, const std::vector<bool>& usable,
+                           const FaultPlane* faults) {
+  const NodeId n = g.num_vertices();
+  BSR_DCHECK(usable.size() == n);
+  BSR_DCHECK(faults == nullptr || &faults->graph() == &g);
+  BSR_STATS_ONLY(std::uint64_t scans = 0;)
+  // visit(b, v) for every admitted slot of every usable vertex b, ascending
+  // by b then slot. Both passes below walk the same sequence.
+  const auto for_each_admitted = [&](auto&& visit) {
+    for (NodeId b = 0; b < n; ++b) {
+      if (!usable[b] || (faults != nullptr && !faults->vertex_ok(b))) continue;
+      const auto neigh = g.neighbors(b);
+      BSR_STATS_ONLY(scans += neigh.size();)
+      for (std::size_t i = 0; i < neigh.size(); ++i) {
+        const NodeId v = neigh[i];
+        if (faults != nullptr &&
+            !(faults->vertex_ok(v) && faults->edge_up_at(b, i))) {
+          continue;
+        }
+        visit(b, v);
+      }
+    }
+  };
+
+  Subgraph sub;
+  sub.graph = &g;
+  sub.offsets.assign(std::size_t{n} + 1, 0);
+  for_each_admitted([&](NodeId b, NodeId v) {
+    ++sub.offsets[b + 1];
+    if (!usable[v]) ++sub.offsets[v + 1];
+  });
+  // Shifted exclusive prefix sum: offsets[v + 1] becomes v's start, serves
+  // as v's write cursor below, and so ends at v's end — where v + 1 starts.
+  std::uint64_t total = 0;
+  for (NodeId v = 0; v < n; ++v) {
+    const std::uint64_t degree = sub.offsets[v + 1];
+    sub.offsets[v + 1] = total;
+    total += degree;
+  }
+  sub.adjacency.resize(total);
+  for_each_admitted([&](NodeId b, NodeId v) {
+    sub.adjacency[sub.offsets[b + 1]++] = v;
+    if (!usable[v]) sub.adjacency[sub.offsets[v + 1]++] = b;
+  });
+  BSR_COUNT_N(EngineCompactEdgeScans, scans);
+  return sub;
+}
+
 Workspace& tls_workspace() {
   thread_local Workspace ws;
   return ws;

@@ -27,6 +27,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "graph/check.hpp"
@@ -145,6 +146,51 @@ void bfs_bounded(const CsrGraph& g, NodeId source, std::uint32_t max_depth,
   BSR_COUNT_N(EngineBfsVerticesVisited, ws.frontier_size());
 }
 
+/// Compacted CSR of a subgraph of a CsrGraph: the same vertex ids, only
+/// the admitted edges, each list in the parent graph's (ascending) order.
+/// Built by compact_dominated; bfs_dir_opt and unite_edges traverse it like
+/// a CsrGraph, with no per-edge filter. degree() and num_edges() report the
+/// *parent's* structure: they feed bfs_dir_opt's switch heuristic, which
+/// must see the same integers as a filtered traversal of the parent.
+struct Subgraph {
+  const CsrGraph* graph = nullptr;     // the parent; must outlive this
+  std::vector<std::uint64_t> offsets;  // size num_vertices + 1
+  std::vector<NodeId> adjacency;       // both directions of every kept edge
+
+  [[nodiscard]] NodeId num_vertices() const noexcept {
+    return offsets.empty() ? 0 : static_cast<NodeId>(offsets.size() - 1);
+  }
+
+  [[nodiscard]] std::span<const NodeId> neighbors(NodeId v) const noexcept {
+    BSR_DCHECK(v < num_vertices());
+    return {adjacency.data() + offsets[v], adjacency.data() + offsets[v + 1]};
+  }
+
+  /// Structural degree of v in the parent graph, not neighbors(v).size().
+  [[nodiscard]] std::uint32_t degree(NodeId v) const noexcept {
+    return graph->degree(v);
+  }
+  /// Undirected edge count of the parent graph.
+  [[nodiscard]] std::uint64_t num_edges() const noexcept {
+    return graph->num_edges();
+  }
+};
+
+/// The usable dominated subgraph of `g`: edge {u, v} is kept iff
+/// usable[u] || usable[v] and, when `faults` is bound, both endpoints and the
+/// link are up — exactly what BothFilters<DominatedEdgeFilter,
+/// FaultAwareFilter> (DominatedEdgeFilter alone when `faults` is null)
+/// admits. Equals a filtered scan of every slot of g (same offsets, same
+/// adjacency, each list in g's order) but walks only the usable vertices'
+/// adjacency, in ascending id: every admitted edge {b, v} appends v to b's
+/// list, and b to v's list unless v is usable itself (v's own walk appends
+/// b). Lists of non-usable vertices therefore fill in ascending order too.
+/// O(|V| + sum of usable degrees); counts its slot scans in
+/// engine.compact.edge_scans.
+[[nodiscard]] Subgraph compact_dominated(const CsrGraph& g,
+                                         const std::vector<bool>& usable,
+                                         const FaultPlane* faults);
+
 /// Direction-optimizing BFS (top-down <-> bottom-up switching).
 ///
 /// Classic BFS scans every edge out of the frontier; when the frontier is a
@@ -168,8 +214,15 @@ void bfs_bounded(const CsrGraph& g, NodeId source, std::uint32_t max_depth,
 /// *within a level* may differ (bottom-up levels discover in ascending
 /// vertex order) and parents are level-equivalent rather than identical, so
 /// callers comparing against bfs() must compare distance-derived outputs.
-template <class Filter>
-void bfs_dir_opt(const CsrGraph& g, NodeId source, Workspace& ws, Filter admit,
+///
+/// `g` is a CsrGraph or a compacted Subgraph of one. The switch reads only
+/// g.degree() and g.num_edges(), which a Subgraph answers from its parent,
+/// so a Subgraph holding exactly the edges some filter admits traverses
+/// with the same level schedule, visit order and parents as the parent
+/// graph through that filter — only the rejected slots go unscanned. See
+/// docs/ENGINE.md.
+template <class Graph, class Filter = AllEdges>
+void bfs_dir_opt(const Graph& g, NodeId source, Workspace& ws, Filter admit = {},
                  std::uint32_t alpha = 15, std::uint32_t beta = 18) {
   BSR_DCHECK(source < g.num_vertices());
   BSR_DCHECK(alpha > 0 && beta > 0);
@@ -221,7 +274,7 @@ void bfs_dir_opt(const CsrGraph& g, NodeId source, Workspace& ws, Filter admit,
             if (((frontier[u >> 6] >> (u & 63)) & 1) != 0 && admit(v, i, u)) {
               ws.discover(v, depth + 1, u);
               visited[v >> 6] |= std::uint64_t{1} << (v & 63);
-              next_degree += neigh.size();
+              next_degree += g.degree(v);
               break;
             }
           }
@@ -256,9 +309,12 @@ void bfs_dir_opt(const CsrGraph& g, NodeId source, Workspace& ws, Filter admit,
 /// Unions the endpoints of every admitted edge into `uf`. Edges are scanned
 /// in canonical ascending (u, v) order with u < v — the same order every
 /// legacy union-find construction loop used, so root identities match.
-/// Works with both UnionFind and RollbackUnionFind.
-template <class UF, class Filter>
-void unite_edges(const CsrGraph& g, UF& uf, Filter admit) {
+/// Works with both UnionFind and RollbackUnionFind, over a CsrGraph or a
+/// compacted Subgraph (whose lists keep the parent graph's order, so
+/// AllEdges over compact_dominated(g, ...) unites the same sequence as the
+/// matching filter over g).
+template <class Graph, class UF, class Filter>
+void unite_edges(const Graph& g, UF& uf, Filter admit) {
   const NodeId n = g.num_vertices();
   BSR_STATS_ONLY(std::uint64_t scans = 0; std::uint64_t admitted = 0;)
   for (NodeId u = 0; u < n; ++u) {

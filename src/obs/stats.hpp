@@ -65,6 +65,7 @@ inline constexpr int kSchemaVersion = 1;
   X(EngineBfsBottomUpLevels, "engine.bfs.bottom_up_levels", false) \
   X(EngineUniteEdgeScans, "engine.unite.edge_scans", true)         \
   X(EngineUniteAdmitted, "engine.unite.admitted", false)           \
+  X(EngineCompactEdgeScans, "engine.compact.edge_scans", true)     \
   X(EngineWorkspaceEpochBumps, "engine.workspace.epoch_bumps", false) \
   X(EngineShardBatches, "engine.shards.batches", false)            \
   X(UfFinds, "graph.uf.finds", false)                              \

@@ -97,25 +97,6 @@ void RebuildScheduler::report(double now, bool success) {
 
 // --- RouteService -----------------------------------------------------------
 
-namespace {
-
-/// Invokes `body` with the usable-dominated edge filter: >= 1 usable-broker
-/// endpoint, and (when a plane is bound) both endpoints and the link up.
-/// Both branches are symmetric filters, so bfs_dir_opt may use them.
-template <class Body>
-void with_usable_filter(const std::vector<bool>& mask, const FaultPlane* faults,
-                        Body&& body) {
-  const engine::DominatedEdgeFilter dom{&mask};
-  if (faults != nullptr) {
-    body(engine::BothFilters<engine::DominatedEdgeFilter, engine::FaultAwareFilter>{
-        dom, engine::FaultAwareFilter{faults}});
-  } else {
-    body(dom);
-  }
-}
-
-}  // namespace
-
 RouteService::RouteService(const bsr::graph::CsrGraph& g,
                            const bsr::broker::BrokerSet& brokers,
                            const FaultPlane* faults,
@@ -135,49 +116,69 @@ RouteService::RouteService(const bsr::graph::CsrGraph& g,
         std::to_string(brokers.num_vertices()) + " vertices but the graph has " +
         std::to_string(g.num_vertices()));
   }
-  BSR_DCHECK(faults_ == nullptr || &faults_->graph() == graph_);
+  if (faults_ != nullptr && &faults_->graph() != graph_) {
+    // A plane bound to another graph would index that graph's arrays.
+    throw std::invalid_argument(
+        "RouteService: fault plane is bound to a different graph");
+  }
   config_.degraded_admit_factor =
       std::clamp(config_.degraded_admit_factor, 0.0, 1.0);
   tokens_ = config_.admit_burst > 0.0 ? config_.admit_burst : config_.admit_rate;
   build_epoch(0.0, 0);
 }
 
-void RouteService::build_epoch(double now, std::uint64_t attempt) {
+std::size_t RouteService::usable_brokers(std::vector<std::uint8_t>& up,
+                                        std::vector<bool>& mask) const {
   const NodeId n = graph_->num_vertices();
-  vertex_up_.assign(n, 1);
+  up.assign(n, 1);
   if (faults_ != nullptr) {
-    for (NodeId v = 0; v < n; ++v) vertex_up_[v] = faults_->vertex_ok(v) ? 1 : 0;
+    for (NodeId v = 0; v < n; ++v) up[v] = faults_->vertex_ok(v) ? 1 : 0;
   }
-  usable_mask_.assign(n, false);
-  usable_broker_count_ = 0;
+  mask.assign(n, false);
+  std::size_t count = 0;
   for (const NodeId v : brokers_->members()) {
-    if (vertex_up_[v] == 0) continue;
+    if (up[v] == 0) continue;
     if (has_belief_ &&
         !(v < believed_routable_.size() && believed_routable_[v])) {
       continue;
     }
-    usable_mask_[v] = true;
-    ++usable_broker_count_;
+    mask[v] = true;
+    ++count;
   }
+  return count;
+}
 
+void RouteService::materialize_components() {
+  // RollbackUnionFind::find is const (no path compression), so concurrent
+  // reads from shards are safe, and the label values are independent of the
+  // sharding.
+  engine::for_each_shard(graph_->num_vertices(),
+                         [&](std::size_t, std::size_t begin, std::size_t end) {
+                           for (std::size_t v = begin; v < end; ++v) {
+                             comp_[v] = uf_.find(static_cast<NodeId>(v));
+                           }
+                         });
+}
+
+void RouteService::build_epoch(double now, std::uint64_t attempt) {
+  const NodeId n = graph_->num_vertices();
+  usable_broker_count_ = usable_brokers(vertex_up_, usable_mask_);
   null_epoch_ = usable_broker_count_ == 0;
   uf_.reset(n);
   comp_.resize(n);
   landmarks_.clear();
-  lm_dist_.clear();
-  lm_parent_.clear();
-  if (!null_epoch_) {
-    with_usable_filter(usable_mask_, faults_, [&](auto admit) {
-      engine::unite_edges(*graph_, uf_, admit);
-    });
-    // Materialize component labels. RollbackUnionFind::find is const (no
-    // path compression), so concurrent reads from shards are safe, and the
-    // label values are independent of the sharding.
-    engine::for_each_shard(n, [&](std::size_t, std::size_t begin, std::size_t end) {
-      for (std::size_t v = begin; v < end; ++v) {
-        comp_[v] = uf_.find(static_cast<NodeId>(v));
-      }
-    });
+  if (null_epoch_) {
+    lm_dist_.clear();
+    lm_parent_.clear();
+  } else {
+    // Compaction -> unite -> landmark BFS. The compacted G_B is build
+    // scratch: its lists keep g's order, so the unite sequence (hence every
+    // root) and each BFS (hence every parent) match the filtered scans of g
+    // they replace, over only the usable slots.
+    const engine::Subgraph usable =
+        engine::compact_dominated(*graph_, usable_mask_, faults_);
+    engine::unite_edges(usable, uf_, engine::AllEdges{});
+    materialize_components();
 
     // Landmarks: the top-degree usable brokers (ties by ascending id), the
     // hubs most shortest dominated paths already route through.
@@ -193,30 +194,31 @@ void RouteService::build_epoch(double now, std::uint64_t attempt) {
       landmarks_.resize(config_.num_landmarks);
     }
 
-    const std::size_t num_lm = landmarks_.size();
-    lm_dist_.assign(num_lm * n, kLmUnreachable);
-    lm_parent_.assign(num_lm * n, kNoNextHop);
     // One BFS tree per landmark, sharded over landmarks: each tree is a
-    // fully serial kernel writing a disjoint row, so the arrays are
-    // bit-identical at any BSR_THREADS value.
-    with_usable_filter(usable_mask_, faults_, [&](auto admit) {
-      engine::for_each_shard(
-          num_lm, [&](std::size_t, std::size_t begin, std::size_t end) {
-            engine::Workspace& ws = engine::tls_workspace();
-            for (std::size_t li = begin; li < end; ++li) {
-              const NodeId root = landmarks_[li];
-              engine::bfs_dir_opt(*graph_, root, ws, admit);
-              const std::size_t row = li * n;
-              for (NodeId v = 0; v < n; ++v) {
-                if (!ws.visited(v)) continue;
-                const std::uint32_t d = ws.dist_unchecked(v);
-                lm_dist_[row + v] = static_cast<std::uint16_t>(
-                    std::min<std::uint32_t>(d, kLmUnreachable - 1));
-                lm_parent_[row + v] = v == root ? root : ws.parent(v);
+    // fully serial kernel writing a disjoint row, every entry exactly once,
+    // so the arrays are bit-identical at any BSR_THREADS value.
+    const std::size_t num_lm = landmarks_.size();
+    lm_dist_.resize(num_lm * n);
+    lm_parent_.resize(num_lm * n);
+    engine::for_each_shard(
+        num_lm, [&](std::size_t, std::size_t begin, std::size_t end) {
+          engine::Workspace& ws = engine::tls_workspace();
+          for (std::size_t li = begin; li < end; ++li) {
+            const NodeId root = landmarks_[li];
+            engine::bfs_dir_opt(usable, root, ws);
+            const std::size_t row = li * n;
+            for (NodeId v = 0; v < n; ++v) {
+              if (!ws.visited(v)) {
+                lm_dist_[row + v] = kLmUnreachable;
+                lm_parent_[row + v] = kNoNextHop;
+                continue;
               }
+              lm_dist_[row + v] = static_cast<std::uint16_t>(
+                  std::min<std::uint32_t>(ws.dist_unchecked(v), kLmUnreachable - 1));
+              lm_parent_[row + v] = v == root ? root : ws.parent(v);
             }
-          });
-    });
+          }
+        });
   }
 
   ++epoch_id_;
@@ -238,29 +240,14 @@ void RouteService::try_patch(double now) {
   // bounds stay admissible (paths only got shorter), and old next hops stay
   // usable. Staged through temporaries + a checkpoint so an injected crash
   // leaves the serving epoch untouched.
-  std::vector<std::uint8_t> new_up(graph_->num_vertices(), 1);
-  if (faults_ != nullptr) {
-    for (NodeId v = 0; v < graph_->num_vertices(); ++v) {
-      new_up[v] = faults_->vertex_ok(v) ? 1 : 0;
-    }
-  }
-  std::vector<bool> new_mask(graph_->num_vertices(), false);
-  std::size_t new_count = 0;
-  for (const NodeId v : brokers_->members()) {
-    if (new_up[v] == 0) continue;
-    if (has_belief_ &&
-        !(v < believed_routable_.size() && believed_routable_[v])) {
-      continue;
-    }
-    new_mask[v] = true;
-    ++new_count;
-  }
+  std::vector<std::uint8_t> new_up;
+  std::vector<bool> new_mask;
+  const std::size_t new_count = usable_brokers(new_up, new_mask);
 
   const auto mark = uf_.checkpoint();
   const bool crash = draw_crash(injection_.crash_next_patches);
-  with_usable_filter(new_mask, faults_, [&](auto admit) {
-    engine::unite_edges(*graph_, uf_, admit);
-  });
+  engine::unite_edges(engine::compact_dominated(*graph_, new_mask, faults_), uf_,
+                      engine::AllEdges{});
   if (crash) {
     uf_.rollback(mark);
     ++stats_.patch_crashes;
@@ -271,12 +258,7 @@ void RouteService::try_patch(double now) {
   vertex_up_ = std::move(new_up);
   usable_mask_ = std::move(new_mask);
   usable_broker_count_ = new_count;
-  engine::for_each_shard(graph_->num_vertices(),
-                         [&](std::size_t, std::size_t begin, std::size_t end) {
-                           for (std::size_t v = begin; v < end; ++v) {
-                             comp_[v] = uf_.find(static_cast<NodeId>(v));
-                           }
-                         });
+  materialize_components();
   epoch_truth_version_ = truth_version_;
   ++stats_.patches;
   BSR_COUNT(RouteServicePatches);

@@ -14,6 +14,15 @@
 //     parent arrays give an O(1) next hop toward the stitch landmark plus
 //     full path recovery (stitch_path) without touching the graph.
 //
+// An epoch build is compaction -> unite -> landmark BFS. The usable G_B is
+// first copied out of the graph into a compacted CSR
+// (engine::compact_dominated, a walk over the usable brokers' adjacency
+// only); the union-find pass and every landmark BFS then run over that
+// copy with no per-edge filter. Its lists keep the graph's order and the
+// BFS switch heuristic keeps reading the graph's own degrees, so roots,
+// parents and answers are bit-identical to filtering the full graph. The
+// copy is build scratch and is dropped when the build ends.
+//
 // The oracle is versioned by **epochs**. The driving loop notifies the
 // service of ground-truth changes (on_fault / on_heal / on_health_view);
 // every notification bumps the truth version, and an epoch is *fresh* iff
@@ -339,6 +348,13 @@ class RouteService {
   static constexpr std::uint16_t kLmUnreachable =
       std::numeric_limits<std::uint16_t>::max();
 
+  /// Snapshots the fault plane's vertex states into `up` and marks the
+  /// usable brokers (member, up, believed routable) in `mask`; returns their
+  /// count.
+  std::size_t usable_brokers(std::vector<std::uint8_t>& up,
+                             std::vector<bool>& mask) const;
+  /// Re-derives comp_ from uf_.
+  void materialize_components();
   void build_epoch(double now, std::uint64_t attempt);
   void try_patch(double now);
   void start_due_build(double now);

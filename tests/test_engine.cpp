@@ -177,6 +177,87 @@ TEST(Engine, DirOptBfsVisitsSameVertexSet) {
   EXPECT_EQ(a, b);
 }
 
+/// Reference compaction: every slot of g through `admit`, in g's order.
+template <class Filter>
+engine::Subgraph filtered_scan(const CsrGraph& g, Filter admit) {
+  engine::Subgraph sub;
+  sub.offsets.push_back(0);
+  for (NodeId u = 0; u < g.num_vertices(); ++u) {
+    const auto neigh = g.neighbors(u);
+    for (std::size_t i = 0; i < neigh.size(); ++i) {
+      if (admit(u, i, neigh[i])) sub.adjacency.push_back(neigh[i]);
+    }
+    sub.offsets.push_back(sub.adjacency.size());
+  }
+  return sub;
+}
+
+TEST(Engine, SubgraphEntryPointBitIdenticalToFilteredTraversal) {
+  // compact_dominated must reproduce a full filtered scan slot for slot, and
+  // the Subgraph entry points must then repeat the filtered kernels exactly:
+  // same dist, same parents, same visit order under every switch schedule
+  // (default, and alpha/beta forced to 1 and 2^30), same union-find roots.
+  constexpr std::uint32_t kForced[] = {1, 1u << 30};
+  for (std::uint64_t seed = 0; seed < 6; ++seed) {
+    const CsrGraph g = seed % 2 == 0 ? make_random(150, 0.04, seed)
+                                     : make_connected_random(150, 0.04, seed);
+    const NodeId n = g.num_vertices();
+    const std::vector<bool> mask = random_mask(n, 0.2, seed + 300);
+    const std::vector<bool> everyone(n, true);
+    FaultPlane plane(g);
+    Rng rng(seed + 700);
+    for (const Edge& e : g.edges()) {
+      if (rng.bernoulli(0.1)) plane.fail_edge(e.u, e.v);
+    }
+    for (NodeId v = 0; v < n; v += 13) plane.fail_vertex(v);
+
+    const auto check = [&](auto admit, const std::vector<bool>& usable,
+                           const FaultPlane* faults) {
+      const engine::Subgraph sub = engine::compact_dominated(g, usable, faults);
+      const engine::Subgraph ref = filtered_scan(g, admit);
+      ASSERT_EQ(sub.offsets, ref.offsets);
+      ASSERT_EQ(sub.adjacency, ref.adjacency);
+
+      engine::Workspace ws_filtered, ws_sub;
+      const auto same_traversal = [&](NodeId s) {
+        ASSERT_EQ(dense_dist(ws_sub, n), dense_dist(ws_filtered, n));
+        const auto order = ws_filtered.visit_order();
+        ASSERT_TRUE(std::equal(order.begin(), order.end(),
+                               ws_sub.visit_order().begin(),
+                               ws_sub.visit_order().end()));
+        for (const NodeId v : order) {
+          if (v != s) {
+            EXPECT_EQ(ws_sub.parent(v), ws_filtered.parent(v));
+          }
+        }
+      };
+      for (NodeId s = 0; s < n; s += 17) {
+        engine::bfs_dir_opt(g, s, ws_filtered, admit);
+        engine::bfs_dir_opt(sub, s, ws_sub);
+        same_traversal(s);
+        for (const std::uint32_t alpha : kForced) {
+          for (const std::uint32_t beta : kForced) {
+            engine::bfs_dir_opt(g, s, ws_filtered, admit, alpha, beta);
+            engine::bfs_dir_opt(sub, s, ws_sub, engine::AllEdges{}, alpha,
+                                beta);
+            same_traversal(s);
+          }
+        }
+      }
+
+      RollbackUnionFind uf_filtered(n), uf_sub(n);
+      engine::unite_edges(g, uf_filtered, admit);
+      engine::unite_edges(sub, uf_sub, engine::AllEdges{});
+      for (NodeId v = 0; v < n; ++v) EXPECT_EQ(uf_sub.find(v), uf_filtered.find(v));
+    };
+    check(engine::DominatedEdgeFilter{&mask}, mask, nullptr);
+    check(engine::FaultAwareFilter{&plane}, everyone, &plane);
+    check(engine::BothFilters{engine::DominatedEdgeFilter{&mask},
+                              engine::FaultAwareFilter{&plane}},
+          mask, &plane);
+  }
+}
+
 TEST(Engine, BoundedBfsStopsAtDepth) {
   const CsrGraph g = make_path(10);
   engine::Workspace ws;

@@ -98,6 +98,19 @@ TEST(RouteServiceGuards, MismatchedVertexCountThrows) {
   EXPECT_THROW(RouteService(g, wrong, nullptr), std::invalid_argument);
 }
 
+TEST(RouteServiceGuards, FaultPlaneOfAnotherGraphThrows) {
+  // Checked in every build type: a plane over a smaller graph would be
+  // indexed out of bounds by every build and patch.
+  const CsrGraph g = make_path(6);
+  const CsrGraph other = make_path(3);
+  const BrokerSet brokers(6, std::vector<NodeId>{2, 3});
+  const FaultPlane foreign(other);
+  EXPECT_THROW(RouteService(g, brokers, &foreign), std::invalid_argument);
+  const CsrGraph twin = make_path(6);
+  const FaultPlane same_shape(twin);
+  EXPECT_THROW(RouteService(g, brokers, &same_shape), std::invalid_argument);
+}
+
 TEST(RouteServiceGuards, EmptyBrokerSetIsWellDefinedNullService) {
   const CsrGraph g = make_path(6);
   const BrokerSet none(6);
@@ -186,6 +199,153 @@ TEST(RouteServiceOracle, StitchedPathsAreValidDominatedPaths) {
     }
   }
   EXPECT_GT(stitched, 0u);
+}
+
+/// The oracle's answer for every pair, rebuilt from scratch: landmarks are
+/// the top-degree usable brokers, each tree a bfs_dir_opt over the full
+/// graph through the composed dominated x fault filter, and each answer the
+/// lowest-index landmark minimizing d(l, s) + d(l, t).
+void expect_matches_reference(RouteService& service, const CsrGraph& g,
+                              const BrokerSet& brokers, const FaultPlane& faults,
+                              const std::vector<bool>& believed,
+                              std::uint32_t num_landmarks, const char* state) {
+  namespace engine = bsr::graph::engine;
+  const NodeId n = g.num_vertices();
+  std::vector<bool> usable(n, false);
+  std::vector<NodeId> landmarks;
+  for (NodeId v = 0; v < n; ++v) {
+    usable[v] = brokers.contains(v) && faults.vertex_ok(v) && believed[v];
+    if (usable[v]) landmarks.push_back(v);
+  }
+  std::sort(landmarks.begin(), landmarks.end(), [&](NodeId a, NodeId b) {
+    return g.degree(a) != g.degree(b) ? g.degree(a) > g.degree(b) : a < b;
+  });
+  landmarks.resize(std::min<std::size_t>(landmarks.size(), num_landmarks));
+  ASSERT_TRUE(std::equal(landmarks.begin(), landmarks.end(),
+                         service.landmarks().begin(), service.landmarks().end()))
+      << state;
+
+  const engine::BothFilters<engine::DominatedEdgeFilter, engine::FaultAwareFilter>
+      admit{engine::DominatedEdgeFilter{&usable}, engine::FaultAwareFilter{&faults}};
+  std::vector<std::vector<std::uint32_t>> dist(landmarks.size());
+  std::vector<std::vector<NodeId>> parent(landmarks.size());
+  engine::Workspace ws;
+  for (std::size_t l = 0; l < landmarks.size(); ++l) {
+    engine::bfs_dir_opt(g, landmarks[l], ws, admit);
+    dist[l].assign(n, bsr::graph::kUnreachable);
+    parent[l].assign(n, bsr::sim::kNoNextHop);
+    for (const NodeId v : ws.visit_order()) {
+      dist[l][v] = ws.dist(v);
+      parent[l][v] = v == landmarks[l] ? v : ws.parent(v);
+    }
+  }
+
+  std::vector<Flow> pairs;
+  for (NodeId s = 0; s < n; ++s) {
+    for (NodeId t = 0; t < n; ++t) pairs.push_back({s, t, 1.0});
+  }
+  std::vector<RouteAnswer> answers;
+  service.serve_batch(pairs, 0.0, answers);
+  for (NodeId s = 0; s < n; ++s) {
+    engine::bfs(g, s, ws, admit);  // reachability truth from s
+    for (NodeId t = 0; t < n; ++t) {
+      std::uint32_t want_dist = bsr::graph::kUnreachable;
+      NodeId want_hop = bsr::sim::kNoNextHop;
+      const bool reachable = faults.vertex_ok(s) && faults.vertex_ok(t) &&
+                             (s == t || ws.visited(t));
+      if (reachable && s == t) {
+        want_dist = 0;
+        want_hop = s;
+      } else if (reachable) {
+        std::size_t best = landmarks.size();
+        for (std::size_t l = 0; l < landmarks.size(); ++l) {
+          if (dist[l][s] == bsr::graph::kUnreachable ||
+              dist[l][t] == bsr::graph::kUnreachable) {
+            continue;
+          }
+          const std::uint32_t bound = dist[l][s] + dist[l][t];
+          if (bound < want_dist) {
+            want_dist = bound;
+            best = l;
+          }
+        }
+        if (best < landmarks.size()) {
+          want_hop = parent[best][s];
+          if (dist[best][s] == 0) {  // s is the landmark: first hop toward t
+            want_hop = t;
+            while (parent[best][want_hop] != s) want_hop = parent[best][want_hop];
+          }
+        }
+      }
+      const RouteAnswer& a = answers[std::size_t{s} * n + t];
+      ASSERT_EQ(a.status, AnswerStatus::kFresh) << state;
+      ASSERT_EQ(a.reachable, reachable) << state << " pair " << s << "->" << t;
+      ASSERT_EQ(a.dist_bound, want_dist) << state << " pair " << s << "->" << t;
+      ASSERT_EQ(a.next_hop, want_hop) << state << " pair " << s << "->" << t;
+    }
+  }
+}
+
+TEST(RouteServiceOracle, FreshBuildsMatchFilteredBfsReference) {
+  // Pins every pair's dist_bound and next_hop — not just reachability — to
+  // per-landmark bfs_dir_opt trees over the full graph, for fresh builds
+  // under several fault states. The sparse graph and broker share give G_B
+  // enough depth that a moved top-down/bottom-up switch changes parents.
+  for (std::uint64_t seed = 0; seed < 4; ++seed) {
+    const CsrGraph g = make_connected_random(200, 0.015, 4100 + seed);
+    const BrokerSet brokers = top_degree_brokers(g, 40);
+    const std::vector<bool> everyone(g.num_vertices(), true);
+    RouteServiceConfig config;
+    config.num_landmarks = 6;
+
+    FaultPlane faults(g);
+    {
+      RouteService service(g, brokers, &faults, config);
+      expect_matches_reference(service, g, brokers, faults, everyone, 6,
+                               "pristine");
+    }
+    const NodeId top = brokers.members()[0];  // a landmark under any state
+    const NodeId second = brokers.members()[1];
+    faults.fail_vertex(top);
+    {
+      RouteService service(g, brokers, &faults, config);
+      expect_matches_reference(service, g, brokers, faults, everyone, 6,
+                               "failed landmark");
+    }
+    faults.heal_vertex(top);
+    const NodeId hop = g.neighbors(second)[0];
+    faults.fail_edge(second, hop);
+    {
+      RouteService service(g, brokers, &faults, config);
+      expect_matches_reference(service, g, brokers, faults, everyone, 6,
+                               "failed link");
+    }
+    // Overlapping: the failed link's endpoint goes down too, a second layer
+    // lands on the same link, and a correlated group cuts the top broker's
+    // links.
+    faults.fail_vertex(second);
+    faults.fail_edge(second, hop);
+    faults.fail_group(bsr::graph::incident_group(g, top));
+    {
+      RouteService service(g, brokers, &faults, config);
+      expect_matches_reference(service, g, brokers, faults, everyone, 6,
+                               "overlapping failures");
+    }
+    faults.heal_all();
+    {
+      RouteService service(g, brokers, &faults, config);
+      bsr::sim::HealthView view;
+      view.version = 1;
+      view.routable.assign(g.num_vertices(), true);
+      view.routable[top] = false;
+      view.routable[brokers.members()[3]] = false;
+      service.on_health_view(view, 1.0);
+      drain(service);
+      ASSERT_FALSE(service.degraded());
+      expect_matches_reference(service, g, brokers, faults, view.routable, 6,
+                               "health-view belief");
+    }
+  }
 }
 
 // --- rebuild scheduler -------------------------------------------------------
