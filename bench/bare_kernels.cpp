@@ -10,9 +10,9 @@
 //     share a linkonce symbol with the instrumented one from perf_obs.cpp and
 //     the linker would quietly collapse both sides of the overhead comparison
 //     into whichever copy it picked. The route-service renames additionally
-//     keep this TU's out-of-line definitions (RouteService, RebuildScheduler,
-//     to_string, answer_digest, audit_answer) from colliding with
-//     libbsr_sim's at link time.
+//     keep this TU's out-of-line definitions (RouteService, to_string,
+//     answer_digest, audit_answer) from colliding with libbsr_sim's at link
+//     time.
 //   * All renames sit before the FIRST include, so every header — std
 //     headers included — sees them consistently; `to_string` in particular
 //     renames both std::to_string's inline definitions and their call sites
@@ -30,7 +30,6 @@
 #define unite_edges bare_unite_edges
 #define maxsg bare_maxsg
 #define RouteService BareRouteService
-#define RebuildScheduler BareRebuildScheduler
 #define to_string bare_to_string
 #define answer_digest bare_answer_digest
 #define audit_answer bare_audit_answer
@@ -42,7 +41,6 @@
 #undef unite_edges
 #undef maxsg
 #undef RouteService
-#undef RebuildScheduler
 #undef to_string
 #undef answer_digest
 #undef audit_answer

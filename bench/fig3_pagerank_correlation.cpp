@@ -12,7 +12,7 @@
 #include "bench_common.hpp"
 #include "broker/baselines.hpp"
 #include "graph/pagerank.hpp"
-#include "graph/union_find.hpp"
+#include "graph/rollback_union_find.hpp"
 
 namespace {
 
@@ -22,7 +22,7 @@ using bsr::graph::NodeId;
 
 /// Marginal dominated-component gains for every non-broker candidate.
 std::vector<double> marginal_gains(const CsrGraph& g, const BrokerSet& base) {
-  bsr::graph::UnionFind uf(g.num_vertices());
+  bsr::graph::RollbackUnionFind uf(g.num_vertices());
   for (const NodeId b : base.members()) {
     for (const NodeId v : g.neighbors(b)) uf.unite(b, v);
   }

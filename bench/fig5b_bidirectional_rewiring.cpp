@@ -10,10 +10,8 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "broker/dominated.hpp"
-#include "graph/bfs.hpp"
-#include "graph/sampling.hpp"
 #include "broker/maxsg.hpp"
+#include "graph/sampling.hpp"
 #include "io/csv.hpp"
 #include "topology/relationships.hpp"
 
@@ -28,7 +26,7 @@ double policy_connectivity(const bsr::bench::BenchContext& ctx, const BrokerSet&
                            double bidirectional_fraction, std::size_t sources,
                            std::uint64_t seed) {
   const auto& g = ctx.topo.graph;
-  const auto filter = bsr::broker::dominated_edge_filter(b);
+  const auto dominated = [&b](NodeId u, NodeId v) { return b.dominates_edge(u, v); };
   const auto override_edge = [&b, bidirectional_fraction, seed](NodeId u, NodeId v) {
     if (!b.contains(u) || !b.contains(v)) return false;
     if (u > v) std::swap(u, v);
@@ -46,7 +44,7 @@ double policy_connectivity(const bsr::bench::BenchContext& ctx, const BrokerSet&
   std::uint64_t reached = 0;
   for (const NodeId src : source_ids) {
     const auto dist = bsr::topology::valley_free_distances(
-        g, ctx.topo.relations, src, filter, override_edge);
+        g, ctx.topo.relations, src, dominated, override_edge);
     for (NodeId v = 0; v < g.num_vertices(); ++v) {
       if (v != src && dist[v] != bsr::graph::kUnreachable) ++reached;
     }

@@ -7,9 +7,8 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "broker/dominated.hpp"
 #include "broker/maxsg.hpp"
-#include "graph/bfs.hpp"
+#include "graph/engine.hpp"
 #include "graph/sampling.hpp"
 #include "io/csv.hpp"
 #include "topology/relationships.hpp"
@@ -27,21 +26,20 @@ struct Connectivities {
 Connectivities measure(const bsr::bench::BenchContext& ctx, const BrokerSet& b,
                        std::size_t sources, std::uint64_t seed) {
   const auto& g = ctx.topo.graph;
-  const auto filter = bsr::broker::dominated_edge_filter(b);
+  const auto dominated = [&b](NodeId u, NodeId v) { return b.dominates_edge(u, v); };
   bsr::graph::Rng rng(seed);
   const auto source_ids = bsr::graph::sample_distinct(
       rng, g.num_vertices(),
       static_cast<NodeId>(std::min<std::size_t>(sources, g.num_vertices())));
 
-  bsr::graph::BfsRunner runner(g.num_vertices());
+  auto& ws = bsr::graph::engine::tls_workspace();
   std::uint64_t free_reach = 0, policy_reach = 0;
   for (const NodeId src : source_ids) {
-    const auto free_dist = runner.run_filtered(g, src, filter);
-    for (NodeId v = 0; v < g.num_vertices(); ++v) {
-      if (v != src && free_dist[v] != bsr::graph::kUnreachable) ++free_reach;
-    }
+    bsr::graph::engine::bfs(g, src, ws,
+                            bsr::graph::engine::DominatedEdgeFilter{&b.mask()});
+    free_reach += ws.visit_order().size() - 1;  // every vertex reached but src
     const auto policy_dist = bsr::topology::valley_free_distances(
-        g, ctx.topo.relations, src, filter, {});
+        g, ctx.topo.relations, src, dominated, {});
     for (NodeId v = 0; v < g.num_vertices(); ++v) {
       if (v != src && policy_dist[v] != bsr::graph::kUnreachable) ++policy_reach;
     }

@@ -18,9 +18,9 @@
 //         "work_units": ..., "metrics": {...}, "counters": { nonzero only } }
 //     ]
 //   }
-// Suites may append extra top-level sections through raw_section() when they
-// keep a legacy layout alongside (perf_engine does); consumers that only
-// speak bsr-bench/1 can ignore those.
+// Suites may append extra top-level sections through raw_section() for
+// suite-specific detail (perf_scale, perf_route_service, ablation_health);
+// consumers that only speak bsr-bench/1 can ignore those.
 #pragma once
 
 #include <cstdint>

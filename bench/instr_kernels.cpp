@@ -21,7 +21,6 @@
 // (same scheme as bare_kernels.cpp).
 #define maxsg instr_maxsg
 #define RouteService InstrRouteService
-#define RebuildScheduler InstrRebuildScheduler
 #define to_string instr_to_string
 #define answer_digest instr_answer_digest
 #define audit_answer instr_audit_answer
@@ -29,7 +28,6 @@
 #include "sim/route_service.cpp"
 #undef maxsg
 #undef RouteService
-#undef RebuildScheduler
 #undef to_string
 #undef answer_digest
 #undef audit_answer

@@ -11,7 +11,7 @@
 #include "broker/greedy_mcb.hpp"
 #include "broker/maxsg.hpp"
 #include "broker/mcbg_approx.hpp"
-#include "graph/bfs.hpp"
+#include "graph/engine.hpp"
 #include "topology/internet.hpp"
 
 namespace {
@@ -39,10 +39,11 @@ BENCHMARK(BM_TopologyGeneration)->Arg(20)->Arg(50)->Arg(100)->Unit(benchmark::kM
 
 void BM_Bfs(benchmark::State& state) {
   const auto& topo = topo_for_scale(static_cast<int>(state.range(0)));
-  bsr::graph::BfsRunner runner(topo.graph.num_vertices());
+  bsr::graph::engine::Workspace ws(topo.graph.num_vertices());
   bsr::graph::NodeId source = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(runner.run(topo.graph, source));
+    bsr::graph::engine::bfs(topo.graph, source, ws, bsr::graph::engine::AllEdges{});
+    benchmark::DoNotOptimize(ws.visit_order().data());
     source = (source + 7919) % topo.graph.num_vertices();
   }
 }

@@ -83,7 +83,7 @@ int main() {
   bsr::bench::Harness harness("perf_obs", ctx);
   std::cout << "stats compiled " << (BSR_STATS_ENABLED ? "ON" : "OFF") << "\n\n";
 
-  // Same 5% fault-filtered setup as perf_engine's headline comparison.
+  // Same 5% fault-filtered setup as perf_scale's fault-filtered BFS.
   bsr::graph::FaultPlane plane(g);
   {
     bsr::graph::Rng fault_rng(ctx.env.seed + 1);

@@ -9,7 +9,7 @@
 //   1. fault-filtered BFS: classic top-down engine::bfs vs bfs_dir_opt on
 //      the original labeling vs bfs_dir_opt on the degree-renumbered graph
 //      (distances compared through the relabeling per source);
-//   2. MaxSG: the pre-anchor snapshot-sweep implementation (verbatim copy
+//   2. MaxSG: the pre-anchor snapshot-sweep implementation (reference copy
 //      below) vs the live anchor-cache broker::maxsg vs the anchor cache on
 //      the renumbered graph with original-id results;
 //   3. greedy MCB: direct vs renumbered round-trip equality.
@@ -41,7 +41,7 @@
 #include "graph/fault_plane.hpp"
 #include "graph/renumbering.hpp"
 #include "graph/sampling.hpp"
-#include "graph/union_find.hpp"
+#include "graph/rollback_union_find.hpp"
 #include "io/table.hpp"
 #include "topology/internet.hpp"
 #include "topology/renumber.hpp"
@@ -56,12 +56,12 @@ namespace engine = bsr::graph::engine;
 
 namespace snapshot {
 
-// The pre-anchor-cache MaxSG, kept verbatim (minus telemetry) as the
-// baseline under test: every round refreshes flat root/size snapshots and
-// re-evaluates EVERY candidate's gain, O(k * (|V| + |E|)) total, vs the live
-// implementation's amortized O(|V| + |E|) dirty-candidate recomputation.
+// The pre-anchor-cache MaxSG (minus telemetry), the reference the live
+// implementation is checked and timed against: every round refreshes flat
+// root/size snapshots of a union-find and re-evaluates EVERY candidate's
+// gain, O(k * (|V| + |E|)) total, vs the live implementation's amortized
+// O(|V| + |E|) dirty-candidate recomputation over component labels.
 bsr::broker::MaxSgResult maxsg(const CsrGraph& g, std::uint32_t k) {
-  using bsr::graph::UnionFind;
   const NodeId n = g.num_vertices();
 
   bsr::broker::MaxSgResult result;
@@ -71,7 +71,7 @@ bsr::broker::MaxSgResult maxsg(const CsrGraph& g, std::uint32_t k) {
   const std::uint32_t reachable_ceiling =
       bsr::graph::connected_components(g).largest_size();
 
-  UnionFind uf(n);
+  bsr::graph::RollbackUnionFind uf(n);
   std::vector<bool> is_broker(n, false);
   std::uint32_t largest = 0;
 

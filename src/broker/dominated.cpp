@@ -1,24 +1,17 @@
 #include "broker/dominated.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <stdexcept>
 
 #include "graph/sampling.hpp"
-#include "graph/union_find.hpp"
 
 namespace bsr::broker {
 
 using bsr::graph::CsrGraph;
 using bsr::graph::NodeId;
 using bsr::graph::Rng;
-using bsr::graph::UnionFind;
 
 namespace engine = bsr::graph::engine;
-
-bsr::graph::EdgeFilter dominated_edge_filter(const BrokerSet& b) {
-  return [&b](NodeId u, NodeId v) { return b.dominates_edge(u, v); };
-}
 
 DominatedEvaluator::DominatedEvaluator(const CsrGraph& g, const BrokerSet& b,
                                        const bsr::graph::FaultPlane* faults)
@@ -41,7 +34,7 @@ double DominatedEvaluator::connectivity() const noexcept {
   const NodeId n = graph_->num_vertices();
   if (n < 2) return 0.0;
   // connected_pairs() is an exact integer < 2^53 for any realistic |V|, so
-  // this matches the legacy per-component double summation bit-for-bit.
+  // this matches a per-component double summation bit-for-bit.
   const double total_pairs = static_cast<double>(n) * (n - 1.0) / 2.0;
   return static_cast<double>(uf_.connected_pairs()) / total_pairs;
 }
@@ -59,16 +52,11 @@ double saturated_connectivity(const CsrGraph& g, const BrokerSet& b,
 
 bsr::graph::DistanceCdf dominated_distance_cdf(const CsrGraph& g, const BrokerSet& b,
                                                Rng& rng, std::size_t num_sources) {
-  const NodeId n = g.num_vertices();
-  const engine::DominatedEdgeFilter filter{&b.mask()};
-  if (num_sources >= n) {
-    std::vector<NodeId> all(n);
-    std::iota(all.begin(), all.end(), NodeId{0});
-    return bsr::graph::distance_cdf_from_sources_with(g, all, filter);
+  if (b.num_vertices() != g.num_vertices()) {
+    throw std::invalid_argument("dominated_distance_cdf: size mismatch");
   }
-  const auto sources =
-      bsr::graph::sample_distinct(rng, n, static_cast<NodeId>(num_sources));
-  return bsr::graph::distance_cdf_from_sources_with(g, sources, filter);
+  return bsr::graph::distance_cdf_sampled(g, rng, num_sources,
+                                          engine::DominatedEdgeFilter{&b.mask()});
 }
 
 BrokerOnlyShare broker_only_share(const CsrGraph& g, const BrokerSet& b, Rng& rng,
@@ -80,7 +68,7 @@ BrokerOnlyShare broker_only_share(const CsrGraph& g, const BrokerSet& b, Rng& rn
   // Components of G_B (any dominating path) ...
   const DominatedEvaluator dominated(g, b);
   // ... and components of the broker-induced subgraph (edges inside B only).
-  UnionFind broker_uf(n);
+  bsr::graph::RollbackUnionFind broker_uf(n);
   for (const NodeId u : b.members()) {
     for (const NodeId v : g.neighbors(u)) {
       if (b.contains(v)) broker_uf.unite(u, v);

@@ -11,14 +11,14 @@
 //   * broker-only connectivity (Fig. 5a) — pairs connected using no
 //     non-broker intermediate node.
 //
-// DominatedEvaluator is the engine-era entry point: it builds the union-find
-// over G_B once and serves every metric from it (the free functions below
-// are one-shot shims). Its RollbackUnionFind supports checkpoint/rollback,
-// so callers can probe "what if broker w joined?" without rebuilding.
+// Traversals of G_B filter the full graph with engine::DominatedEdgeFilter
+// over BrokerSet::mask(). DominatedEvaluator builds the union-find over G_B
+// once and serves every metric from it (the free functions below are
+// one-shot wrappers). Its RollbackUnionFind supports checkpoint/rollback, so
+// callers can probe "what if broker w joined?" without rebuilding.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "broker/broker_set.hpp"
 #include "graph/csr_graph.hpp"
@@ -30,14 +30,10 @@
 
 namespace bsr::broker {
 
-/// Edge filter selecting exactly the dominated edges of B. Bind-by-reference:
-/// the BrokerSet must outlive the returned filter.
-[[nodiscard]] bsr::graph::EdgeFilter dominated_edge_filter(const BrokerSet& b);
-
 /// Unions the endpoints of every active edge of G_B into `uf` by iterating
 /// each broker's star — O(|V| + sum of broker degrees), touching each active
 /// edge at least once. With a fault plane, only usable edges (both endpoints
-/// up, link up) count. Works with both UnionFind and RollbackUnionFind.
+/// up, link up) count.
 template <class UF>
 void build_dominated_uf(const bsr::graph::CsrGraph& g, const BrokerSet& b, UF& uf,
                         const bsr::graph::FaultPlane* faults = nullptr) {
@@ -56,11 +52,11 @@ void build_dominated_uf(const bsr::graph::CsrGraph& g, const BrokerSet& b, UF& u
 }
 
 /// Persistent evaluator over G_B: one union-find build serves connectivity,
-/// largest-component, and component queries (the legacy free functions each
-/// rebuilt it from scratch). The graph/broker set (and fault plane, if any)
-/// are held by reference and re-read on rebuild(), so a caller mutating them
-/// between events just calls rebuild() — the arrays are reused, not
-/// reallocated. uf() exposes checkpoint/rollback for speculative probing.
+/// largest-component, and component queries. The graph/broker set (and
+/// fault plane, if any) are held by reference and re-read on rebuild(), so a
+/// caller mutating them between events just calls rebuild() — the arrays
+/// are reused, not reallocated. uf() exposes checkpoint/rollback for
+/// speculative probing.
 class DominatedEvaluator {
  public:
   DominatedEvaluator(const bsr::graph::CsrGraph& g, const BrokerSet& b,
@@ -104,7 +100,9 @@ class DominatedEvaluator {
                                             const BrokerSet& b,
                                             const bsr::graph::FaultPlane& faults);
 
-/// l-hop connectivity curve in G_B from sampled BFS sources.
+/// l-hop connectivity curve in G_B from sampled BFS sources (every vertex
+/// when num_sources >= |V|). Throws std::invalid_argument when `b` was built
+/// for a different vertex count than `g`.
 [[nodiscard]] bsr::graph::DistanceCdf dominated_distance_cdf(
     const bsr::graph::CsrGraph& g, const BrokerSet& b, bsr::graph::Rng& rng,
     std::size_t num_sources);

@@ -43,7 +43,7 @@ LengthRepairResult repair_path_lengths(const CsrGraph& g, const BrokerSet& b,
   bsr::graph::engine::Workspace free_ws(g.num_vertices());
   bsr::graph::engine::Workspace dom_ws(g.num_vertices());
   // BrokerSet::add never reallocates the mask, so this filter tracks every
-  // promotion made below — matching the legacy by-reference std::function.
+  // promotion made below.
   const bsr::graph::engine::DominatedEdgeFilter filter{&result.brokers.mask()};
 
   for (std::uint32_t round = 0;

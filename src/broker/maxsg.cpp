@@ -8,7 +8,6 @@
 #include "graph/components.hpp"
 #include "graph/engine.hpp"
 #include "graph/renumbering.hpp"
-#include "graph/union_find.hpp"
 #include "obs/stats.hpp"
 #include "obs/trace.hpp"
 
@@ -18,20 +17,19 @@ using bsr::graph::CsrGraph;
 using bsr::graph::kUnreachable;
 using bsr::graph::NodeId;
 using bsr::graph::Renumbering;
-using bsr::graph::UnionFind;
 
 namespace {
 
-/// Per-shard stamp scratch for distinct-root dedup during gain evaluation:
+/// Per-shard stamp scratch for distinct-label dedup during gain evaluation:
 /// O(deg) per candidate even for 5,000-degree hubs (a scan-based dedup would
 /// be O(deg²) there). One instance per shard so workers never share stamps.
 struct GainScratch {
-  std::vector<std::uint32_t> root_stamp;
+  std::vector<std::uint32_t> stamp;  // indexed by component label
   std::uint32_t epoch = 0;
 
   void bump() {
     if (++epoch == 0) {  // wrap: re-zero once per ~4B evaluations
-      std::fill(root_stamp.begin(), root_stamp.end(), 0u);
+      std::fill(stamp.begin(), stamp.end(), 0u);
       epoch = 1;
     }
   }
@@ -57,15 +55,20 @@ MaxSgResult maxsg(const CsrGraph& g, std::uint32_t k, const MaxSgOptions& option
   const std::uint32_t reachable_ceiling =
       bsr::graph::connected_components(g).largest_size();
 
-  UnionFind uf(n);  // components of the dominated subgraph G_B
+  // Components of the dominated subgraph G_B as explicit labels: label[v]
+  // names v's component (a vertex id; every vertex starts alone), comp_size
+  // is indexed by label, and each label owns an intrusive member list
+  // (head/next chains ending at kUnreachable). Labels change only when a
+  // pick merges components, never during a sweep, so shards read them as
+  // flat arrays — a candidate's gain costs two loads per edge.
+  std::vector<NodeId> label(n);
+  std::vector<std::uint32_t> comp_size(n, 1);
+  std::vector<NodeId> list_head(n);
+  std::vector<NodeId> list_tail(n);
+  std::vector<NodeId> list_next(n, kUnreachable);
+  for (NodeId v = 0; v < n; ++v) label[v] = list_head[v] = list_tail[v] = v;
   std::vector<bool> is_broker(n, false);  // graph-id space
   std::uint32_t largest = 0;
-
-  // Per-round snapshot of the union-find, refreshed serially: no unions
-  // happen during a sweep, and find() path-halves (mutates), so shards read
-  // only these flat arrays — a candidate's gain costs two loads per edge.
-  std::vector<NodeId> root_of(n);
-  std::vector<std::uint32_t> size_of(n);
 
   // Anchor-factored gain cache (see maxsg.hpp). All graph-id indexed.
   //   gain(w) = rest_gain[w] + (adj_anchor[w] ? size(anchor) : 0)
@@ -76,40 +79,23 @@ MaxSgResult maxsg(const CsrGraph& g, std::uint32_t k, const MaxSgOptions& option
   std::vector<std::uint32_t> dirty_round(n, 1);  // every candidate dirty in round 1
   NodeId anchor_rep = kUnreachable;  // any vertex of the anchor component
 
-  // Intrusive per-component member lists for dirty marking: head/next chains
-  // terminate at kUnreachable and are spliced O(1) when components merge.
-  // Only *current root* heads are ever traversed, so stale entries under
-  // absorbed roots are harmless.
-  std::vector<NodeId> list_head(n);
-  std::vector<NodeId> list_tail(n);
-  std::vector<NodeId> list_next(n, kUnreachable);
-  for (NodeId v = 0; v < n; ++v) {
-    list_head[v] = v;
-    list_tail[v] = v;
-  }
-
   const std::size_t shards = bsr::graph::engine::plan_shards(n);
   std::vector<GainScratch> scratch(shards);
-  for (auto& s : scratch) s.root_stamp.assign(n, 0);
+  for (auto& s : scratch) s.stamp.assign(n, 0);
   struct Best {
     std::uint32_t gain = 0;
     NodeId cand = kUnreachable;  // candidate index == ORIGINAL id
   };
   std::vector<Best> shard_best(shards);
   std::vector<std::uint64_t> shard_evals(shards, 0);
-  std::vector<NodeId> star_roots;
+  std::vector<NodeId> star_labels;
 
   std::uint32_t round = 1;
   while (result.brokers.size() < k) {
     BSR_COUNT(MaxsgRounds);
-    for (NodeId v = 0; v < n; ++v) root_of[v] = uf.find(v);
-    for (NodeId v = 0; v < n; ++v) {
-      if (root_of[v] == v) size_of[v] = uf.root_size(v);
-    }
-    const NodeId anchor_root =
-        anchor_rep == kUnreachable ? kUnreachable : root_of[anchor_rep];
-    const std::uint32_t anchor_size =
-        anchor_root == kUnreachable ? 0 : size_of[anchor_root];
+    const NodeId anchor =
+        anchor_rep == kUnreachable ? kUnreachable : label[anchor_rep];
+    const std::uint32_t anchor_size = anchor == kUnreachable ? 0 : comp_size[anchor];
 
     // Sharded sweep: recompute dirty candidates, argmax over all of them.
     // Candidates are iterated in ORIGINAL-id order (candidate index c; graph
@@ -131,21 +117,21 @@ MaxSgResult maxsg(const CsrGraph& g, std::uint32_t k, const MaxSgOptions& option
           sc.bump();
           std::uint32_t rest = 0;
           std::uint8_t adj = 0;
-          const NodeId rw = root_of[w];
-          sc.root_stamp[rw] = sc.epoch;
-          if (rw == anchor_root) {
+          const NodeId lw = label[w];
+          sc.stamp[lw] = sc.epoch;
+          if (lw == anchor) {
             adj = 1;
           } else {
-            rest += size_of[rw];
+            rest += comp_size[lw];
           }
           for (const NodeId v : g.neighbors(w)) {
-            const NodeId r = root_of[v];
-            if (sc.root_stamp[r] != sc.epoch) {
-              sc.root_stamp[r] = sc.epoch;
-              if (r == anchor_root) {
+            const NodeId l = label[v];
+            if (sc.stamp[l] != sc.epoch) {
+              sc.stamp[l] = sc.epoch;
+              if (l == anchor) {
                 adj = 1;
               } else {
-                rest += size_of[r];
+                rest += comp_size[l];
               }
             }
           }
@@ -176,24 +162,24 @@ MaxSgResult maxsg(const CsrGraph& g, std::uint32_t k, const MaxSgOptions& option
     is_broker[w_best] = true;
     result.brokers.add(best.cand);  // original id
 
-    // Distinct components of the star {w_best} ∪ N(w_best), pre-unite.
+    // Distinct components of the star {w_best} ∪ N(w_best), pre-merge.
     GainScratch& sc0 = scratch[0];
     sc0.bump();
-    star_roots.clear();
-    const NodeId rw = root_of[w_best];
-    sc0.root_stamp[rw] = sc0.epoch;
-    star_roots.push_back(rw);
+    star_labels.clear();
+    const NodeId lw = label[w_best];
+    sc0.stamp[lw] = sc0.epoch;
+    star_labels.push_back(lw);
     for (const NodeId v : g.neighbors(w_best)) {
-      const NodeId r = root_of[v];
-      if (sc0.root_stamp[r] != sc0.epoch) {
-        sc0.root_stamp[r] = sc0.epoch;
-        star_roots.push_back(r);
+      const NodeId l = label[v];
+      if (sc0.stamp[l] != sc0.epoch) {
+        sc0.stamp[l] = sc0.epoch;
+        star_labels.push_back(l);
       }
     }
     const bool involves_anchor =
-        anchor_root != kUnreachable && sc0.root_stamp[anchor_root] == sc0.epoch;
+        anchor != kUnreachable && sc0.stamp[anchor] == sc0.epoch;
 
-    // Dirty marking, BEFORE the splices below so each chain still enumerates
+    // Dirty marking, BEFORE the merge below so each chain still enumerates
     // exactly one pre-merge component. Every candidate whose closed
     // neighborhood touches a *non-anchor* merged component must recompute
     // next round (its component-membership/size terms changed). Candidates
@@ -201,43 +187,44 @@ MaxSgResult maxsg(const CsrGraph& g, std::uint32_t k, const MaxSgOptions& option
     // fresh size is applied at evaluation time. Each vertex is absorbed into
     // the anchor at most once, so this marking is amortized O(|V| + |E|)
     // over the whole run.
-    if (star_roots.size() >= 2) {
+    if (star_labels.size() >= 2) {
       const std::uint32_t next_round = round + 1;
-      for (const NodeId r : star_roots) {
-        if (r == anchor_root) continue;
-        for (NodeId m = list_head[r]; m != kUnreachable; m = list_next[m]) {
+      for (const NodeId l : star_labels) {
+        if (l == anchor) continue;
+        for (NodeId m = list_head[l]; m != kUnreachable; m = list_next[m]) {
           dirty_round[m] = next_round;
           for (const NodeId nb : g.neighbors(m)) dirty_round[nb] = next_round;
         }
       }
     }
 
-    // Activate w_best: unite its star (same merge sequence as
-    // engine::unite_star) and splice the member lists of merged components.
-    {
-      const auto neigh = g.neighbors(w_best);
-      BSR_STATS_ONLY(std::uint64_t admitted = 0;)
-      for (const NodeId v : neigh) {
-        BSR_STATS_ONLY(++admitted;)
-        const NodeId ra = uf.find(w_best);
-        const NodeId rb = uf.find(v);
-        if (ra == rb) continue;
-        uf.unite(ra, rb);
-        const NodeId winner = uf.find(ra);
-        const NodeId loser = winner == ra ? rb : ra;
-        list_next[list_tail[winner]] = list_head[loser];
-        list_tail[winner] = list_tail[loser];
-      }
-      BSR_COUNT_N(EngineUniteEdgeScans, neigh.size());
-      BSR_COUNT_N(EngineUniteAdmitted, admitted);
+    // Activate w_best: every edge of its star joins G_B, so the star's
+    // components merge into the largest of them. Only the smaller ones are
+    // relabelled and spliced, so a vertex changes label only when its
+    // component at least doubles: O(|V| log |V|) relabels over the run.
+    NodeId into = lw;
+    for (const NodeId l : star_labels) {
+      if (comp_size[l] > comp_size[into]) into = l;
     }
+    for (const NodeId l : star_labels) {
+      if (l == into) continue;
+      for (NodeId m = list_head[l]; m != kUnreachable; m = list_next[m]) {
+        label[m] = into;
+      }
+      list_next[list_tail[into]] = list_head[l];
+      list_tail[into] = list_tail[l];
+      comp_size[into] += comp_size[l];
+    }
+    // Counted as engine::unite_star counts the same star.
+    BSR_COUNT_N(EngineUniteEdgeScans, g.degree(w_best));
+    BSR_COUNT_N(EngineUniteAdmitted, g.degree(w_best));
 
     // The merged component becomes (or extends) the anchor only when it
     // contains the previous anchor — switching the anchor to a disjoint
     // component would invalidate every cached adj_anchor bit.
     if (anchor_rep == kUnreachable || involves_anchor) anchor_rep = w_best;
 
-    largest = std::max(largest, uf.component_size(w_best));
+    largest = std::max(largest, comp_size[into]);
     result.component_curve.push_back(largest);
     ++round;
 

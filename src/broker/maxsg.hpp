@@ -2,10 +2,11 @@
 //
 // Each iteration adds the vertex w maximizing the size of the largest
 // connected component of the dominated subgraph G_{B ∪ {w}}. Implementation:
-// a union-find over active (broker-incident) edges is maintained
-// incrementally; the candidate gain — the size of the component that would
-// form around w — is the sum of the distinct component sizes of w and its
-// neighbors, computed in O(deg(w)).
+// the components of G_B are kept as explicit per-vertex labels, merged as
+// brokers are added (a pick relabels the smaller components of its star into
+// the largest, O(|V| log |V|) relabels over a run); the candidate gain — the
+// size of the component that would form around w — is the sum of the
+// distinct component sizes of w and its neighbors, computed in O(deg(w)).
 //
 // Unlike coverage f, the component-size objective is NOT submodular (merging
 // grows future gains), so lazy evaluation is unsound here. Instead of the

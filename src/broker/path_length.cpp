@@ -1,5 +1,7 @@
 #include "broker/path_length.hpp"
 
+#include <stdexcept>
+
 #include "graph/sampling.hpp"
 
 namespace bsr::broker {
@@ -23,10 +25,13 @@ PathLengthComparison compare_path_lengths(const CsrGraph& g, const BrokerSet& b,
 
 PathLengthComparison compare_path_lengths(const CsrGraph& g, const BrokerSet& b,
                                           std::span<const NodeId> sources) {
+  if (b.num_vertices() != g.num_vertices()) {
+    throw std::invalid_argument("compare_path_lengths: size mismatch");
+  }
   PathLengthComparison out;
   out.free_paths = bsr::graph::distance_cdf_from_sources(g, sources);
-  out.dominated_paths =
-      bsr::graph::distance_cdf_from_sources(g, sources, dominated_edge_filter(b));
+  out.dominated_paths = bsr::graph::distance_cdf_from_sources(
+      g, sources, bsr::graph::engine::DominatedEdgeFilter{&b.mask()});
   out.max_deviation = bsr::graph::max_cdf_deviation(out.free_paths, out.dominated_paths);
   return out;
 }

@@ -32,7 +32,9 @@ struct PathLengthComparison {
 };
 
 /// Computes both CDFs from the same sampled source set (paired sampling
-/// removes sampling noise from the comparison).
+/// removes sampling noise from the comparison). Both overloads throw
+/// std::invalid_argument when `b` was built for a different vertex count
+/// than `g`.
 [[nodiscard]] PathLengthComparison compare_path_lengths(const bsr::graph::CsrGraph& g,
                                                         const BrokerSet& b,
                                                         bsr::graph::Rng& rng,

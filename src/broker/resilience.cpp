@@ -6,14 +6,13 @@
 #include "broker/dominated.hpp"
 #include "graph/check.hpp"
 #include "graph/engine.hpp"
-#include "graph/union_find.hpp"
+#include "graph/rollback_union_find.hpp"
 
 namespace bsr::broker {
 
 using bsr::graph::CsrGraph;
 using bsr::graph::NodeId;
 using bsr::graph::Rng;
-using bsr::graph::UnionFind;
 
 namespace engine = bsr::graph::engine;
 
@@ -77,9 +76,9 @@ using bsr::graph::FaultPlane;
 
 /// MaxSG-style greedy repair seeded with the survivors. The edge filter is a
 /// template parameter so the fault checks fold into the scan loops (AllEdges
-/// on the pristine graph, FaultAwareFilter under damage); like maxsg(), each
-/// round snapshots the union-find into flat root/size arrays so candidate
-/// gains are array loads, not find() chains.
+/// on the pristine graph, FaultAwareFilter under damage). Each round
+/// snapshots the union-find into flat root/size arrays so candidate gains
+/// are array loads, not find() chains.
 template <class Filter>
 BrokerSet repair_sweep(const CsrGraph& g, const BrokerSet& survivors,
                        std::uint32_t budget, const FaultPlane* faults,
@@ -92,7 +91,7 @@ BrokerSet repair_sweep(const CsrGraph& g, const BrokerSet& survivors,
     return faults == nullptr || faults->vertex_ok(v);
   };
 
-  UnionFind uf(n);
+  bsr::graph::RollbackUnionFind uf(n);
   std::vector<bool> is_broker(n, false);
   for (const NodeId b : survivors.members()) {
     is_broker[b] = true;

@@ -6,17 +6,23 @@
 
 #include "broker/dominated.hpp"
 #include "graph/engine.hpp"
-#include "graph/union_find.hpp"
+#include "graph/rollback_union_find.hpp"
 
 namespace bsr::broker {
 
 using bsr::graph::CsrGraph;
 using bsr::graph::NodeId;
-using bsr::graph::UnionFind;
+using bsr::graph::RollbackUnionFind;
 
 namespace engine = bsr::graph::engine;
 
 namespace {
+
+void validate_brokers(const CsrGraph& g, const BrokerSet& b) {
+  if (b.num_vertices() != g.num_vertices()) {
+    throw std::invalid_argument("weighted broker ops: broker set size mismatch");
+  }
+}
 
 void validate_weights(const CsrGraph& g, std::span<const double> weight) {
   if (weight.size() != g.num_vertices()) {
@@ -31,6 +37,7 @@ void validate_weights(const CsrGraph& g, std::span<const double> weight) {
 
 double weighted_coverage(const CsrGraph& g, const BrokerSet& b,
                          std::span<const double> weight) {
+  validate_brokers(g, b);
   validate_weights(g, weight);
   auto& ws = engine::tls_workspace();
   ws.begin_marks(g.num_vertices());
@@ -112,15 +119,15 @@ WeightedGreedyResult weighted_greedy_mcb(const CsrGraph& g, std::uint32_t k,
 
 double weighted_saturated_connectivity(const CsrGraph& g, const BrokerSet& b,
                                        std::span<const double> weight) {
+  validate_brokers(g, b);
   validate_weights(g, weight);
   const NodeId n = g.num_vertices();
   if (n < 2) return 0.0;
 
-  // UnionFind (not Rollback) on purpose: the double sums below are indexed
-  // by root id and accumulated in vertex-scan order, so root identity —
-  // which both UF flavors derive from the same merge rule — fixes the
-  // floating-point result.
-  UnionFind uf(n);
+  // The double sums below are indexed by root id and accumulated in
+  // vertex-scan order, so root identity — fixed by the union-find's merge
+  // rule and the unite order — fixes the floating-point result.
+  RollbackUnionFind uf(n);
   build_dominated_uf(g, b, uf);
   // Σ_{pairs in same component} w_u w_v = Σ_c (S_c² - Q_c) / 2 with
   // S_c = Σ w, Q_c = Σ w² over the component.
@@ -151,7 +158,7 @@ WeightedMaxSgResult weighted_maxsg(const CsrGraph& g, std::uint32_t k,
   result.brokers = BrokerSet(n);
   if (k == 0) return result;
 
-  UnionFind uf(n);
+  RollbackUnionFind uf(n);
   // Per-root component weight, maintained alongside the union-find. After
   // unite(), the surviving root's entry must hold the merged total.
   std::vector<double> component_weight(weight.begin(), weight.end());

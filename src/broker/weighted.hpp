@@ -19,8 +19,8 @@
 
 namespace bsr::broker {
 
-/// Weighted coverage f_w(B). Throws std::invalid_argument on size mismatch
-/// or negative weights.
+/// Weighted coverage f_w(B). Throws std::invalid_argument when `b` or
+/// `weight` is sized for another graph, or on negative weights.
 [[nodiscard]] double weighted_coverage(const bsr::graph::CsrGraph& g,
                                        const BrokerSet& b,
                                        std::span<const double> weight);
@@ -39,6 +39,7 @@ struct WeightedGreedyResult {
 /// Weighted saturated connectivity: Σ over connected-in-G_B pairs of
 /// w(u)·w(v), divided by Σ over all pairs — the traffic share that can be
 /// served with dominating paths. O(|V| + |E|) via per-component weight sums.
+/// Throws like weighted_coverage.
 [[nodiscard]] double weighted_saturated_connectivity(const bsr::graph::CsrGraph& g,
                                                      const BrokerSet& b,
                                                      std::span<const double> weight);

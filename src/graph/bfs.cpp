@@ -7,36 +7,6 @@
 
 namespace bsr::graph {
 
-std::span<const std::uint32_t> BfsRunner::export_dense() {
-  for (const NodeId v : touched_) dist_[v] = kUnreachable;
-  const auto order = ws_.visit_order();
-  touched_.assign(order.begin(), order.end());
-  for (const NodeId v : touched_) dist_[v] = ws_.dist_unchecked(v);
-  return dist_;
-}
-
-std::span<const std::uint32_t> BfsRunner::run(const CsrGraph& g, NodeId source) {
-  // A runner sized for a smaller graph would write dist_ out of bounds.
-  BSR_DCHECK(g.num_vertices() <= dist_.size());
-  engine::bfs(g, source, ws_, engine::AllEdges{});
-  return export_dense();
-}
-
-std::span<const std::uint32_t> BfsRunner::run_filtered(
-    const CsrGraph& g, NodeId source,
-    const std::function<bool(NodeId, NodeId)>& edge_ok) {
-  BSR_DCHECK(g.num_vertices() <= dist_.size());
-  engine::bfs(g, source, ws_, engine::FnFilter{&edge_ok});
-  return export_dense();
-}
-
-std::span<const std::uint32_t> BfsRunner::run_bounded(const CsrGraph& g, NodeId source,
-                                                      std::uint32_t max_depth) {
-  BSR_DCHECK(g.num_vertices() <= dist_.size());
-  engine::bfs_bounded(g, source, max_depth, ws_, engine::AllEdges{});
-  return export_dense();
-}
-
 std::vector<std::uint32_t> bfs_distances(const CsrGraph& g, NodeId source) {
   auto& ws = engine::tls_workspace();
   engine::bfs(g, source, ws, engine::AllEdges{});

@@ -1,62 +1,22 @@
-// Breadth-first search primitives on CsrGraph.
+// Breadth-first search conveniences on CsrGraph.
 //
 // The AS graph is unweighted, so shortest hop distances are BFS distances.
-// Besides plain BFS we provide a *filtered* BFS whose edge relaxation is
-// restricted by a caller predicate — this is how the dominated subgraph
-// G_B (edges with at least one broker endpoint) is traversed without
-// materializing it.
-//
-// BfsRunner is the legacy dense-array API, kept as a thin shim over the
-// engine kernels (graph/engine.hpp). New code that runs many traversals
-// should use engine::bfs with a Workspace directly: it skips the dense
-// export entirely and supports inlinable filter structs instead of the
-// std::function predicate taken here.
+// These one-shot wrappers run the engine kernels (graph/engine.hpp) on the
+// calling thread's scratch workspace. Code that runs many traversals, or
+// needs an edge filter (e.g. the dominated subgraph G_B: edges with at least
+// one broker endpoint), calls engine::bfs with a Workspace and a filter
+// struct directly.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <span>
 #include <vector>
 
 #include "graph/csr_graph.hpp"
-#include "graph/workspace.hpp"
 
 namespace bsr::graph {
 
-/// Reusable BFS workspace. Construct once per graph size and reuse across
-/// many runs to avoid reallocating the frontier/distance arrays (matters
-/// when sampling thousands of sources).
-class BfsRunner {
- public:
-  explicit BfsRunner(NodeId n) : ws_(n), dist_(n, kUnreachable) {}
-
-  /// Full BFS from `source`. Returns distances (kUnreachable if not reached).
-  /// The returned span is valid until the next run.
-  std::span<const std::uint32_t> run(const CsrGraph& g, NodeId source);
-
-  /// BFS where an edge (u, v) is traversable iff edge_ok(u, v). Used for
-  /// dominated-subgraph and policy-restricted traversals.
-  std::span<const std::uint32_t> run_filtered(
-      const CsrGraph& g, NodeId source,
-      const std::function<bool(NodeId, NodeId)>& edge_ok);
-
-  /// BFS from source limited to `max_depth` hops (inclusive).
-  std::span<const std::uint32_t> run_bounded(const CsrGraph& g, NodeId source,
-                                             std::uint32_t max_depth);
-
-  [[nodiscard]] std::span<const std::uint32_t> distances() const noexcept { return dist_; }
-
- private:
-  /// Copies the workspace's sparse result into the dense dist_ array,
-  /// un-writing only the vertices the *previous* run touched.
-  std::span<const std::uint32_t> export_dense();
-
-  engine::Workspace ws_;
-  std::vector<std::uint32_t> dist_;
-  std::vector<NodeId> touched_;  // vertices whose dist_ entries need resetting
-};
-
-/// One-shot BFS convenience wrapper (allocates per call).
+/// Dense BFS distances from `source` (kUnreachable if not reached); allocates
+/// the result per call.
 [[nodiscard]] std::vector<std::uint32_t> bfs_distances(const CsrGraph& g, NodeId source);
 
 /// Shortest path (as a vertex sequence source..target) via BFS parent

@@ -48,13 +48,6 @@ Components connected_components(const CsrGraph& g) {
   return from_union_find(g, uf);
 }
 
-Components connected_components_filtered(
-    const CsrGraph& g, const std::function<bool(NodeId, NodeId)>& edge_ok) {
-  RollbackUnionFind uf(g.num_vertices());
-  engine::unite_edges(g, uf, engine::FnFilter{&edge_ok});
-  return from_union_find(g, uf);
-}
-
 std::vector<NodeId> largest_component_vertices(const CsrGraph& g) {
   const Components comps = connected_components(g);
   if (comps.count == 0) return {};

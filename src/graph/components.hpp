@@ -1,8 +1,7 @@
-// Connected components of a CsrGraph (or a filtered edge subset).
+// Connected components of a CsrGraph.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "graph/csr_graph.hpp"
@@ -21,10 +20,6 @@ struct Components {
 
 /// Components of the full graph.
 [[nodiscard]] Components connected_components(const CsrGraph& g);
-
-/// Components where edge (u, v) participates iff edge_ok(u, v).
-[[nodiscard]] Components connected_components_filtered(
-    const CsrGraph& g, const std::function<bool(NodeId, NodeId)>& edge_ok);
 
 /// Vertex ids of the largest connected component, sorted ascending.
 [[nodiscard]] std::vector<NodeId> largest_component_vertices(const CsrGraph& g);

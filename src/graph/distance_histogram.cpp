@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
-
-#include "graph/sampling.hpp"
 
 namespace bsr::graph {
 
@@ -27,29 +24,6 @@ DistanceCdf cdf_from_histogram(std::vector<std::uint64_t> histogram,
 }
 
 }  // namespace detail
-
-DistanceCdf distance_cdf_from_sources(const CsrGraph& g,
-                                      std::span<const NodeId> sources,
-                                      const EdgeFilter& filter) {
-  if (filter) {
-    return distance_cdf_from_sources_with(g, sources, engine::FnFilter{&filter});
-  }
-  return distance_cdf_from_sources_with(g, sources, engine::AllEdges{});
-}
-
-DistanceCdf distance_cdf_sampled(const CsrGraph& g, Rng& rng, std::size_t num_sources,
-                                 const EdgeFilter& filter) {
-  const NodeId n = g.num_vertices();
-  if (num_sources >= n) return distance_cdf_exact(g, filter);
-  const auto sources = sample_distinct(rng, n, static_cast<NodeId>(num_sources));
-  return distance_cdf_from_sources(g, sources, filter);
-}
-
-DistanceCdf distance_cdf_exact(const CsrGraph& g, const EdgeFilter& filter) {
-  std::vector<NodeId> all(g.num_vertices());
-  std::iota(all.begin(), all.end(), NodeId{0});
-  return distance_cdf_from_sources(g, all, filter);
-}
 
 double max_cdf_deviation(const DistanceCdf& a, const DistanceCdf& b) {
   const std::size_t len = std::max(a.cdf.size(), b.cdf.size());

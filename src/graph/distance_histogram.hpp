@@ -9,23 +9,23 @@
 // reported resolution (two decimals in percent) is far above the sampling
 // error at >= 512 sources.
 //
-// distance_cdf_from_sources_with<Filter> is the engine-native entry point:
-// the filter struct inlines into the BFS loop and sources are split across
-// BSR_THREADS shards. Per-shard histograms are integer counts merged in
-// shard order, and the shard partition depends only on the source count, so
-// the result is bit-identical at any thread count. The EdgeFilter overloads
-// below are shims over it.
+// Every entry point takes an engine filter struct (graph/engine.hpp,
+// AllEdges by default) that inlines into the BFS loop, and splits its
+// sources across BSR_THREADS shards. Per-shard histograms are integer counts
+// merged in shard order, and the shard partition depends only on the source
+// count, so the result is bit-identical at any thread count.
 #pragma once
 
 #include <cstdint>
+#include <numeric>
 #include <span>
 #include <stdexcept>
 #include <vector>
 
 #include "graph/csr_graph.hpp"
-#include "graph/edge_filter.hpp"
 #include "graph/engine.hpp"
 #include "graph/rng.hpp"
+#include "graph/sampling.hpp"
 
 namespace bsr::graph {
 
@@ -54,12 +54,13 @@ namespace detail {
 
 }  // namespace detail
 
-/// Distance CDF from explicit BFS sources with a static-dispatch edge filter.
-/// Sources are sharded across engine::num_threads() workers; bit-identical
-/// at any thread count.
-template <class Filter>
-[[nodiscard]] DistanceCdf distance_cdf_from_sources_with(
-    const CsrGraph& g, std::span<const NodeId> sources, Filter filter) {
+/// Distance CDF from explicit BFS sources over the edges `filter` admits
+/// (e.g. engine::DominatedEdgeFilter for the dominated subgraph).
+/// Destinations range over all vertices other than the source.
+template <class Filter = engine::AllEdges>
+[[nodiscard]] DistanceCdf distance_cdf_from_sources(const CsrGraph& g,
+                                                    std::span<const NodeId> sources,
+                                                    Filter filter = {}) {
   const NodeId n = g.num_vertices();
   if (n < 2) throw std::invalid_argument("distance_cdf: need at least 2 vertices");
   if (sources.empty()) throw std::invalid_argument("distance_cdf: no sources");
@@ -89,22 +90,25 @@ template <class Filter>
   return detail::cdf_from_histogram(std::move(histogram), sources.size(), n);
 }
 
-/// Distance CDF from explicit BFS sources. If `filter` is non-empty, edges
-/// are admitted per the filter (e.g. dominated-subgraph traversal).
-/// Destinations range over all vertices other than the source.
-[[nodiscard]] DistanceCdf distance_cdf_from_sources(const CsrGraph& g,
-                                                    std::span<const NodeId> sources,
-                                                    const EdgeFilter& filter = {});
+/// Exact distance CDF (BFS from every vertex). Small graphs / tests only.
+template <class Filter = engine::AllEdges>
+[[nodiscard]] DistanceCdf distance_cdf_exact(const CsrGraph& g, Filter filter = {}) {
+  std::vector<NodeId> all(g.num_vertices());
+  std::iota(all.begin(), all.end(), NodeId{0});
+  return distance_cdf_from_sources(g, all, filter);
+}
 
 /// Distance CDF from `num_sources` uniformly sampled distinct sources
-/// (all vertices if num_sources >= |V|).
+/// (all vertices, drawing nothing from `rng`, if num_sources >= |V|).
+template <class Filter = engine::AllEdges>
 [[nodiscard]] DistanceCdf distance_cdf_sampled(const CsrGraph& g, Rng& rng,
                                                std::size_t num_sources,
-                                               const EdgeFilter& filter = {});
-
-/// Exact distance CDF (BFS from every vertex). Small graphs / tests only.
-[[nodiscard]] DistanceCdf distance_cdf_exact(const CsrGraph& g,
-                                             const EdgeFilter& filter = {});
+                                               Filter filter = {}) {
+  const NodeId n = g.num_vertices();
+  if (num_sources >= n) return distance_cdf_exact(g, filter);
+  const auto sources = sample_distinct(rng, n, static_cast<NodeId>(num_sources));
+  return distance_cdf_from_sources(g, sources, filter);
+}
 
 /// Maximum absolute deviation max_l |a(l) - b(l)| between two CDFs — the
 /// epsilon-feasibility test of Eq. (4) in the paper.

@@ -1,12 +1,10 @@
 // Static-dispatch traversal engine.
 //
-// The legacy traversal entry points (BfsRunner::run_filtered,
-// connected_components_filtered, distance_cdf_from_sources) accept a
-// std::function edge predicate — one indirect call per edge relaxation, which
-// the compiler cannot inline or vectorize around. This header replaces that
-// with *filter structs* passed to function templates: the predicate body is
-// known at instantiation time and folds into the scan loop, so a dominated-
-// subgraph BFS costs the same as an unfiltered BFS plus two bitmask loads.
+// Every traversal of the library goes through the function templates below,
+// parameterized on a *filter struct*: the predicate body is known at
+// instantiation time and folds into the scan loop, so a dominated-subgraph
+// BFS costs the same as an unfiltered BFS plus two bitmask loads (no
+// indirect call per edge relaxation).
 //
 // Filters implement
 //     bool operator()(NodeId u, std::size_t slot, NodeId v) const
@@ -15,11 +13,11 @@
 // FaultPlane::edge_up_at(u, slot) instead of an O(log d) edge lookup.
 //
 // Determinism contract (see docs/ENGINE.md): every kernel visits vertices in
-// exactly the order the legacy code did — queue order for BFS, ascending
-// (u, slot) order for edge scans — so dist arrays, component labels, greedy
-// tie-breaks, and double accumulation orders are bit-identical to the
-// pre-engine implementation, and invariant under BSR_THREADS (parallel
-// reductions are integer-only and merged in shard order).
+// a fixed order — FIFO queue order for bfs, ascending (u, slot) order for
+// edge scans — so dist arrays, component labels, greedy tie-breaks, and
+// double accumulation orders are pure functions of the input, and invariant
+// under BSR_THREADS (parallel reductions are integer-only and merged in
+// shard order).
 #pragma once
 
 #include <algorithm>
@@ -80,22 +78,10 @@ struct BothFilters {
   }
 };
 
-/// Adapter for genuinely dynamic predicates (legacy EdgeFilter callers).
-/// Still one indirect call per edge — prefer the structs above on hot paths.
-struct FnFilter {
-  const std::function<bool(NodeId, NodeId)>* fn = nullptr;
-
-  bool operator()(NodeId u, std::size_t, NodeId v) const {
-    BSR_DCHECK(fn != nullptr);
-    return (*fn)(u, v);
-  }
-};
-
 // --- traversal kernels -----------------------------------------------------
 
 /// BFS from `source` over edges admitted by `admit`, writing dist/visit-order
-/// into `ws`. Visit order is identical to the legacy BfsRunner: FIFO queue,
-/// neighbors scanned in ascending adjacency order.
+/// into `ws`: FIFO queue, neighbors scanned in ascending adjacency order.
 template <class Filter>
 void bfs(const CsrGraph& g, NodeId source, Workspace& ws, Filter admit) {
   BSR_DCHECK(source < g.num_vertices());
@@ -208,7 +194,7 @@ struct Subgraph {
 /// Requires a *symmetric* filter: admit(u, slot of v in u, v) must equal
 /// admit(v, slot of u in v, u) for every structural edge — true for
 /// AllEdges, DominatedEdgeFilter, FaultAwareFilter, and conjunctions
-/// thereof (an FnFilter wrapping an asymmetric predicate is not).
+/// thereof.
 ///
 /// Guarantees the exact distances and reachable set of bfs(); visit order
 /// *within a level* may differ (bottom-up levels discover in ascending
@@ -306,13 +292,12 @@ void bfs_dir_opt(const Graph& g, NodeId source, Workspace& ws, Filter admit = {}
   BSR_COUNT_N(EngineBfsVerticesVisited, ws.frontier_size());
 }
 
-/// Unions the endpoints of every admitted edge into `uf`. Edges are scanned
-/// in canonical ascending (u, v) order with u < v — the same order every
-/// legacy union-find construction loop used, so root identities match.
-/// Works with both UnionFind and RollbackUnionFind, over a CsrGraph or a
-/// compacted Subgraph (whose lists keep the parent graph's order, so
-/// AllEdges over compact_dominated(g, ...) unites the same sequence as the
-/// matching filter over g).
+/// Unions the endpoints of every admitted edge into `uf` (a
+/// RollbackUnionFind). Edges are scanned in canonical ascending (u, v) order
+/// with u < v, so root identities are a function of the graph and filter.
+/// Runs over a CsrGraph or a compacted Subgraph (whose lists keep the parent
+/// graph's order, so AllEdges over compact_dominated(g, ...) unites the same
+/// sequence as the matching filter over g).
 template <class Graph, class UF, class Filter>
 void unite_edges(const Graph& g, UF& uf, Filter admit) {
   const NodeId n = g.num_vertices();

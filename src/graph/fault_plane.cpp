@@ -161,10 +161,6 @@ bool FaultPlane::edge_ok(NodeId u, NodeId v) const noexcept {
   return slot != kNoSlot && edge_down_[edge_id_[slot]] == 0;
 }
 
-EdgeFilter FaultPlane::filter() const {
-  return [this](NodeId u, NodeId v) { return edge_ok(u, v); };
-}
-
 CsrGraph FaultPlane::materialize() const {
   const NodeId n = graph_->num_vertices();
   GraphBuilder builder(n);

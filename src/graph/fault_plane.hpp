@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "graph/csr_graph.hpp"
-#include "graph/edge_filter.hpp"
 #include "graph/rng.hpp"
 
 namespace bsr::graph {
@@ -106,10 +105,6 @@ class FaultPlane {
   [[nodiscard]] bool pristine() const noexcept {
     return failed_edges_ == 0 && failed_vertices_ == 0;
   }
-
-  /// Edge filter selecting exactly the usable edges; composes with the
-  /// filtered-BFS machinery. Binds this plane by reference.
-  [[nodiscard]] EdgeFilter filter() const;
 
   /// Rebuilds the surviving subgraph as a fresh CsrGraph (same vertex ids;
   /// down vertices become isolated). O(|V| + |E|) — intended for tests and

@@ -1,26 +1,27 @@
-// Rollback-capable disjoint-set forest (union by size + undo log).
+// The library's disjoint-set forest: union by size plus an undo log.
 //
-// The classic union-find trade-off: path compression makes find O(alpha)
-// but destroys the information needed to undo a union. This variant keeps
-// union by size only (find is O(log n)) and records every successful unite
-// in an undo log, so any suffix of unions can be rolled back in O(1) each.
-// That turns "evaluate candidate C against the current dominated subgraph"
-// from a full O(|E_B|) reconstruction into
+// Path compression would make find O(alpha) but destroys the information
+// needed to undo a union. This forest keeps union by size only (find is
+// O(log n) and const) and records every successful unite in an undo log, so
+// any suffix of unions can be rolled back in O(1) each. That turns
+// "evaluate candidate C against the current dominated subgraph" from a full
+// O(|E_B|) reconstruction into
 //     checkpoint -> unite C's star -> read metrics -> rollback,
-// which is what MaxSG candidate probing, 1-swap local search, and
-// damage-aware repair all need.
+// which robust selection, 1-swap local search and the route oracle's heal
+// patches rely on. Callers that never roll back (component labelling, the
+// dominated evaluator, weighted connectivity, repair sweeps) use it as a
+// plain union-find.
 //
-// The merge rule (attach the smaller root under the larger; ties attach the
-// second root under the first) is byte-identical to graph::UnionFind, so the
-// two produce the same root ids and component sizes for the same unite
-// sequence — a property the dedup between the exact-connectivity and
-// component-histogram paths relies on.
+// The merge rule is fixed: attach the smaller root under the larger; ties
+// attach the second root under the first. Root ids and component sizes are
+// therefore a function of the unite sequence alone, which callers that
+// index per-root sums by root id (weighted_saturated_connectivity) rely on.
 //
 // connected_pairs() maintains Σ_c (|c| choose 2) incrementally as an exact
 // 64-bit integer; saturated connectivity is then a single O(1) division
 // instead of an O(V) component scan. For |V| ≤ ~90M the count is below 2^53,
-// so converting to double is exact and matches the legacy per-component
-// double summation bit-for-bit.
+// so converting to double is exact and matches a per-component double
+// summation bit-for-bit.
 #pragma once
 
 #include <cstdint>
@@ -61,7 +62,7 @@ class RollbackUnionFind {
     NodeId ru = find(u);
     NodeId rv = find(v);
     if (ru == rv) return false;
-    if (size_[ru] < size_[rv]) std::swap(ru, rv);  // same rule as UnionFind
+    if (size_[ru] < size_[rv]) std::swap(ru, rv);
     parent_[rv] = ru;
     connected_pairs_ +=
         static_cast<std::uint64_t>(size_[ru]) * static_cast<std::uint64_t>(size_[rv]);

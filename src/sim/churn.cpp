@@ -11,6 +11,7 @@
 #include "obs/journal.hpp"
 #include "obs/stats.hpp"
 #include "obs/trace.hpp"
+#include "sim/retry_scheduler.hpp"
 
 namespace bsr::sim {
 
@@ -60,7 +61,7 @@ ChurnResult simulate_churn(const bsr::graph::CsrGraph& g, const BrokerSet& initi
   // One persistent evaluator for the whole simulation: `current` and
   // `faults` are held by reference and re-read on rebuild(), so per-event
   // connectivity costs a union-find reset + broker-star sweep with zero
-  // allocations (the legacy path constructed a fresh UnionFind per event).
+  // allocations.
   bsr::broker::DominatedEvaluator evaluator(g, current, &faults);
 
   double now = 0.0;
@@ -279,7 +280,7 @@ HealthChurnResult simulate_churn_with_health(
   FaultPlane plane(g);
   HealthMonitor monitor(g, current, plane, health,
                         HealthMonitor::choose_vantage(g, initial), jitter_seed);
-  RepairScheduler scheduler(repair);
+  RetryScheduler scheduler(repair);
 
   // `believed` mirrors the in-force (delay-lagged) view's routable members;
   // both evaluators read the damaged graph, so the believed number is the
@@ -457,7 +458,7 @@ HealthChurnResult simulate_churn_with_health(
     } else if (view_time <= t) {
       ++active_view;
       rebuild_believed();
-    } else {
+    } else if (scheduler.begin()) {  // repair's start budget is unlimited
       // Repair recruits on the damaged graph, from the brokers the operator
       // *believes* are alive — not from oracle truth.
       const BrokerSet repaired =
@@ -471,7 +472,11 @@ HealthChurnResult simulate_churn_with_health(
         BSR_EVENT(RepairRecruit, t, m, repair_episode);
       }
       BSR_EVENT(RepairAttempt, t, recruited, repair_episode);
-      scheduler.report(t, recruited);
+      scheduler.report(t, recruited > 0);
+      BSR_COUNT(RepairAttempts);
+      if (recruited == 0 && scheduler.next_due() != kNever) {
+        BSR_COUNT(RepairDeferred);
+      }
       result.replacements_added += recruited;
       if (recruited > 0) {
         BSR_COUNT(ChurnConnectivityEvals);
@@ -486,8 +491,8 @@ HealthChurnResult simulate_churn_with_health(
   result.views_published = monitor.views().size();
   result.quarantines = monitor.quarantines();
   result.false_quarantines = monitor.false_quarantines();
-  result.repair_attempts = scheduler.attempts();
-  result.failed_repair_attempts = scheduler.failed_attempts();
+  result.repair_attempts = scheduler.starts();
+  result.failed_repair_attempts = scheduler.failures();
   const auto transitions = monitor.transitions();
   result.transitions.assign(transitions.begin(), transitions.end());
   result.mean_oracle_connectivity = oracle_weighted / config.horizon;

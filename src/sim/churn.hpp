@@ -13,9 +13,9 @@
 // The health-churn extension replaces the oracle with the probe-based
 // control plane of sim/health: broker-vertex outages and link flaps change
 // ground truth, a HealthMonitor detects them through lossy probes, stale
-// HealthViews propagate on a delay, and a budgeted RepairScheduler recruits
-// replacements with retry/backoff — all interleaved in one deterministic
-// event loop that integrates the cost of believing stale state.
+// HealthViews propagate on a delay, and a budgeted RetryScheduler paces the
+// recruitment of replacements with retry/backoff — all interleaved in one
+// deterministic event loop that integrates the cost of believing stale state.
 #pragma once
 
 #include <cstdint>

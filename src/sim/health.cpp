@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "graph/check.hpp"
@@ -316,35 +317,6 @@ void HealthMonitor::publish(double now) {
   }
   views_.push_back(std::move(view));
   dirty_ = false;
-}
-
-// --- RepairScheduler --------------------------------------------------------
-
-void RepairScheduler::request(double now) {
-  if (due_ != kNever) return;  // an attempt is already pending
-  retries_ = 0;
-  due_ = now + policy_.retry_backoff;
-}
-
-void RepairScheduler::report(double now, std::uint32_t recruited) {
-  ++attempts_;
-  BSR_COUNT(RepairAttempts);
-  if (recruited > 0) {
-    due_ = kNever;
-    retries_ = 0;
-    return;
-  }
-  ++failures_;
-  if (++retries_ > policy_.max_retries) {
-    due_ = kNever;  // give up until the next quarantine re-arms us
-    return;
-  }
-  BSR_COUNT(RepairDeferred);
-  double delay = policy_.retry_backoff;
-  for (std::uint32_t i = 0; i < retries_; ++i) {
-    delay = std::min(delay * policy_.retry_factor, policy_.retry_max);
-  }
-  due_ = now + delay;
 }
 
 // --- measurement helpers ----------------------------------------------------

@@ -22,9 +22,10 @@
 //     delay, so routing decisions are made on *stale* truth. sim::Router
 //     accepts a view and routes around suspected/quarantined brokers,
 //     believing the view rather than the fault plane.
-//   * RepairScheduler turns quarantine signals into budgeted recruitment
-//     attempts with retry/backoff on failed recruitments; sim/churn wires
-//     it into one event loop with departures, link flaps and detection.
+//   * RepairPolicy shapes the budgeted recruitment attempts that quarantine
+//     signals trigger, with retry/backoff on failed recruitments; sim/churn
+//     drives them through a RetryScheduler (sim/retry_scheduler.hpp) in one
+//     event loop with departures, link flaps and detection.
 //
 // Everything here is deterministic: probe rounds land on a fixed grid,
 // internal events are processed in (time, broker-index) order, and the only
@@ -33,7 +34,6 @@
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <span>
 #include <vector>
 
@@ -247,36 +247,6 @@ struct RepairPolicy {
   /// Consecutive failed recruitments before the scheduler gives up until
   /// the next quarantine re-arms it.
   std::uint32_t max_retries = 4;
-};
-
-/// Turns quarantine signals into scheduled repair attempts. The scheduler
-/// owns only timing state; the caller performs the actual recruitment and
-/// reports success/failure back.
-class RepairScheduler {
- public:
-  explicit RepairScheduler(const RepairPolicy& policy) : policy_(policy) {}
-
-  /// Arms (or re-arms) a repair attempt at `now` + retry_backoff if none is
-  /// pending. Called when a broker enters quarantine.
-  void request(double now);
-
-  /// Time of the next due attempt (infinity if idle).
-  [[nodiscard]] double next_due() const noexcept { return due_; }
-
-  /// Marks the due attempt as executed; `recruited` is how many brokers the
-  /// caller actually added. Zero recruits schedule a backed-off retry until
-  /// max_retries is exhausted.
-  void report(double now, std::uint32_t recruited);
-
-  [[nodiscard]] std::uint64_t attempts() const noexcept { return attempts_; }
-  [[nodiscard]] std::uint64_t failed_attempts() const noexcept { return failures_; }
-
- private:
-  RepairPolicy policy_;
-  double due_ = std::numeric_limits<double>::infinity();
-  std::uint32_t retries_ = 0;
-  std::uint64_t attempts_ = 0;
-  std::uint64_t failures_ = 0;
 };
 
 // --- measurement helpers ----------------------------------------------------

@@ -16,6 +16,10 @@ using bsr::graph::FaultPlane;
 using bsr::graph::NodeId;
 namespace engine = bsr::graph::engine;
 
+namespace {
+constexpr double kNever = std::numeric_limits<double>::infinity();
+}  // namespace
+
 const char* to_string(AnswerStatus status) noexcept {
   switch (status) {
     case AnswerStatus::kFresh: return "fresh";
@@ -52,49 +56,6 @@ AuditOutcome audit_answer(const RouteAnswer& answer, bool truth_reachable) noexc
   return truth_reachable ? AuditOutcome::kShunned : AuditOutcome::kUnreachable;
 }
 
-// --- RebuildScheduler -------------------------------------------------------
-
-namespace {
-constexpr double kNever = std::numeric_limits<double>::infinity();
-}  // namespace
-
-void RebuildScheduler::request(double now) {
-  if (due_ != kNever) return;  // an attempt is already pending
-  if (exhausted()) return;     // lifetime budget spent; parked for good
-  retries_ = 0;
-  due_ = now + policy_.retry_backoff;
-}
-
-bool RebuildScheduler::begin(double) {
-  due_ = kNever;
-  if (exhausted()) return false;
-  ++starts_;
-  return true;
-}
-
-void RebuildScheduler::cancel() noexcept {
-  due_ = kNever;
-  retries_ = 0;
-}
-
-void RebuildScheduler::report(double now, bool success) {
-  if (success) {
-    due_ = kNever;
-    retries_ = 0;
-    return;
-  }
-  ++failures_;
-  if (++retries_ > policy_.max_retries || exhausted()) {
-    due_ = kNever;  // give up until the next truth event re-arms us
-    return;
-  }
-  double delay = policy_.retry_backoff;
-  for (std::uint32_t i = 0; i < retries_; ++i) {
-    delay = std::min(delay * policy_.retry_factor, policy_.retry_max);
-  }
-  due_ = now + delay;
-}
-
 // --- RouteService -----------------------------------------------------------
 
 RouteService::RouteService(const bsr::graph::CsrGraph& g,
@@ -109,7 +70,7 @@ RouteService::RouteService(const bsr::graph::CsrGraph& g,
       injection_(injection),
       crash_rng_(injection.seed),
       uf_(g.num_vertices()),
-      scheduler_(config.rebuild) {
+      scheduler_(config.rebuild, config.rebuild.max_rebuilds) {
   if (brokers.num_vertices() != g.num_vertices()) {
     throw std::invalid_argument(
         "RouteService: broker set covers " +
@@ -327,7 +288,7 @@ void RouteService::start_due_build(double now) {
     scheduler_.cancel();
     return;
   }
-  if (!scheduler_.begin(now)) {
+  if (!scheduler_.begin()) {
     record(now, EpochEventKind::kRebuildGiveUp, 0);
     return;
   }

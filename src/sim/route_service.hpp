@@ -38,8 +38,8 @@
 //     explicit degraded mode: it keeps serving the stale epoch, tagging
 //     answers kStaleServed, until the staleness bound (max_stale_events)
 //     trips and answers become kRefused. Full rebuilds are scheduled by a
-//     RebuildScheduler with retry/exponential-backoff/budget semantics
-//     mirroring sim/health's RepairScheduler; rebuild attempts can be
+//     RetryScheduler (sim/retry_scheduler.hpp, shared with broker repair)
+//     with retry/exponential-backoff/budget semantics; rebuild attempts can be
 //     crashed or invalidated mid-build (a truth change while building
 //     discards the result) and restart idempotently — a half-built epoch is
 //     never observable.
@@ -68,6 +68,7 @@
 #include "graph/rollback_union_find.hpp"
 #include "sim/demand.hpp"
 #include "sim/health.hpp"
+#include "sim/retry_scheduler.hpp"
 
 namespace bsr::sim {
 
@@ -131,44 +132,6 @@ struct RebuildPolicy {
   /// Lifetime rebuild budget: attempts beyond this never start and the
   /// service stays degraded (the knob the monotonicity harness sweeps).
   std::uint32_t max_rebuilds = std::numeric_limits<std::uint32_t>::max();
-};
-
-/// Turns truth-change signals into scheduled rebuild attempts. Owns only
-/// timing/budget state — RouteService performs the actual build and reports
-/// success or failure back. Mirrors sim/health's RepairScheduler.
-class RebuildScheduler {
- public:
-  explicit RebuildScheduler(const RebuildPolicy& policy) : policy_(policy) {}
-
-  /// Arms a rebuild at `now` + retry_backoff if idle (and budget remains).
-  void request(double now);
-
-  /// Time of the next due build start (infinity if idle).
-  [[nodiscard]] double next_due() const noexcept { return due_; }
-
-  /// Consumes the due attempt: true iff a build may start (budget left).
-  /// Exhausting the budget parks the scheduler permanently.
-  [[nodiscard]] bool begin(double now);
-
-  /// Disarms a pending attempt (the epoch became fresh by other means).
-  void cancel() noexcept;
-
-  /// Reports the outcome of a started build. Failure schedules a backed-off
-  /// restart until max_retries is exhausted.
-  void report(double now, bool success);
-
-  [[nodiscard]] bool exhausted() const noexcept {
-    return starts_ >= policy_.max_rebuilds;
-  }
-  [[nodiscard]] std::uint64_t starts() const noexcept { return starts_; }
-  [[nodiscard]] std::uint64_t failures() const noexcept { return failures_; }
-
- private:
-  RebuildPolicy policy_;
-  double due_ = std::numeric_limits<double>::infinity();
-  std::uint32_t retries_ = 0;
-  std::uint64_t starts_ = 0;
-  std::uint64_t failures_ = 0;
 };
 
 // --- the service -------------------------------------------------------------
@@ -330,9 +293,6 @@ class RouteService {
   [[nodiscard]] bool rebuild_pending() const noexcept { return build_active_; }
 
   [[nodiscard]] const RouteServiceStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] const RebuildScheduler& scheduler() const noexcept {
-    return scheduler_;
-  }
   [[nodiscard]] std::span<const EpochTransition> transitions() const noexcept {
     return transitions_;
   }
@@ -393,7 +353,7 @@ class RouteService {
 
   // --- maintainer state ------------------------------------------------------
   std::uint64_t truth_version_ = 0;
-  RebuildScheduler scheduler_;
+  RetryScheduler scheduler_;
   bool build_active_ = false;
   double build_completes_at_ = 0.0;
   std::uint64_t build_base_truth_ = 0;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "graph/engine.hpp"
+#include "graph/fault_plane.hpp"
 #include "graph/graph_builder.hpp"
 #include "test_util.hpp"
 
@@ -32,35 +34,27 @@ TEST(Bfs, UnreachableVertices) {
   EXPECT_EQ(dist[3], kUnreachable);
 }
 
-TEST(Bfs, RunnerReusableAcrossSources) {
+TEST(Bfs, DistancesFreshAcrossSources) {
+  // Successive calls share the thread's scratch workspace; no state from
+  // the previous source may leak into the next result.
   const CsrGraph g = make_cycle(8);
-  BfsRunner runner(g.num_vertices());
-  const auto d0 = runner.run(g, 0);
+  const auto d0 = bfs_distances(g, 0);
   EXPECT_EQ(d0[4], 4u);
-  const auto d3 = runner.run(g, 3);
+  const auto d3 = bfs_distances(g, 3);
   EXPECT_EQ(d3[3], 0u);
   EXPECT_EQ(d3[7], 4u);
   EXPECT_EQ(d3[0], 3u);
 }
 
-TEST(Bfs, FilteredBfsRespectsPredicate) {
+TEST(Bfs, FilteredBfsRespectsFilter) {
   const CsrGraph g = make_path(5);
-  BfsRunner runner(g.num_vertices());
-  // Block the 2-3 edge: everything past vertex 2 unreachable.
-  const auto dist = runner.run_filtered(g, 0, [](NodeId u, NodeId v) {
-    return !((u == 2 && v == 3) || (u == 3 && v == 2));
-  });
-  EXPECT_EQ(dist[2], 2u);
-  EXPECT_EQ(dist[3], kUnreachable);
-  EXPECT_EQ(dist[4], kUnreachable);
-}
-
-TEST(Bfs, BoundedBfsStopsAtDepth) {
-  const CsrGraph g = make_path(10);
-  BfsRunner runner(g.num_vertices());
-  const auto dist = runner.run_bounded(g, 0, 3);
-  EXPECT_EQ(dist[3], 3u);
-  EXPECT_EQ(dist[4], kUnreachable);
+  FaultPlane plane(g);
+  plane.fail_edge(2, 3);  // everything past vertex 2 becomes unreachable
+  engine::Workspace ws;
+  engine::bfs(g, 0, ws, engine::FaultAwareFilter{&plane});
+  EXPECT_EQ(ws.dist(2), 2u);
+  EXPECT_EQ(ws.dist(3), kUnreachable);
+  EXPECT_EQ(ws.dist(4), kUnreachable);
 }
 
 TEST(Bfs, ShortestPathEndpoints) {
@@ -95,9 +89,8 @@ class BfsRandomTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(BfsRandomTest, MatchesNaiveReference) {
   const CsrGraph g = make_random(60, 0.08, GetParam());
-  BfsRunner runner(g.num_vertices());
   for (NodeId s = 0; s < g.num_vertices(); s += 7) {
-    const auto fast = runner.run(g, s);
+    const auto fast = bfs_distances(g, s);
     const auto reference = naive_bfs(g, s);
     for (NodeId v = 0; v < g.num_vertices(); ++v) {
       EXPECT_EQ(fast[v], reference[v]) << "source " << s << " vertex " << v;

@@ -4,8 +4,9 @@
 
 #include <numeric>
 
-#include "graph/bfs.hpp"
+#include "graph/engine.hpp"
 #include "graph/graph_builder.hpp"
+#include "graph/rollback_union_find.hpp"
 #include "test_util.hpp"
 
 namespace bsr::graph {
@@ -14,6 +15,7 @@ namespace {
 using bsr::test::make_complete;
 using bsr::test::make_path;
 using bsr::test::make_random;
+using bsr::test::naive_bfs;
 
 TEST(Components, SingleComponent) {
   const CsrGraph g = make_path(6);
@@ -47,15 +49,18 @@ TEST(Components, SizesSumToVertexCount) {
   EXPECT_EQ(total, g.num_vertices());
 }
 
-TEST(Components, FilteredComponentsRespectPredicate) {
+TEST(Components, FilteredUnionRespectsFilter) {
   const CsrGraph g = make_complete(5);
-  // Only edges incident to vertex 0 allowed -> star components.
-  const Components c = connected_components_filtered(
-      g, [](NodeId u, NodeId v) { return u == 0 || v == 0; });
-  EXPECT_EQ(c.count, 1u);  // star around 0 still connects everything
-  const Components none = connected_components_filtered(
-      g, [](NodeId, NodeId) { return false; });
-  EXPECT_EQ(none.count, 5u);
+  // Only edges incident to vertex 0 admitted -> one star component.
+  std::vector<bool> hub(5, false);
+  hub[0] = true;
+  RollbackUnionFind star(5);
+  engine::unite_edges(g, star, engine::DominatedEdgeFilter{&hub});
+  EXPECT_EQ(star.num_components(), 1u);
+  const std::vector<bool> nobody(5, false);
+  RollbackUnionFind none(5);
+  engine::unite_edges(g, none, engine::DominatedEdgeFilter{&nobody});
+  EXPECT_EQ(none.num_components(), 5u);
 }
 
 TEST(Components, LargestComponentVertices) {
@@ -79,9 +84,8 @@ class ComponentsRandomTest : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(ComponentsRandomTest, AgreesWithBfsReachability) {
   const CsrGraph g = make_random(45, 0.05, GetParam());
   const Components c = connected_components(g);
-  BfsRunner runner(g.num_vertices());
   for (NodeId s = 0; s < g.num_vertices(); s += 9) {
-    const auto dist = runner.run(g, s);
+    const auto dist = naive_bfs(g, s);
     for (NodeId v = 0; v < g.num_vertices(); ++v) {
       EXPECT_EQ(dist[v] != kUnreachable, c.label[v] == c.label[s]);
     }

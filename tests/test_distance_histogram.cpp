@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "graph/fault_plane.hpp"
 #include "graph/graph_builder.hpp"
 #include "test_util.hpp"
 
@@ -58,10 +59,10 @@ TEST(DistanceCdf, AtZeroIsZero) {
 TEST(DistanceCdf, FilteredEdgesChangeDistribution) {
   const CsrGraph g = make_cycle(6);
   // Remove one edge: cycle becomes path, distances grow.
+  FaultPlane plane(g);
+  plane.fail_edge(0, 5);
   const auto full = distance_cdf_exact(g);
-  const auto cut = distance_cdf_exact(g, [](NodeId u, NodeId v) {
-    return !((u == 0 && v == 5) || (u == 5 && v == 0));
-  });
+  const auto cut = distance_cdf_exact(g, engine::FaultAwareFilter{&plane});
   EXPECT_GT(full.at(2), cut.at(2));
   EXPECT_NEAR(cut.reachable, 1.0, 1e-12);  // still connected
 }

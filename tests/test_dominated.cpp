@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "graph/bfs.hpp"
+#include "broker/path_length.hpp"
 #include "test_util.hpp"
 
 namespace bsr::broker {
@@ -16,15 +16,14 @@ using bsr::test::make_connected_random;
 using bsr::test::make_path;
 using bsr::test::make_star;
 
-/// Naive saturated connectivity: pairwise BFS over the dominated subgraph.
+/// Naive saturated connectivity: pairwise BFS over the materialized G_B.
 double naive_saturated(const CsrGraph& g, const BrokerSet& b) {
   const NodeId n = g.num_vertices();
   if (n < 2) return 0.0;
-  bsr::graph::BfsRunner runner(n);
-  const auto filter = dominated_edge_filter(b);
+  const CsrGraph dominated = bsr::test::materialize_dominated(g, b.mask());
   std::uint64_t connected = 0;
   for (NodeId u = 0; u < n; ++u) {
-    const auto dist = runner.run_filtered(g, u, filter);
+    const auto dist = bsr::test::naive_bfs(dominated, u);
     for (NodeId v = u + 1; v < n; ++v) {
       if (dist[v] != bsr::graph::kUnreachable) ++connected;
     }
@@ -37,10 +36,10 @@ TEST(Dominated, FilterAdmitsBrokerEdgesOnly) {
   const CsrGraph g = make_path(4);
   BrokerSet b(4);
   b.add(1);
-  const auto filter = dominated_edge_filter(b);
-  EXPECT_TRUE(filter(0, 1));
-  EXPECT_TRUE(filter(1, 2));
-  EXPECT_FALSE(filter(2, 3));
+  const bsr::graph::engine::DominatedEdgeFilter filter{&b.mask()};
+  EXPECT_TRUE(filter(0, 0, 1));
+  EXPECT_TRUE(filter(1, 1, 2));
+  EXPECT_FALSE(filter(2, 1, 3));
 }
 
 TEST(Dominated, StarCenterConnectsEverything) {
@@ -113,6 +112,27 @@ TEST(Dominated, BrokerOnlyShareDetectsNonBrokerTransit) {
 TEST(Dominated, SizeMismatchThrows) {
   const CsrGraph g = make_path(4);
   EXPECT_THROW(saturated_connectivity(g, BrokerSet(5)), std::invalid_argument);
+}
+
+TEST(Dominated, DistanceCdfRejectsForeignBrokerSet) {
+  // The dominated filter reads the broker mask at every endpoint of g; a
+  // mask built for a smaller graph would be read past its end.
+  const CsrGraph g = make_path(6);
+  Rng rng(1);
+  EXPECT_THROW((void)dominated_distance_cdf(g, BrokerSet(3), rng, 6),
+               std::invalid_argument);
+  EXPECT_THROW((void)dominated_distance_cdf(g, BrokerSet(8), rng, 6),
+               std::invalid_argument);
+}
+
+TEST(Dominated, PathLengthComparisonRejectsForeignBrokerSet) {
+  const CsrGraph g = make_path(6);
+  const std::vector<NodeId> sources{0, 3};
+  EXPECT_THROW((void)compare_path_lengths(g, BrokerSet(3), sources),
+               std::invalid_argument);
+  Rng rng(1);
+  EXPECT_THROW((void)compare_path_lengths(g, BrokerSet(8), rng, 6),
+               std::invalid_argument);
 }
 
 class DominatedPropertyTest : public ::testing::TestWithParam<std::uint64_t> {};

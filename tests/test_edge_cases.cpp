@@ -9,16 +9,16 @@
 
 #include "broker/dominated.hpp"
 #include "broker/greedy_mcb.hpp"
-#include "graph/bfs.hpp"
 #include "graph/dijkstra.hpp"
 #include "graph/distance_histogram.hpp"
+#include "graph/engine.hpp"
+#include "graph/fault_plane.hpp"
 #include "io/table.hpp"
 #include "test_util.hpp"
 
 namespace bsr {
 namespace {
 
-using bsr::graph::BfsRunner;
 using bsr::graph::CsrGraph;
 using bsr::graph::GraphBuilder;
 using bsr::graph::kUnreachable;
@@ -26,28 +26,30 @@ using bsr::graph::NodeId;
 using bsr::test::make_connected_random;
 using bsr::test::make_path;
 using bsr::test::make_star;
+namespace engine = bsr::graph::engine;
 
-TEST(EdgeCases, BfsRunnerInterleavesPlainAndFilteredRuns) {
+TEST(EdgeCases, WorkspaceInterleavesPlainAndFilteredRuns) {
   const CsrGraph g = make_path(6);
-  BfsRunner runner(g.num_vertices());
-  const auto plain1 = runner.run(g, 0);
-  EXPECT_EQ(plain1[5], 5u);
+  bsr::graph::FaultPlane plane(g);
+  plane.fail_edge(0, 1);
+  engine::Workspace ws;
+  engine::bfs(g, 0, ws, engine::AllEdges{});
+  EXPECT_EQ(ws.dist(5), 5u);
   // A filtered run must fully reset the previous run's state...
-  const auto filtered = runner.run_filtered(
-      g, 5, [](NodeId u, NodeId v) { return u + v != 1; });  // cut edge 0-1
-  EXPECT_EQ(filtered[0], kUnreachable);
-  EXPECT_EQ(filtered[1], 4u);
+  engine::bfs(g, 5, ws, engine::FaultAwareFilter{&plane});
+  EXPECT_EQ(ws.dist(0), kUnreachable);
+  EXPECT_EQ(ws.dist(1), 4u);
   // ...and a plain run after that must see no leftover blocks.
-  const auto plain2 = runner.run(g, 0);
-  EXPECT_EQ(plain2[5], 5u);
+  engine::bfs(g, 0, ws, engine::AllEdges{});
+  EXPECT_EQ(ws.dist(5), 5u);
 }
 
 TEST(EdgeCases, BoundedBfsZeroDepth) {
   const CsrGraph g = make_star(5);
-  BfsRunner runner(g.num_vertices());
-  const auto dist = runner.run_bounded(g, 0, 0);
-  EXPECT_EQ(dist[0], 0u);
-  for (NodeId v = 1; v < 5; ++v) EXPECT_EQ(dist[v], kUnreachable);
+  engine::Workspace ws;
+  engine::bfs_bounded(g, 0, 0, ws, engine::AllEdges{});
+  EXPECT_EQ(ws.dist(0), 0u);
+  for (NodeId v = 1; v < 5; ++v) EXPECT_EQ(ws.dist(v), kUnreachable);
 }
 
 TEST(EdgeCases, TwoVertexGraphCdf) {
@@ -118,14 +120,15 @@ TEST(EdgeCases, TablePrintEmptyBody) {
 }
 
 TEST(EdgeCases, DominatedFilterOutlivesScopeSafely) {
-  // The filter binds the BrokerSet by reference — same-scope use is the
+  // The filter binds the BrokerSet's mask by pointer — same-scope use is the
   // contract; verify repeated invocation sees mutations of the bound set.
   const CsrGraph g = make_connected_random(20, 0.2, 5);
   broker::BrokerSet set(g.num_vertices());
-  const auto filter = broker::dominated_edge_filter(set);
-  EXPECT_FALSE(filter(0, g.neighbors(0)[0]));
+  const engine::DominatedEdgeFilter filter{&set.mask()};
+  const NodeId v = g.neighbors(0)[0];
+  EXPECT_FALSE(filter(0, 0, v));
   set.add(0);
-  EXPECT_TRUE(filter(0, g.neighbors(0)[0]));  // sees the updated set
+  EXPECT_TRUE(filter(0, 0, v));  // sees the updated set
 }
 
 TEST(EdgeCases, PrefixOfEmptySet) {

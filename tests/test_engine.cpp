@@ -3,11 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <functional>
 #include <vector>
 
 #include "graph/bfs.hpp"
-#include "graph/check.hpp"
 #include "graph/components.hpp"
 #include "graph/distance_histogram.hpp"
 #include "graph/fault_plane.hpp"
@@ -21,6 +19,7 @@ namespace {
 using bsr::test::make_connected_random;
 using bsr::test::make_path;
 using bsr::test::make_random;
+using bsr::test::materialize_dominated;
 using bsr::test::naive_bfs;
 
 std::vector<bool> random_mask(NodeId n, double p, std::uint64_t seed) {
@@ -48,37 +47,19 @@ TEST(Engine, UnfilteredBfsMatchesNaive) {
   }
 }
 
-TEST(Engine, FilteredKernelBitIdenticalToStdFunctionPath) {
-  // The static-dispatch kernel and the legacy std::function BfsRunner must
-  // produce identical dense distance arrays for the same admission rule.
+TEST(Engine, FilteredKernelMatchesMaterializedSubgraph) {
+  // The dominated filter must reach exactly the distances a plain BFS finds
+  // on G_B built as a graph of its own.
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
     const CsrGraph g = make_connected_random(120, 0.03, seed);
     const std::vector<bool> mask = random_mask(g.num_vertices(), 0.3, seed + 100);
-    const std::function<bool(NodeId, NodeId)> legacy_filter =
-        [&mask](NodeId u, NodeId v) { return mask[u] || mask[v]; };
-
-    BfsRunner runner(g.num_vertices());
+    const CsrGraph dominated = materialize_dominated(g, mask);
     engine::Workspace ws;
     for (NodeId s = 0; s < g.num_vertices(); s += 23) {
-      const auto legacy = runner.run_filtered(g, s, legacy_filter);
       engine::bfs(g, s, ws, engine::DominatedEdgeFilter{&mask});
-      const auto fast = dense_dist(ws, g.num_vertices());
-      EXPECT_EQ(fast, std::vector<std::uint32_t>(legacy.begin(), legacy.end()));
+      EXPECT_EQ(dense_dist(ws, g.num_vertices()), naive_bfs(dominated, s));
     }
   }
-}
-
-TEST(Engine, FnFilterAdapterMatchesStructFilter) {
-  const CsrGraph g = make_connected_random(90, 0.04, 7);
-  const std::vector<bool> mask = random_mask(g.num_vertices(), 0.25, 8);
-  const std::function<bool(NodeId, NodeId)> fn = [&mask](NodeId u, NodeId v) {
-    return mask[u] || mask[v];
-  };
-  engine::Workspace ws_fn, ws_struct;
-  engine::bfs(g, 0, ws_fn, engine::FnFilter{&fn});
-  engine::bfs(g, 0, ws_struct, engine::DominatedEdgeFilter{&mask});
-  EXPECT_EQ(dense_dist(ws_fn, g.num_vertices()),
-            dense_dist(ws_struct, g.num_vertices()));
 }
 
 TEST(Engine, FaultAwareFilterMatchesMaterializedGraph) {
@@ -281,21 +262,38 @@ TEST(Engine, UniteEdgesMatchesConnectedComponents) {
   }
 }
 
-TEST(Engine, TemplatedCdfBitIdenticalToLegacyFilterPath) {
+TEST(Engine, FilteredCdfMatchesMaterializedSubgraph) {
+  // Reference CDF from naive BFS over the materialized G_B, normalized the
+  // way the kernel documents it (cumulative count / (sources * (n - 1))),
+  // so the comparison is bit-exact.
   const CsrGraph g = make_connected_random(150, 0.03, 11);
-  const std::vector<bool> mask = random_mask(g.num_vertices(), 0.35, 12);
-  const EdgeFilter legacy = [&mask](NodeId u, NodeId v) { return mask[u] || mask[v]; };
+  const NodeId n = g.num_vertices();
+  const std::vector<bool> mask = random_mask(n, 0.35, 12);
+  const CsrGraph dominated = materialize_dominated(g, mask);
   std::vector<NodeId> sources;
-  for (NodeId v = 0; v < g.num_vertices(); v += 3) sources.push_back(v);
+  for (NodeId v = 0; v < n; v += 3) sources.push_back(v);
 
-  const DistanceCdf via_fn = distance_cdf_from_sources(g, sources, legacy);
-  const DistanceCdf via_struct =
-      distance_cdf_from_sources_with(g, sources, engine::DominatedEdgeFilter{&mask});
-  ASSERT_EQ(via_fn.cdf.size(), via_struct.cdf.size());
-  for (std::size_t l = 0; l < via_fn.cdf.size(); ++l) {
-    EXPECT_EQ(via_fn.cdf[l], via_struct.cdf[l]);  // bit-identical, not approx
+  std::vector<std::uint64_t> histogram(1, 0);
+  for (const NodeId s : sources) {
+    for (const std::uint32_t d : naive_bfs(dominated, s)) {
+      if (d == 0 || d == kUnreachable) continue;
+      if (d >= histogram.size()) histogram.resize(d + 1, 0);
+      ++histogram[d];
+    }
   }
-  EXPECT_EQ(via_fn.reachable, via_struct.reachable);
+  const double denom =
+      static_cast<double>(sources.size()) * static_cast<double>(n - 1);
+  std::vector<double> expected(histogram.size(), 0.0);
+  std::uint64_t running = 0;
+  for (std::size_t l = 1; l < histogram.size(); ++l) {
+    running += histogram[l];
+    expected[l] = static_cast<double>(running) / denom;
+  }
+
+  const DistanceCdf cdf =
+      distance_cdf_from_sources(g, sources, engine::DominatedEdgeFilter{&mask});
+  EXPECT_EQ(cdf.cdf, expected);  // bit-identical, not approx
+  EXPECT_EQ(cdf.reachable, expected.back());
 }
 
 TEST(EngineWorkspace, ReusableAcrossTraversalsAndGraphSizes) {
@@ -340,18 +338,6 @@ TEST(EngineWorkspace, ParentChainReconstructsShortestPath) {
   const auto dist = bfs_distances(g, 0);
   EXPECT_EQ(path.size(), dist[39] + 1);
 }
-
-#if BSR_DCHECK_ENABLED
-// Debug / BSR_ENABLE_DCHECKS builds abort on out-of-range accessor use; in
-// release builds the checks compile away and these tests vanish with them.
-TEST(EngineDeathTest, BfsRunnerRejectsOversizedGraph) {
-  // A BfsRunner sized for a small graph used to scribble past its dense
-  // arrays when run on a larger one; the export is now guarded.
-  const CsrGraph big = make_path(16);
-  BfsRunner small_runner(4);
-  EXPECT_DEATH((void)small_runner.run(big, 0), "BSR_DCHECK");
-}
-#endif
 
 }  // namespace
 }  // namespace bsr::graph

@@ -74,12 +74,10 @@ TEST(EngineParallel, UnfilteredCdfInvariantUnderThreadCount) {
   const auto sources = every_kth_vertex(g.num_vertices(), 3);
 
   engine::set_num_threads(1);
-  const DistanceCdf serial =
-      distance_cdf_from_sources_with(g, sources, engine::AllEdges{});
+  const DistanceCdf serial = distance_cdf_from_sources(g, sources);
   for (const int threads : {2, 8}) {
     engine::set_num_threads(threads);
-    expect_identical(
-        distance_cdf_from_sources_with(g, sources, engine::AllEdges{}), serial);
+    expect_identical(distance_cdf_from_sources(g, sources), serial);
   }
 }
 
@@ -95,30 +93,11 @@ TEST(EngineParallel, DominatedCdfInvariantUnderThreadCount) {
   const engine::DominatedEdgeFilter filter{&brokers.mask()};
 
   engine::set_num_threads(1);
-  const DistanceCdf serial = distance_cdf_from_sources_with(g, sources, filter);
+  const DistanceCdf serial = distance_cdf_from_sources(g, sources, filter);
   for (const int threads : {2, 8}) {
     engine::set_num_threads(threads);
-    expect_identical(distance_cdf_from_sources_with(g, sources, filter), serial);
+    expect_identical(distance_cdf_from_sources(g, sources, filter), serial);
   }
-}
-
-TEST(EngineParallel, LegacyEdgeFilterOverloadInvariantUnderThreadCount) {
-  // The std::function shim dispatches into the same sharded kernel; it must
-  // inherit the invariance.
-  ThreadGuard guard;
-  const CsrGraph g = make_connected_random(200, 0.02, 23);
-  std::vector<bool> mask(g.num_vertices(), false);
-  Rng rng(31);
-  for (NodeId v = 0; v < g.num_vertices(); ++v) mask[v] = rng.bernoulli(0.3);
-  const EdgeFilter legacy = [&mask](NodeId u, NodeId v) {
-    return mask[u] || mask[v];
-  };
-  const auto sources = every_kth_vertex(g.num_vertices(), 2);
-
-  engine::set_num_threads(1);
-  const DistanceCdf serial = distance_cdf_from_sources(g, sources, legacy);
-  engine::set_num_threads(8);
-  expect_identical(distance_cdf_from_sources(g, sources, legacy), serial);
 }
 
 TEST(EngineParallel, DominatedDistanceCdfEndToEndInvariant) {

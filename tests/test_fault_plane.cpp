@@ -4,7 +4,7 @@
 
 #include "broker/dominated.hpp"
 #include "broker/maxsg.hpp"
-#include "graph/bfs.hpp"
+#include "graph/engine.hpp"
 #include "test_util.hpp"
 
 namespace bsr::graph {
@@ -146,10 +146,10 @@ TEST(FaultPlane, FilterComposesWithFilteredBfs) {
   const CsrGraph g = make_path(5);
   FaultPlane plane(g);
   plane.fail_edge(2, 3);
-  BfsRunner runner(g.num_vertices());
-  const auto dist = runner.run_filtered(g, 0, plane.filter());
-  EXPECT_EQ(dist[2], 2u);
-  EXPECT_EQ(dist[3], kUnreachable);
+  engine::Workspace ws;
+  engine::bfs(g, 0, ws, engine::FaultAwareFilter{&plane});
+  EXPECT_EQ(ws.dist(2), 2u);
+  EXPECT_EQ(ws.dist(3), kUnreachable);
 }
 
 TEST(FlapSchedule, AppliesAndHealsBackToOriginalConnectivity) {

@@ -13,6 +13,7 @@
 #include "graph/rng.hpp"
 #include "sim/churn.hpp"
 #include "sim/health.hpp"
+#include "sim/retry_scheduler.hpp"
 #include "sim/router.hpp"
 #include "test_util.hpp"
 
@@ -31,7 +32,7 @@ using bsr::sim::HealthState;
 using bsr::sim::HealthTransition;
 using bsr::sim::HealthView;
 using bsr::sim::RepairPolicy;
-using bsr::sim::RepairScheduler;
+using bsr::sim::RetryScheduler;
 using bsr::test::make_complete;
 using bsr::test::make_connected_random;
 using bsr::test::make_path;
@@ -413,13 +414,13 @@ TEST(HealthRoutingTest, LhopConnectivityBounds) {
 
 // --- repair scheduler --------------------------------------------------------
 
-TEST(RepairSchedulerTest, BacksOffAndGivesUp) {
+TEST(RetrySchedulerTest, RepairPolicyBacksOffAndGivesUp) {
   RepairPolicy policy;
   policy.retry_backoff = 4.0;
   policy.retry_factor = 2.0;
   policy.retry_max = 32.0;
   policy.max_retries = 2;
-  RepairScheduler scheduler(policy);
+  RetryScheduler scheduler(policy);
   EXPECT_TRUE(std::isinf(scheduler.next_due()));
 
   scheduler.request(10.0);
@@ -427,20 +428,24 @@ TEST(RepairSchedulerTest, BacksOffAndGivesUp) {
   scheduler.request(12.0);  // already armed: no re-arm
   EXPECT_DOUBLE_EQ(scheduler.next_due(), 14.0);
 
-  scheduler.report(14.0, 0);  // failure: retry with deeper backoff
+  ASSERT_TRUE(scheduler.begin());
+  scheduler.report(14.0, false);  // failure: retry with deeper backoff
   EXPECT_DOUBLE_EQ(scheduler.next_due(), 14.0 + 8.0);
-  scheduler.report(22.0, 0);
+  ASSERT_TRUE(scheduler.begin());
+  scheduler.report(22.0, false);
   EXPECT_DOUBLE_EQ(scheduler.next_due(), 22.0 + 16.0);
-  scheduler.report(38.0, 0);  // third consecutive failure > max_retries: give up
+  ASSERT_TRUE(scheduler.begin());
+  scheduler.report(38.0, false);  // third consecutive failure > max_retries: give up
   EXPECT_TRUE(std::isinf(scheduler.next_due()));
-  EXPECT_EQ(scheduler.attempts(), 3u);
-  EXPECT_EQ(scheduler.failed_attempts(), 3u);
+  EXPECT_EQ(scheduler.starts(), 3u);
+  EXPECT_EQ(scheduler.failures(), 3u);
 
   scheduler.request(50.0);  // a new quarantine re-arms it
   EXPECT_DOUBLE_EQ(scheduler.next_due(), 54.0);
-  scheduler.report(54.0, 2);  // success clears the pending attempt
+  ASSERT_TRUE(scheduler.begin());
+  scheduler.report(54.0, true);  // success clears the pending attempt
   EXPECT_TRUE(std::isinf(scheduler.next_due()));
-  EXPECT_EQ(scheduler.failed_attempts(), 3u);
+  EXPECT_EQ(scheduler.failures(), 3u);
 }
 
 // --- health-aware churn loop -------------------------------------------------

@@ -11,7 +11,7 @@
 #include "broker/maxsg.hpp"
 #include "broker/mcbg_approx.hpp"
 #include "broker/path_length.hpp"
-#include "graph/bfs.hpp"
+#include "graph/engine.hpp"
 #include "topology/internet.hpp"
 #include "topology/relationships.hpp"
 
@@ -118,21 +118,22 @@ TEST_F(PipelineTest, DirectionalPolicyDegradesConnectivity) {
   // dominated reachability vs the bidirectional assumption.
   const auto& g = topo_->graph;
   const auto brokers = broker::maxsg(g, g.num_vertices() / 25).brokers;
-  const auto filter = broker::dominated_edge_filter(brokers);
+  const auto dominated = [&brokers](NodeId u, NodeId v) {
+    return brokers.dominates_edge(u, v);
+  };
 
   Rng rng(5);
-  std::size_t free_reach = 0, policy_reach = 0, samples = 0;
-  bsr::graph::BfsRunner runner(g.num_vertices());
+  std::size_t free_reach = 0, policy_reach = 0;
+  bsr::graph::engine::Workspace ws;
   for (int i = 0; i < 40; ++i) {
     const auto src = static_cast<NodeId>(rng.uniform(g.num_vertices()));
-    const auto free_dist = runner.run_filtered(g, src, filter);
-    std::vector<std::uint32_t> free_copy(free_dist.begin(), free_dist.end());
+    bsr::graph::engine::bfs(g, src, ws,
+                            bsr::graph::engine::DominatedEdgeFilter{&brokers.mask()});
     const auto policy_dist =
-        topology::valley_free_distances(g, topo_->relations, src, filter, {});
+        topology::valley_free_distances(g, topo_->relations, src, dominated, {});
     for (NodeId v = 0; v < g.num_vertices(); ++v) {
       if (v == src) continue;
-      ++samples;
-      free_reach += free_copy[v] != bsr::graph::kUnreachable;
+      free_reach += ws.visited(v);
       policy_reach += policy_dist[v] != bsr::graph::kUnreachable;
     }
   }
@@ -144,7 +145,9 @@ TEST_F(PipelineTest, BidirectionalOverridesRecoverConnectivity) {
   // Fig. 5b: making inter-broker links bidirectional recovers reachability.
   const auto& g = topo_->graph;
   const auto brokers = broker::maxsg(g, g.num_vertices() / 25).brokers;
-  const auto filter = broker::dominated_edge_filter(brokers);
+  const auto dominated = [&brokers](NodeId u, NodeId v) {
+    return brokers.dominates_edge(u, v);
+  };
   const auto inter_broker = [&brokers](NodeId u, NodeId v) {
     return brokers.contains(u) && brokers.contains(v);
   };
@@ -154,9 +157,9 @@ TEST_F(PipelineTest, BidirectionalOverridesRecoverConnectivity) {
   for (int i = 0; i < 30; ++i) {
     const auto src = static_cast<NodeId>(rng.uniform(g.num_vertices()));
     const auto base =
-        topology::valley_free_distances(g, topo_->relations, src, filter, {});
+        topology::valley_free_distances(g, topo_->relations, src, dominated, {});
     const auto with_override = topology::valley_free_distances(
-        g, topo_->relations, src, filter, inter_broker);
+        g, topo_->relations, src, dominated, inter_broker);
     for (NodeId v = 0; v < g.num_vertices(); ++v) {
       policy_reach += base[v] != bsr::graph::kUnreachable;
       override_reach += with_override[v] != bsr::graph::kUnreachable;

@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "broker/coverage.hpp"
 #include "broker/dominated.hpp"
 #include "graph/components.hpp"
+#include "graph/engine.hpp"
+#include "graph/renumbering.hpp"
+#include "graph/rollback_union_find.hpp"
 #include "test_util.hpp"
 
 namespace bsr::broker {
@@ -114,6 +121,80 @@ TEST(MaxSg, DisconnectedGraphCoversLargestPiece) {
   ASSERT_EQ(result.brokers.size(), 1u);
   EXPECT_EQ(result.brokers.members()[0], 0u);  // the bigger component's hub
   EXPECT_EQ(result.final_component, 6u);
+}
+
+/// Full-sweep MaxSG: every round rebuilds G_B's components from scratch and
+/// scores every candidate by the size of the component its star would form;
+/// the first strict maximum in id order wins.
+MaxSgResult full_sweep_maxsg(const CsrGraph& g, std::uint32_t k,
+                             bool stop_when_dominating) {
+  const NodeId n = g.num_vertices();
+  const std::uint32_t ceiling = bsr::graph::connected_components(g).largest_size();
+  MaxSgResult out;
+  out.brokers = BrokerSet(n);
+  while (out.brokers.size() < k) {
+    bsr::graph::RollbackUnionFind uf(n);
+    build_dominated_uf(g, out.brokers, uf);
+    NodeId best = bsr::graph::kUnreachable;
+    std::uint32_t best_gain = 0;
+    for (NodeId w = 0; w < n; ++w) {
+      if (out.brokers.contains(w)) continue;
+      std::vector<NodeId> roots{uf.find(w)};
+      for (const NodeId v : g.neighbors(w)) roots.push_back(uf.find(v));
+      std::sort(roots.begin(), roots.end());
+      roots.erase(std::unique(roots.begin(), roots.end()), roots.end());
+      std::uint32_t gain = 0;
+      for (const NodeId r : roots) gain += uf.root_size(r);
+      if (gain > best_gain) {
+        best_gain = gain;
+        best = w;
+      }
+    }
+    if (best == bsr::graph::kUnreachable) break;
+    out.brokers.add(best);
+    uf.reset(n);
+    build_dominated_uf(g, out.brokers, uf);
+    out.final_component = uf.largest_component_size();
+    out.component_curve.push_back(out.final_component);
+    if (stop_when_dominating && out.final_component >= ceiling) break;
+  }
+  out.coverage = coverage(g, out.brokers);
+  return out;
+}
+
+TEST(MaxSg, MatchesFullSweepReference) {
+  // Connected graphs, plus disconnected ones whose isolated vertices make
+  // late gains tie, so the lowest-original-id tie-break is exercised.
+  std::vector<CsrGraph> graphs;
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    graphs.push_back(make_connected_random(70, 0.05, seed));
+    graphs.push_back(make_random(70, 0.025, seed + 10));
+  }
+  for (const CsrGraph& g : graphs) {
+    const NodeId n = g.num_vertices();
+    const bsr::graph::Renumbering ren = bsr::graph::Renumbering::degree_descending(g);
+    const CsrGraph renumbered = ren.apply(g);
+    for (const bool stop : {true, false}) {
+      const MaxSgResult expected = full_sweep_maxsg(g, n, stop);
+      for (const bool renumber : {false, true}) {
+        for (const int threads : {1, 4}) {
+          bsr::graph::engine::set_num_threads(threads);
+          MaxSgOptions options;
+          options.stop_when_dominating = stop;
+          options.renumbering = renumber ? &ren : nullptr;
+          const MaxSgResult got = maxsg(renumber ? renumbered : g, n, options);
+          bsr::graph::engine::set_num_threads(0);
+          SCOPED_TRACE(::testing::Message() << "stop " << stop << " renumber "
+                                            << renumber << " threads " << threads);
+          EXPECT_TRUE(std::ranges::equal(got.brokers.members(),
+                                         expected.brokers.members()));
+          EXPECT_EQ(got.component_curve, expected.component_curve);
+          EXPECT_EQ(got.final_component, expected.final_component);
+          EXPECT_EQ(got.coverage, expected.coverage);
+        }
+      }
+    }
+  }
 }
 
 class MaxSgPropertyTest : public ::testing::TestWithParam<std::uint64_t> {};

@@ -151,14 +151,12 @@ TEST(ObsRegistry, SnapshotsInvariantUnderThreadCount) {
 
   engine::set_num_threads(1);
   reset();
-  const auto cdf_serial = bsr::graph::distance_cdf_from_sources_with(
-      g, sources, engine::AllEdges{});
+  const auto cdf_serial = bsr::graph::distance_cdf_from_sources(g, sources);
   const Snapshot serial = snapshot();
 
   engine::set_num_threads(4);
   reset();
-  const auto cdf_parallel = bsr::graph::distance_cdf_from_sources_with(
-      g, sources, engine::AllEdges{});
+  const auto cdf_parallel = bsr::graph::distance_cdf_from_sources(g, sources);
   const Snapshot parallel = snapshot();
 
   EXPECT_EQ(cdf_serial.cdf, cdf_parallel.cdf);  // engine contract, re-checked

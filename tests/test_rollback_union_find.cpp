@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "graph/rng.hpp"
-#include "graph/union_find.hpp"
 
 namespace bsr::graph {
 namespace {
@@ -21,27 +20,6 @@ std::uint64_t brute_connected_pairs(const RollbackUnionFind& uf) {
     }
   }
   return pairs;
-}
-
-TEST(RollbackUnionFind, MatchesPlainUnionFindOnRandomSequences) {
-  // Both flavors share the union-by-size merge rule, so roots and sizes —
-  // not just the partition — must agree after any unite sequence.
-  Rng rng(1234);
-  for (int trial = 0; trial < 20; ++trial) {
-    const NodeId n = 2 + static_cast<NodeId>(rng.uniform(60));
-    UnionFind plain(n);
-    RollbackUnionFind rollback(n);
-    for (int i = 0; i < 120; ++i) {
-      const NodeId u = static_cast<NodeId>(rng.uniform(n));
-      const NodeId v = static_cast<NodeId>(rng.uniform(n));
-      EXPECT_EQ(plain.unite(u, v), rollback.unite(u, v));
-    }
-    EXPECT_EQ(plain.num_components(), rollback.num_components());
-    for (NodeId v = 0; v < n; ++v) {
-      EXPECT_EQ(plain.find(v), rollback.find(v));
-      EXPECT_EQ(plain.component_size(v), rollback.component_size(v));
-    }
-  }
 }
 
 TEST(RollbackUnionFind, ConnectedPairsTracksBruteForce) {

@@ -1,6 +1,6 @@
 // RouteService: construction guards, oracle correctness against the router,
 // epoch lifecycle (degrade / patch / rebuild / crash / discard / give-up),
-// RebuildScheduler backoff semantics, admission shedding, thread-count
+// RetryScheduler backoff semantics, admission shedding, thread-count
 // determinism, and the stale-serving monotonicity harness.
 #include <gtest/gtest.h>
 
@@ -31,7 +31,7 @@ using bsr::sim::EpochEventKind;
 using bsr::sim::Flow;
 using bsr::sim::RebuildInjection;
 using bsr::sim::RebuildPolicy;
-using bsr::sim::RebuildScheduler;
+using bsr::sim::RetryScheduler;
 using bsr::sim::RouteAnswer;
 using bsr::sim::RouteService;
 using bsr::sim::RouteServiceConfig;
@@ -350,13 +350,13 @@ TEST(RouteServiceOracle, FreshBuildsMatchFilteredBfsReference) {
 
 // --- rebuild scheduler -------------------------------------------------------
 
-TEST(RebuildScheduler, BacksOffExponentiallyAndGivesUp) {
+TEST(RetryScheduler, RebuildPolicyBacksOffExponentiallyAndGivesUp) {
   RebuildPolicy policy;
   policy.retry_backoff = 0.5;
   policy.retry_factor = 2.0;
   policy.retry_max = 3.0;
   policy.max_retries = 3;
-  RebuildScheduler sched(policy);
+  RetryScheduler sched(policy, policy.max_rebuilds);
 
   EXPECT_EQ(sched.next_due(), kInf);
   sched.request(10.0);
@@ -364,35 +364,35 @@ TEST(RebuildScheduler, BacksOffExponentiallyAndGivesUp) {
   sched.request(11.0);  // already armed: no-op
   EXPECT_DOUBLE_EQ(sched.next_due(), 10.5);
 
-  ASSERT_TRUE(sched.begin(10.5));
+  ASSERT_TRUE(sched.begin());
   EXPECT_EQ(sched.next_due(), kInf);
   sched.report(12.5, false);
   EXPECT_DOUBLE_EQ(sched.next_due(), 12.5 + 1.0);  // 0.5 * 2
-  ASSERT_TRUE(sched.begin(13.5));
+  ASSERT_TRUE(sched.begin());
   sched.report(15.5, false);
   EXPECT_DOUBLE_EQ(sched.next_due(), 15.5 + 2.0);  // 0.5 * 2 * 2
-  ASSERT_TRUE(sched.begin(17.5));
+  ASSERT_TRUE(sched.begin());
   sched.report(19.5, false);
   EXPECT_DOUBLE_EQ(sched.next_due(), 19.5 + 3.0);  // capped at retry_max
-  ASSERT_TRUE(sched.begin(22.5));
+  ASSERT_TRUE(sched.begin());
   sched.report(24.5, false);
   EXPECT_EQ(sched.next_due(), kInf);  // max_retries exhausted: parked
   EXPECT_EQ(sched.failures(), 4u);
 
   sched.request(30.0);  // a new truth event re-arms from scratch
   EXPECT_DOUBLE_EQ(sched.next_due(), 30.5);
-  ASSERT_TRUE(sched.begin(30.5));
+  ASSERT_TRUE(sched.begin());
   sched.report(32.5, true);
   EXPECT_EQ(sched.next_due(), kInf);
   EXPECT_EQ(sched.starts(), 5u);
 }
 
-TEST(RebuildScheduler, BudgetParksPermanently) {
+TEST(RetryScheduler, BudgetParksPermanently) {
   RebuildPolicy policy;
   policy.max_rebuilds = 1;
-  RebuildScheduler sched(policy);
+  RetryScheduler sched(policy, policy.max_rebuilds);
   sched.request(0.0);
-  ASSERT_TRUE(sched.begin(sched.next_due()));
+  ASSERT_TRUE(sched.begin());
   sched.report(2.0, false);
   EXPECT_EQ(sched.next_due(), kInf);  // budget spent mid-retry
   sched.request(5.0);                 // exhausted: request is a no-op

@@ -1,12 +1,17 @@
-#include "graph/union_find.hpp"
+// RollbackUnionFind used as a plain union-find, with no checkpoints: the way
+// component labelling, the dominated evaluator, weighted connectivity and
+// repair sweeps use it. Rollback behaviour is in test_rollback_union_find.
+#include "graph/rollback_union_find.hpp"
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
 
 namespace bsr::graph {
 namespace {
 
 TEST(UnionFind, StartsAsSingletons) {
-  UnionFind uf(5);
+  RollbackUnionFind uf(5);
   EXPECT_EQ(uf.num_components(), 5u);
   for (NodeId v = 0; v < 5; ++v) {
     EXPECT_EQ(uf.find(v), v);
@@ -15,7 +20,7 @@ TEST(UnionFind, StartsAsSingletons) {
 }
 
 TEST(UnionFind, UniteMergesAndReportsNew) {
-  UnionFind uf(4);
+  RollbackUnionFind uf(4);
   EXPECT_TRUE(uf.unite(0, 1));
   EXPECT_FALSE(uf.unite(1, 0));
   EXPECT_TRUE(uf.connected(0, 1));
@@ -24,7 +29,7 @@ TEST(UnionFind, UniteMergesAndReportsNew) {
 }
 
 TEST(UnionFind, ComponentSizesAccumulate) {
-  UnionFind uf(6);
+  RollbackUnionFind uf(6);
   uf.unite(0, 1);
   uf.unite(2, 3);
   uf.unite(0, 2);
@@ -34,7 +39,7 @@ TEST(UnionFind, ComponentSizesAccumulate) {
 }
 
 TEST(UnionFind, TransitiveConnectivity) {
-  UnionFind uf(10);
+  RollbackUnionFind uf(10);
   for (NodeId v = 0; v + 1 < 10; ++v) uf.unite(v, v + 1);
   EXPECT_TRUE(uf.connected(0, 9));
   EXPECT_EQ(uf.num_components(), 1u);
@@ -42,21 +47,25 @@ TEST(UnionFind, TransitiveConnectivity) {
 }
 
 TEST(UnionFind, ResetRestoresSingletons) {
-  UnionFind uf(3);
+  RollbackUnionFind uf(3);
   uf.unite(0, 1);
   uf.reset(4);
   EXPECT_EQ(uf.size(), 4u);
   EXPECT_EQ(uf.num_components(), 4u);
   EXPECT_FALSE(uf.connected(0, 1));
+  EXPECT_EQ(uf.connected_pairs(), 0u);
 }
 
-TEST(UnionFind, LargeChainPathCompression) {
+TEST(UnionFind, LargeChainKeepsFirstRoot) {
+  // Union by size with ties attaching the second root under the first: the
+  // chain grows one star rooted at 0, so every find is a single step.
   constexpr NodeId kN = 100000;
-  UnionFind uf(kN);
+  RollbackUnionFind uf(kN);
   for (NodeId v = 0; v + 1 < kN; ++v) uf.unite(v, v + 1);
-  // After path halving, repeated finds stay cheap and correct.
-  for (NodeId v = 0; v < kN; v += 997) EXPECT_EQ(uf.find(v), uf.find(0));
-  EXPECT_EQ(uf.component_size(0), kN);
+  for (NodeId v = 0; v < kN; v += 997) EXPECT_EQ(uf.find(v), 0u);
+  EXPECT_EQ(uf.component_size(kN - 1), kN);
+  EXPECT_EQ(uf.connected_pairs(),
+            static_cast<std::uint64_t>(kN) * (kN - 1) / 2);
 }
 
 }  // namespace

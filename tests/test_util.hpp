@@ -298,4 +298,16 @@ inline std::vector<std::uint32_t> naive_bfs(const CsrGraph& g, NodeId source) {
   return dist;
 }
 
+/// The dominated subgraph G_B as a graph of its own: only the edges with an
+/// endpoint in `mask`. Pairs with naive_bfs as a reference for filtered
+/// traversals that shares no code with the engine's filters.
+inline CsrGraph materialize_dominated(const CsrGraph& g,
+                                      const std::vector<bool>& mask) {
+  GraphBuilder b(g.num_vertices());
+  for (const bsr::graph::Edge& e : g.edges()) {
+    if (mask[e.u] || mask[e.v]) b.add_edge(e.u, e.v);
+  }
+  return b.build();
+}
+
 }  // namespace bsr::test

@@ -83,10 +83,8 @@ TEST_P(ValleyFreePropertyTest, BfsMatchesBruteForceReachability) {
 
 TEST_P(ValleyFreePropertyTest, PolicyNeverBeatsFreeRouting) {
   const LabeledGraph lg = make_labeled(GetParam() + 100);
-  bsr::graph::BfsRunner runner(lg.graph.num_vertices());
   for (NodeId src = 0; src < lg.graph.num_vertices(); src += 3) {
-    const auto free_dist = runner.run(lg.graph, src);
-    std::vector<std::uint32_t> free_copy(free_dist.begin(), free_dist.end());
+    const auto free_copy = bsr::graph::bfs_distances(lg.graph, src);
     const auto policy = valley_free_distances(lg.graph, lg.rels, src);
     for (NodeId v = 0; v < lg.graph.num_vertices(); ++v) {
       if (policy[v] == kUnreachable) continue;
@@ -97,11 +95,9 @@ TEST_P(ValleyFreePropertyTest, PolicyNeverBeatsFreeRouting) {
 
 TEST_P(ValleyFreePropertyTest, FullOverrideEqualsFreeRouting) {
   const LabeledGraph lg = make_labeled(GetParam() + 200);
-  bsr::graph::BfsRunner runner(lg.graph.num_vertices());
   const auto everything = [](NodeId, NodeId) { return true; };
   for (NodeId src = 0; src < lg.graph.num_vertices(); src += 4) {
-    const auto free_dist = runner.run(lg.graph, src);
-    std::vector<std::uint32_t> free_copy(free_dist.begin(), free_dist.end());
+    const auto free_copy = bsr::graph::bfs_distances(lg.graph, src);
     const auto overridden =
         valley_free_distances(lg.graph, lg.rels, src, {}, everything);
     for (NodeId v = 0; v < lg.graph.num_vertices(); ++v) {

@@ -49,6 +49,27 @@ TEST(WeightedCoverage, RejectsBadWeights) {
   EXPECT_THROW(weighted_coverage(g, b, negative), std::invalid_argument);
 }
 
+TEST(WeightedCoverage, RejectsForeignBrokerSet) {
+  // Members of a set built for a larger graph index past g's arrays.
+  const CsrGraph g = make_path(3);
+  BrokerSet foreign(6);
+  foreign.add(5);
+  const std::vector<double> unit(3, 1.0);
+  EXPECT_THROW((void)weighted_coverage(g, foreign, unit), std::invalid_argument);
+  EXPECT_THROW((void)weighted_coverage(g, BrokerSet(2), unit), std::invalid_argument);
+}
+
+TEST(WeightedSaturated, RejectsForeignBrokerSet) {
+  const CsrGraph g = make_path(3);
+  BrokerSet foreign(6);
+  foreign.add(5);
+  const std::vector<double> unit(3, 1.0);
+  EXPECT_THROW((void)weighted_saturated_connectivity(g, foreign, unit),
+               std::invalid_argument);
+  EXPECT_THROW((void)weighted_saturated_connectivity(g, BrokerSet(2), unit),
+               std::invalid_argument);
+}
+
 TEST(WeightedGreedy, UnitWeightsMatchUnweightedGreedy) {
   const CsrGraph g = make_connected_random(60, 0.06, 3);
   const std::vector<double> unit(g.num_vertices(), 1.0);
