@@ -3,6 +3,11 @@
 // paper's full topology (REPRO_SCALE=1.0, ~52k vertices) plus a 10x stress
 // topology (~500k vertices, ~3.5M edges).
 //
+// It first round-trips the generated topology through the .topo format in
+// memory (topology.save, topology.load) and exits nonzero unless the loaded
+// topology equals the generated one: CSR arrays, metadata and every slot's
+// relationship label.
+//
 // Three head-to-head measurements, each verified bit-identical before the
 // timed passes (the speedups are only meaningful because the answers are
 // exactly equal):
@@ -45,6 +50,7 @@
 #include "io/table.hpp"
 #include "topology/internet.hpp"
 #include "topology/renumber.hpp"
+#include "topology/serialization.hpp"
 
 namespace {
 
@@ -312,6 +318,36 @@ int main() {
   const NodeId n = g.num_vertices();
   std::cout << "threads: " << engine::num_threads() << " (BSR_THREADS)\n\n";
   bsr::bench::Harness harness("perf_scale", ctx);
+
+  // --- .topo round trip ---------------------------------------------------
+  {
+    std::string text;
+    const double save_s = harness
+                              .run("topology.save",
+                                   [&] {
+                                     std::ostringstream out;
+                                     bsr::topology::save_topology(out, ctx.topo);
+                                     text = std::move(out).str();
+                                   })
+                              .wall_ms /
+                          1e3;
+    bsr::topology::InternetTopology loaded;
+    const double load_s = harness
+                              .run("topology.load",
+                                   [&] {
+                                     std::istringstream in(text);
+                                     loaded = bsr::topology::load_topology(in);
+                                   })
+                              .wall_ms /
+                          1e3;
+    if (!(loaded == ctx.topo)) {
+      std::cerr << "MISMATCH: the loaded .topo differs from the generated topology\n";
+      return 1;
+    }
+    std::cout << ".topo round trip (" << text.size() << " bytes): save "
+              << bsr::io::format_double(save_s, 3) << "s, load "
+              << bsr::io::format_double(load_s, 3) << "s, identical\n\n";
+  }
 
   // --- locality renumbering ------------------------------------------------
   bsr::topology::RenumberedTopology renumbered;

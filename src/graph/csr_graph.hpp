@@ -65,7 +65,14 @@ class CsrGraph {
   /// All undirected edges, canonical (u < v), sorted. O(|E|).
   [[nodiscard]] std::vector<Edge> edges() const;
 
+  /// The raw CSR arrays: neighbors(v) is adjacency()[offsets()[v],
+  /// offsets()[v + 1]). An index into adjacency() is an adjacency slot.
+  [[nodiscard]] std::span<const std::uint64_t> offsets() const noexcept { return offsets_; }
+  [[nodiscard]] std::span<const NodeId> adjacency() const noexcept { return adjacency_; }
+
   [[nodiscard]] bool empty() const noexcept { return num_vertices() == 0; }
+
+  friend bool operator==(const CsrGraph&, const CsrGraph&) = default;
 
  private:
   std::vector<std::uint64_t> offsets_;  // size num_vertices + 1

@@ -15,38 +15,36 @@ void GraphBuilder::add_edge(NodeId u, NodeId v) {
 }
 
 CsrGraph GraphBuilder::build() const {
-  // At 10x stress scale the edge list holds ~3.5M entries; reserving the
-  // sorted copy and the directed adjacency up front avoids the growth
-  // doublings that would otherwise dominate peak RSS during build.
-  std::vector<Edge> sorted;
-  sorted.reserve(edges_.size());
-  sorted.assign(edges_.begin(), edges_.end());
+  std::vector<Edge> sorted(edges_.begin(), edges_.end());
   std::sort(sorted.begin(), sorted.end());
   sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+  return csr_from_sorted_edges(num_vertices_, sorted);
+}
 
+CsrGraph csr_from_sorted_edges(NodeId num_vertices, std::span<const Edge> edges) {
   // Both directions of every edge must index into NodeId-typed adjacency
   // slots; guard the 32-bit ceiling before the arithmetic below can wrap.
-  BSR_DCHECK(num_vertices_ < kUnreachable);
-  BSR_DCHECK(sorted.size() <= (std::size_t{1} << 31));
+  BSR_DCHECK(num_vertices < kUnreachable);
+  BSR_DCHECK(edges.size() <= (std::size_t{1} << 31));
 
-  std::vector<std::uint64_t> offsets(static_cast<std::size_t>(num_vertices_) + 1, 0);
-  for (const Edge& e : sorted) {
+  std::vector<std::uint64_t> offsets(static_cast<std::size_t>(num_vertices) + 1, 0);
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    const Edge& e = edges[i];
+    if (e.u >= e.v || e.v >= num_vertices || (i > 0 && !(edges[i - 1] < e))) {
+      throw std::invalid_argument(
+          "csr_from_sorted_edges: edges must be canonical, in range, strictly "
+          "ascending");
+    }
     ++offsets[e.u + 1];
     ++offsets[e.v + 1];
   }
   for (std::size_t i = 1; i < offsets.size(); ++i) offsets[i] += offsets[i - 1];
 
-  std::vector<NodeId> adjacency(sorted.size() * 2);
+  std::vector<NodeId> adjacency(edges.size() * 2);
   std::vector<std::uint64_t> cursor(offsets.begin(), offsets.end() - 1);
-  for (const Edge& e : sorted) {
+  for (const Edge& e : edges) {
     adjacency[cursor[e.u]++] = e.v;
     adjacency[cursor[e.v]++] = e.u;
-  }
-  // Edges were sorted by (u, v); per-vertex lists under u are already sorted,
-  // but lists under v (the reverse direction) are not. Sort each list.
-  for (NodeId v = 0; v < num_vertices_; ++v) {
-    std::sort(adjacency.begin() + static_cast<std::ptrdiff_t>(offsets[v]),
-              adjacency.begin() + static_cast<std::ptrdiff_t>(offsets[v + 1]));
   }
   return CsrGraph(std::move(offsets), std::move(adjacency));
 }

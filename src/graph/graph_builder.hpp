@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/csr_graph.hpp"
@@ -37,5 +38,13 @@ class GraphBuilder {
   NodeId num_vertices_;
   std::vector<Edge> edges_;  // canonical (u < v), possibly duplicated
 };
+
+/// The CSR graph of a canonical edge list (u < v < num_vertices, strictly
+/// ascending): a degree count, a prefix sum and one scatter. A vertex's
+/// smaller neighbors all come from edges that sort before its own (u, *)
+/// run, so every adjacency list fills in ascending order without a sort.
+/// Throws std::invalid_argument if `edges` is not in that form.
+[[nodiscard]] CsrGraph csr_from_sorted_edges(NodeId num_vertices,
+                                             std::span<const Edge> edges);
 
 }  // namespace bsr::graph

@@ -1,12 +1,10 @@
 #include "graph/renumbering.hpp"
 
-#include <algorithm>
 #include <numeric>
 #include <stdexcept>
 
 #include "graph/degree_stats.hpp"
 #include "graph/engine.hpp"
-#include "graph/graph_builder.hpp"
 
 namespace bsr::graph {
 
@@ -101,27 +99,7 @@ bool Renumbering::is_identity() const {
 }
 
 CsrGraph Renumbering::apply(const CsrGraph& g) const {
-  if (g.num_vertices() != size()) {
-    throw std::invalid_argument("Renumbering::apply: vertex count mismatch");
-  }
-  const NodeId n = size();
-  // Degrees are label-invariant, so the CSR offsets can be laid out directly
-  // and each relabeled adjacency list filled and sorted in place — no
-  // intermediate edge list, no builder dedup pass.
-  std::vector<std::uint64_t> offsets(static_cast<std::size_t>(n) + 1, 0);
-  for (NodeId new_u = 0; new_u < n; ++new_u) {
-    offsets[new_u + 1] = offsets[new_u] + g.degree(to_old_[new_u]);
-  }
-  std::vector<NodeId> adjacency(offsets[n]);
-  for (NodeId new_u = 0; new_u < n; ++new_u) {
-    std::uint64_t out = offsets[new_u];
-    for (const NodeId v : g.neighbors(to_old_[new_u])) {
-      adjacency[out++] = to_new_[v];
-    }
-    std::sort(adjacency.begin() + static_cast<std::ptrdiff_t>(offsets[new_u]),
-              adjacency.begin() + static_cast<std::ptrdiff_t>(out));
-  }
-  return CsrGraph(std::move(offsets), std::move(adjacency));
+  return apply(g, [](std::uint64_t, std::uint64_t, bool) {});
 }
 
 std::vector<NodeId> Renumbering::map_to_new(std::span<const NodeId> old_ids) const {

@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "graph/check.hpp"
@@ -74,9 +75,19 @@ class Renumbering {
   [[nodiscard]] std::span<const NodeId> to_old_map() const noexcept { return to_old_; }
 
   /// The relabeled graph: same edge set with both endpoints mapped through
-  /// to_new, adjacency re-sorted. Throws std::invalid_argument if g's vertex
-  /// count differs from size().
+  /// to_new. Throws std::invalid_argument if g's vertex count differs from
+  /// size().
   [[nodiscard]] CsrGraph apply(const CsrGraph& g) const;
+
+  /// apply() as one transpose pass that also reports where each edge's slots
+  /// went. New ids are visited in ascending order and each is appended to
+  /// its neighbors' lists, so every list fills sorted with no sort pass.
+  /// Calls on_entry(old_slot, new_slot, swapped) once per adjacency slot of
+  /// g: new_slot holds the same undirected edge as old_slot (seen from the
+  /// other endpoint), and `swapped` is true when the relabel changes which
+  /// endpoint of that edge has the smaller id.
+  template <class OnEntry>
+  [[nodiscard]] CsrGraph apply(const CsrGraph& g, OnEntry&& on_entry) const;
 
   /// Maps an id list (order preserved — selection order survives).
   [[nodiscard]] std::vector<NodeId> map_to_new(std::span<const NodeId> old_ids) const;
@@ -95,6 +106,32 @@ class Renumbering {
   std::vector<NodeId> to_new_;  // to_new_[old_id] = new_id
   std::vector<NodeId> to_old_;  // to_old_[new_id] = old_id
 };
+
+template <class OnEntry>
+CsrGraph Renumbering::apply(const CsrGraph& g, OnEntry&& on_entry) const {
+  if (g.num_vertices() != size()) {
+    throw std::invalid_argument("Renumbering::apply: vertex count mismatch");
+  }
+  const NodeId n = size();
+  const auto old_offsets = g.offsets();
+  const auto old_adjacency = g.adjacency();
+  // Degrees are label-invariant, so the new offsets follow from the old.
+  std::vector<std::uint64_t> offsets(static_cast<std::size_t>(n) + 1, 0);
+  for (NodeId x = 0; x < n; ++x) offsets[x + 1] = offsets[x] + g.degree(to_old_[x]);
+  std::vector<NodeId> adjacency(old_adjacency.size());
+  std::vector<std::uint64_t> cursor(offsets.begin(), offsets.end() - 1);
+  for (NodeId y = 0; y < n; ++y) {
+    const NodeId b = to_old_[y];
+    for (std::uint64_t s = old_offsets[b]; s < old_offsets[b + 1]; ++s) {
+      const NodeId a = old_adjacency[s];
+      const NodeId x = to_new_[a];
+      const std::uint64_t slot = cursor[x]++;
+      adjacency[slot] = y;
+      on_entry(s, slot, (a < b) != (x < y));
+    }
+  }
+  return CsrGraph(std::move(offsets), std::move(adjacency));
+}
 
 /// Mean |u - v| over every directed adjacency entry — the cache-locality
 /// metric the pass optimizes (lower = neighbor loads land closer together).

@@ -134,16 +134,11 @@ InternetTopology import_caida_as_rel(std::istream& as_rel, std::istream& ixp_mem
   std::vector<EdgeRel> rels;
   const auto add = [&](NodeId u, NodeId v, EdgeRel rel_u_provider) {
     if (u == v) return;
-    NodeId a = u, b = v;
-    EdgeRel rel = rel_u_provider;
-    if (a > b) {
-      std::swap(a, b);
-      if (rel == EdgeRel::kUProviderOfV) rel = EdgeRel::kVProviderOfU;
-      else if (rel == EdgeRel::kVProviderOfU) rel = EdgeRel::kUProviderOfV;
-    }
-    builder.add_edge(a, b);
-    canonical.push_back(Edge{a, b});
-    rels.push_back(rel);
+    const bool flip = u > v;
+    const Edge e = flip ? Edge{v, u} : Edge{u, v};
+    builder.add_edge(e.u, e.v);
+    canonical.push_back(e);
+    rels.push_back(flip ? reversed(rel_u_provider) : rel_u_provider);
   };
   for (const RawEdge& e : edges) {
     add(id_map.at(e.a), id_map.at(e.b),

@@ -76,12 +76,7 @@ class EdgeAccumulator {
     if (u == v) return false;
     if (u > v) {
       std::swap(u, v);
-      // Flip provider direction when canonicalizing.
-      if (rel_from_canonical == EdgeRel::kUProviderOfV) {
-        rel_from_canonical = EdgeRel::kVProviderOfU;
-      } else if (rel_from_canonical == EdgeRel::kVProviderOfU) {
-        rel_from_canonical = EdgeRel::kUProviderOfV;
-      }
+      rel_from_canonical = reversed(rel_from_canonical);  // canonicalizing flips it
     }
     const std::uint64_t key = (static_cast<std::uint64_t>(u) << 32) | v;
     if (!seen_.insert(key).second) return false;
@@ -503,12 +498,8 @@ InternetTopology make_internet(const InternetConfig& config) {
 
   acc.finalize();
 
-  GraphBuilder builder(n);
-  builder.reserve(acc.count());
-  for (const Edge& e : acc.edges()) builder.add_edge(e.u, e.v);
-
   InternetTopology topo;
-  topo.graph = builder.build();
+  topo.graph = bsr::graph::csr_from_sorted_edges(n, acc.edges());
   topo.meta = std::move(meta);
   topo.num_ases = n_as;
   topo.num_ixps = n_ixp;

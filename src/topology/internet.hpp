@@ -93,6 +93,9 @@ struct InternetTopology {
 
   /// Fraction of ASes with at least one IXP membership edge.
   [[nodiscard]] double ixp_attachment_rate() const;
+
+  /// Same CSR arrays, metadata, slot labels and counts.
+  friend bool operator==(const InternetTopology&, const InternetTopology&) = default;
 };
 
 /// Generates a topology; deterministic in config.seed.

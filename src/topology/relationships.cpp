@@ -13,6 +13,11 @@ using bsr::graph::Edge;
 using bsr::graph::kUnreachable;
 using bsr::graph::NodeId;
 
+void EdgeRelations::snapshot(const CsrGraph& g) {
+  offsets_.assign(g.offsets().begin(), g.offsets().end());
+  adjacency_.assign(g.adjacency().begin(), g.adjacency().end());
+}
+
 EdgeRelations::EdgeRelations(const CsrGraph& g, std::span<const Edge> edges,
                              std::span<const EdgeRel> rels) {
   if (edges.size() != rels.size()) {
@@ -21,37 +26,72 @@ EdgeRelations::EdgeRelations(const CsrGraph& g, std::span<const Edge> edges,
   if (edges.size() != g.num_edges()) {
     throw std::invalid_argument("EdgeRelations: edge count does not match graph");
   }
-  const NodeId n = g.num_vertices();
-  offsets_.assign(static_cast<std::size_t>(n) + 1, 0);
-  for (NodeId v = 0; v < n; ++v) offsets_[v + 1] = offsets_[v] + g.degree(v);
-  adjacency_.reserve(offsets_.back());
-  for (NodeId v = 0; v < n; ++v) {
-    const auto nbrs = g.neighbors(v);
-    adjacency_.insert(adjacency_.end(), nbrs.begin(), nbrs.end());
-  }
-  rel_by_slot_.assign(offsets_.back(), EdgeRel::kPeer);
+  snapshot(g);
+  rel_by_slot_.resize(adjacency_.size());
 
+  // A vertex's sorted list holds its smaller neighbors, then its larger
+  // ones, and the sorted edge list reaches both groups in that same order.
+  // So the next unused slot of each endpoint must hold the other endpoint:
+  // one cursor per vertex replaces a search per edge, and with the counts
+  // equal, a strictly ascending list that passes matches the graph exactly.
+  const NodeId n = g.num_vertices();
+  std::vector<std::uint64_t> cursor(offsets_.begin(), offsets_.end() - 1);
   for (std::size_t i = 0; i < edges.size(); ++i) {
     const Edge& e = edges[i];
     if (e.u >= e.v) throw std::invalid_argument("EdgeRelations: edges must be canonical");
-    if (!g.has_edge(e.u, e.v)) {
+    if (i > 0 && !(edges[i - 1] < e)) {
+      throw std::invalid_argument("EdgeRelations: edges must be sorted and unique");
+    }
+    if (e.v >= n) throw std::invalid_argument("EdgeRelations: edge not present in graph");
+    const std::uint64_t su = cursor[e.u]++;
+    const std::uint64_t sv = cursor[e.v]++;
+    if (su >= offsets_[e.u + 1] || adjacency_[su] != e.v ||
+        sv >= offsets_[e.v + 1] || adjacency_[sv] != e.u) {
       throw std::invalid_argument("EdgeRelations: edge not present in graph");
     }
-    rel_by_slot_[slot(e.u, e.v)] = rels[i];
-    rel_by_slot_[slot(e.v, e.u)] = rels[i];
+    rel_by_slot_[su] = rels[i];
+    rel_by_slot_[sv] = rels[i];
+  }
+}
+
+EdgeRelations::EdgeRelations(const CsrGraph& g, std::vector<EdgeRel> rel_by_slot)
+    : rel_by_slot_(std::move(rel_by_slot)) {
+  snapshot(g);
+  if (rel_by_slot_.size() != adjacency_.size()) {
+    throw std::invalid_argument("EdgeRelations: need one label per adjacency slot");
+  }
+  // Scanning u in ascending order reaches each larger neighbor v's slot for
+  // u in the order v lists its smaller neighbors, so a cursor per vertex
+  // finds the reverse slot of every edge.
+  const NodeId n = g.num_vertices();
+  std::vector<std::uint64_t> cursor(offsets_.begin(), offsets_.end() - 1);
+  for (NodeId u = 0; u < n; ++u) {
+    for (std::uint64_t s = offsets_[u]; s < offsets_[u + 1]; ++s) {
+      const NodeId v = adjacency_[s];
+      if (v < u) continue;
+      const std::uint64_t back = cursor[v]++;
+      if (back >= offsets_[v + 1] || adjacency_[back] != u ||
+          rel_by_slot_[back] != rel_by_slot_[s]) {
+        throw std::invalid_argument(
+            "EdgeRelations: the two slots of an edge must carry one label");
+      }
+    }
   }
 }
 
 std::size_t EdgeRelations::slot(NodeId u, NodeId v) const {
+  if (static_cast<std::size_t>(u) + 1 >= offsets_.size() ||
+      static_cast<std::size_t>(v) + 1 >= offsets_.size()) {
+    throw std::invalid_argument("EdgeRelations: vertex id out of range");
+  }
   const auto begin = adjacency_.begin() + static_cast<std::ptrdiff_t>(offsets_[u]);
   const auto end = adjacency_.begin() + static_cast<std::ptrdiff_t>(offsets_[u + 1]);
   const auto it = std::lower_bound(begin, end, v);
-  assert(it != end && *it == v);
+  if (it == end || *it != v) throw std::invalid_argument("EdgeRelations: not an edge");
   return static_cast<std::size_t>(it - adjacency_.begin());
 }
 
 EdgeRel EdgeRelations::rel_canonical(NodeId u, NodeId v) const {
-  if (rel_by_slot_.empty()) throw std::logic_error("EdgeRelations: empty");
   if (u > v) std::swap(u, v);
   return rel_by_slot_[slot(u, v)];
 }

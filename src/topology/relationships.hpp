@@ -28,10 +28,21 @@ enum class EdgeRel : std::uint8_t {
   kVProviderOfU = 2,  // v sells transit to u
 };
 
+/// The label of the same edge seen with its endpoints swapped: provider
+/// direction flips, peering stays.
+[[nodiscard]] constexpr EdgeRel reversed(EdgeRel rel) noexcept {
+  switch (rel) {
+    case EdgeRel::kUProviderOfV: return EdgeRel::kVProviderOfU;
+    case EdgeRel::kVProviderOfU: return EdgeRel::kUProviderOfV;
+    case EdgeRel::kPeer: break;
+  }
+  return EdgeRel::kPeer;
+}
+
 /// Per-edge relationship labels aligned with a CsrGraph's adjacency.
 /// Lookup is O(log deg) by binary search in the (sorted) neighbor list.
 ///
-/// Self-contained by design: the constructor snapshots the adjacency
+/// Self-contained by design: each constructor snapshots the adjacency
 /// structure instead of keeping a pointer to the graph, so EdgeRelations
 /// has plain value semantics (a moved InternetTopology stays valid).
 class EdgeRelations {
@@ -39,13 +50,22 @@ class EdgeRelations {
   EdgeRelations() = default;
 
   /// `edges` must be the exact canonical (u < v), sorted, deduplicated edge
-  /// set of `g`; `rels` parallel to it. Throws std::invalid_argument on
-  /// mismatch with the graph.
+  /// set of `g`; `rels` parallel to it. One O(|E|) walk with a cursor per
+  /// vertex checks each edge against the adjacency slots it lands in.
+  /// Throws std::invalid_argument on an unsorted, duplicated, missing or
+  /// extra edge.
   EdgeRelations(const bsr::graph::CsrGraph& g, std::span<const bsr::graph::Edge> edges,
                 std::span<const EdgeRel> rels);
 
+  /// From labels already aligned with g's adjacency slots (the layout of
+  /// canonical_rels()). Throws std::invalid_argument unless there is one
+  /// label per slot and both slots of every edge carry the same label.
+  EdgeRelations(const bsr::graph::CsrGraph& g, std::vector<EdgeRel> rel_by_slot);
+
   /// Relationship of edge (u, v) from u's point of view:
   /// returns kUProviderOfV if u is v's provider (canonicalized internally).
+  /// This and the two predicates below throw std::invalid_argument when an
+  /// id is out of range or (u, v) is not an edge.
   [[nodiscard]] EdgeRel rel_canonical(bsr::graph::NodeId u,
                                       bsr::graph::NodeId v) const;
 
@@ -70,11 +90,19 @@ class EdgeRelations {
     return (u < v) ? rel == EdgeRel::kVProviderOfU : rel == EdgeRel::kUProviderOfV;
   }
 
+  /// Every slot's canonical label, aligned with graph.adjacency().
+  [[nodiscard]] std::span<const EdgeRel> canonical_rels() const noexcept {
+    return rel_by_slot_;
+  }
+
   [[nodiscard]] std::size_t num_edges() const noexcept { return rel_by_slot_.size() / 2; }
 
   [[nodiscard]] double peer_fraction() const;
 
+  friend bool operator==(const EdgeRelations&, const EdgeRelations&) = default;
+
  private:
+  void snapshot(const bsr::graph::CsrGraph& g);
   [[nodiscard]] std::size_t slot(bsr::graph::NodeId u, bsr::graph::NodeId v) const;
 
   std::vector<std::uint64_t> offsets_;       // degree prefix sums, mirrors CSR

@@ -10,10 +10,11 @@
 // neighbor-id gap by several fold.
 //
 // The segmentation preserves the InternetTopology id contract
-// (is_ixp(v) == v >= num_ases); NodeMeta is permuted alongside and
-// EdgeRelations is rebuilt on the relabeled adjacency, so every consumer of
-// the returned topology works unchanged. The returned Renumbering maps ids
-// back to the original label space for reporting and round-trip checks.
+// (is_ixp(v) == v >= num_ases); NodeMeta is permuted alongside and every
+// relationship label rides the same transpose pass that relabels the
+// adjacency (Renumbering::apply), so every consumer of the returned topology
+// works unchanged. The returned Renumbering maps ids back to the original
+// label space for reporting and round-trip checks.
 #pragma once
 
 #include "graph/renumbering.hpp"

@@ -40,6 +40,8 @@ enum class Tier : std::uint8_t {
 struct NodeMeta {
   NodeType type = NodeType::kEnterprise;
   Tier tier = Tier::kStub;
+
+  friend constexpr bool operator==(const NodeMeta&, const NodeMeta&) = default;
 };
 
 }  // namespace bsr::topology

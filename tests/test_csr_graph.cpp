@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "graph/graph_builder.hpp"
+#include "reference_ingest.hpp"
 #include "test_util.hpp"
 
 namespace bsr::graph {
@@ -136,8 +137,46 @@ TEST_P(CsrRandomGraphTest, DegreeSumEqualsTwiceEdges) {
   EXPECT_EQ(degree_sum, 2 * g.num_edges());
 }
 
+TEST_P(CsrRandomGraphTest, BuilderMatchesSortUniqueReference) {
+  // Random multigraph input: repeats, both orientations and self-loops.
+  bsr::graph::Rng rng(GetParam());
+  const auto n = static_cast<NodeId>(1 + rng.uniform(60));
+  GraphBuilder b(n);
+  std::vector<Edge> raw;
+  const std::size_t count = rng.uniform(400);
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto u = static_cast<NodeId>(rng.uniform(n));
+    const auto v = rng.bernoulli(0.1) ? u : static_cast<NodeId>(rng.uniform(n));
+    b.add_edge(u, v);
+    raw.push_back(Edge{u, v});
+    if (rng.bernoulli(0.3)) {
+      b.add_edge(v, u);
+      raw.push_back(Edge{v, u});
+    }
+  }
+  EXPECT_TRUE(b.build() == bsr::test::reference::build_csr(n, raw));
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, CsrRandomGraphTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+TEST(CsrGraph, SortedEdgeFillRejectsNonCanonicalLists) {
+  using bsr::graph::csr_from_sorted_edges;
+  const std::vector<Edge> good{{0, 1}, {0, 2}, {1, 2}};
+  const CsrGraph g = csr_from_sorted_edges(3, good);
+  EXPECT_EQ(g.edges(), good);
+  EXPECT_THROW((void)csr_from_sorted_edges(3, std::vector<Edge>{{0, 2}, {0, 1}}),
+               std::invalid_argument);
+  EXPECT_THROW((void)csr_from_sorted_edges(3, std::vector<Edge>{{0, 1}, {0, 1}}),
+               std::invalid_argument);
+  EXPECT_THROW((void)csr_from_sorted_edges(3, std::vector<Edge>{{1, 0}}),
+               std::invalid_argument);
+  EXPECT_THROW((void)csr_from_sorted_edges(3, std::vector<Edge>{{1, 1}}),
+               std::invalid_argument);
+  EXPECT_THROW((void)csr_from_sorted_edges(3, std::vector<Edge>{{0, 3}}),
+               std::invalid_argument);
+  EXPECT_TRUE(csr_from_sorted_edges(0, {}) == CsrGraph(std::vector<std::uint64_t>{0}, {}));
+}
 
 #if BSR_DCHECK_ENABLED
 // Debug / BSR_ENABLE_DCHECKS builds abort on out-of-range accessor use; in

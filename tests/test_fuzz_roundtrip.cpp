@@ -6,10 +6,13 @@
 // the seed) and pushes it through every persistence path. The loader fuzz
 // tests then attack the *parser*: truncations, mutated bytes and garbage
 // lines must produce std::runtime_error with line context — never a crash
-// or a silently-wrong topology. A final group round-trips FaultPlane flap
-// schedules (apply/undo back to pristine).
+// or a silently-wrong topology — and must get the same answer as the
+// reference istringstream loader (reference_ingest.hpp), byte for byte. A
+// final group round-trips FaultPlane flap schedules (apply/undo back to
+// pristine).
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -18,6 +21,7 @@
 #include "broker/dominated.hpp"
 #include "graph/fault_plane.hpp"
 #include "io/edge_list_io.hpp"
+#include "reference_ingest.hpp"
 #include "topology/serialization.hpp"
 
 namespace bsr {
@@ -99,15 +103,42 @@ std::string serialized_fixture(std::uint64_t seed) {
 
 /// The loader's contract under attack: either it accepts the input (benign
 /// mutation) or it throws std::runtime_error carrying line context. Nothing
-/// else — no other exception type, no crash, no silent partial load.
-void expect_loads_or_rejects_with_context(const std::string& text) {
-  std::istringstream iss(text);
+/// else — no other exception type, no crash, no silent partial load. The
+/// reference loader must agree: both accept with identical topologies, or
+/// both reject with the same message. The one allowed difference is a
+/// duplicate edge, which the library reports at its second occurrence and
+/// the reference at the last line.
+void expect_matches_reference(const std::string& text) {
+  std::optional<topology::InternetTopology> got;
+  std::optional<topology::InternetTopology> want;
+  std::string got_error;
+  std::string want_error;
   try {
-    const auto topo = topology::load_topology(iss);
-    EXPECT_EQ(topo.num_vertices(), topo.meta.size());
+    std::istringstream iss(text);
+    got = topology::load_topology(iss);
   } catch (const std::runtime_error& error) {
-    EXPECT_NE(std::string(error.what()).find("line "), std::string::npos)
-        << "loader error lacks line context: " << error.what();
+    got_error = error.what();
+  }
+  try {
+    std::istringstream iss(text);
+    want = test::reference::load_topology(iss);
+  } catch (const std::runtime_error& error) {
+    want_error = error.what();
+  }
+  ASSERT_EQ(got.has_value(), want.has_value())
+      << "library: " << (got ? std::string("accepted") : got_error)
+      << "\nreference: " << (want ? std::string("accepted") : want_error);
+  if (got) {
+    EXPECT_EQ(got->num_vertices(), got->meta.size());
+    test::expect_same_topology(*got, *want);
+    return;
+  }
+  EXPECT_NE(got_error.find("load_topology: line "), std::string::npos)
+      << "loader error lacks line context: " << got_error;
+  if (got_error.find("duplicate edges") != std::string::npos) {
+    EXPECT_NE(want_error.find("duplicate edges"), std::string::npos) << want_error;
+  } else {
+    EXPECT_EQ(got_error, want_error);
   }
 }
 
@@ -118,7 +149,7 @@ TEST_P(FuzzRoundTripTest, LoaderSurvivesTruncation) {
     // Byte-level truncation: mid-line cuts must be rejected with context;
     // a cut at an edge-line boundary is a legal (smaller) topology.
     const auto cut = rng.uniform(text.size());
-    expect_loads_or_rejects_with_context(text.substr(0, cut));
+    expect_matches_reference(text.substr(0, cut));
   }
   // Cutting inside the node section always under-delivers on the counts
   // promise: the error must say so.
@@ -142,7 +173,7 @@ TEST_P(FuzzRoundTripTest, LoaderSurvivesByteMutations) {
     std::string mutated = text;
     const auto pos = rng.uniform(mutated.size());
     mutated[pos] = alphabet[rng.uniform(alphabet.size())];
-    expect_loads_or_rejects_with_context(mutated);
+    expect_matches_reference(mutated);
   }
 }
 
@@ -159,6 +190,80 @@ TEST_P(FuzzRoundTripTest, LoaderRejectsGarbageLines) {
     mutated.insert(insert_at + 1, "lorem ipsum 42\n");
     std::istringstream iss(mutated);
     EXPECT_THROW((void)topology::load_topology(iss), std::runtime_error);
+    expect_matches_reference(mutated);
+  }
+}
+
+TEST(LoaderDifferentialTest, EdgeCasesMatchReference) {
+  const std::string magic = "brokerset-topology v1\n";
+  const std::string head = magic + "counts 3 1\nnode 0 0 1\nnode 1 0 2\n"
+                                   "node 2 1 4\nnode 3 3 0\n";
+  const std::string edges = "edge 0 1 1\nedge 0 3 0\nedge 1 2 2\nedge 2 3 0\n";
+  const std::string rest = edges.substr(std::string("edge 0 1 1\n").size());
+  const auto crlf = [](std::string text) {
+    for (std::size_t at = text.find('\n'); at != std::string::npos;
+         at = text.find('\n', at + 2)) {
+      text.insert(at, "\r");
+    }
+    return text;
+  };
+  const std::vector<std::string> cases = {
+      head + edges,
+      // Line endings, separators and blank lines.
+      crlf(head + edges),                        // rejected: magic has a '\r'
+      magic + crlf(head.substr(magic.size()) + edges),
+      head + "edge\t0\t1\t1\nedge 0 3 0\t\nedge 1 2 2\nedge 2 3 0\n",
+      head + "edge\v0\f1 1\nedge 0 3 0\nedge 1 2 2\nedge 2 3 0\n",
+      head + "\v\n" + edges,                     // not blank: '\v' is a separator only
+      head + "\n \t\r\n# note\n" + edges + "\n\n",
+      head + edges.substr(0, edges.size() - 1),  // no final newline
+      head + edges + "   \t ",                   // last line only whitespace
+      head + "edge 0 1 1   \t\r\n" + rest,
+      // Signs and digits.
+      head + "edge +0 +1 +1\n" + rest,
+      head + "edge 0 1 -0\n" + rest,
+      head + "edge 0 1 +-1\n" + rest,
+      head + "edge 0 1 + 1\n" + rest,
+      head + "edge 0 1 +\n" + rest,
+      head + "edge 0 1 -\n" + rest,
+      magic + "counts +3 +01\nnode 000 0 01\nnode 1 0 2\nnode 2 1 4\nnode 3 3 0\n" +
+          edges,
+      head + "edge 0000000000000000000 1 1\n" + rest,     // 19 digits
+      head + "edge 00000000000000000000 1 1\n" + rest,    // 20 digits
+      head + "edge 0 1000000000000000000 1\n" + rest,     // 19 digits
+      head + "edge 0 9223372036854775807 1\n" + rest,
+      head + "edge 0 9223372036854775808 1\n" + rest,     // overflow
+      head + "edge -9223372036854775808 1 1\n" + rest,
+      head + "edge 0 99999999999999999999 1\n" + rest,    // 20 digits
+      head + "edge 0 123456789012345678901 1\n" + rest,   // 21 digits
+      head + "edge 0 1 1x\n" + rest,
+      head + "edge 0 1x 1\n" + rest,
+      head + "edge 0 1-1 1\n" + rest,
+      head + "edge 0 1 1.0\n" + rest,
+      head + "edge 0 1 1" + std::string(1, '\0') + "\n" + rest,
+      head + "edge 0 1\xa0 1\n" + rest,
+      head + "edges 0 1 1\n" + rest,
+      // Comments.
+      head + "edge 0 1 1 # provider\n" + rest,
+      head + "edge 0 1# 1\n" + rest,
+      magic + "# leading comment\ncounts 3 1 # trailing\n" +
+          head.substr(magic.size() + 11) + edges,
+      // Edge order.
+      head + "edge 2 3 0\nedge 0 1 1\nedge 1 2 2\nedge 0 3 0\n",
+      head + "edge 2 3 0\nedge 0 1 1\nedge 2 3 0\nedge 0 3 0\n",
+      head + edges + "edge 0 1 1\n",
+      head + "edge 0 3 0\nedge 0 3 0\n",
+      // Sections.
+      "",
+      "# only a comment\n\n",
+      magic,
+      magic + "counts 0 0\n",
+      magic + "counts 3 1\nnode 0 0 1\n",
+      magic + "counts 2 0\nnode 1 0 0\nnode 0 0 0\nedge 0 1 2\n",
+  };
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    SCOPED_TRACE("case " + std::to_string(i));
+    expect_matches_reference(cases[i]);
   }
 }
 
@@ -191,7 +296,20 @@ TEST(LoaderHardeningTest, RejectsSpecificCorruptions) {
   reject(two_nodes + "edge 0 5 0\n", "edge ids invalid");
   reject(two_nodes + "edge 0 1 7\n", "bad relationship");
   reject(two_nodes + "edge 0 1 0 junk\n", "trailing");
-  reject(two_nodes + "edge 0 1 0\nedge 0 1 0\n", "duplicate edges");
+  reject(two_nodes + "edge 0 1 0\nedge 0 1 0\n", "line 6: duplicate edges");
+
+  // A duplicate is reported at its second occurrence, whether the edge
+  // lines are in canonical order or not; syntax errors come first.
+  const std::string four_nodes =
+      magic + "counts 4 0\nnode 0 0 0\nnode 1 0 0\nnode 2 0 0\nnode 3 0 0\n";
+  reject(four_nodes + "edge 0 1 0\nedge 0 2 0\nedge 0 2 0\nedge 1 3 0\nedge 2 3 0\n",
+         "line 9: duplicate edges");
+  reject(four_nodes + "edge 2 3 0\nedge 0 2 0\nedge 1 3 0\nedge 0 2 0\nedge 0 1 0\n",
+         "line 10: duplicate edges");
+  reject(four_nodes + "edge 2 3 0\n# c\n\nedge 0 2 0\nedge 1 3 0\n\nedge 0 2 1\n"
+                      "edge 0 1 0\nedge 2 3 0\n",
+         "line 13: duplicate edges");
+  reject(four_nodes + "edge 0 1 0\nedge 0 1 0\nedge 1 0 0\n", "line 9: edge ids invalid");
 
   // The happy path with comments and CR line endings still loads.
   std::istringstream ok(magic + "# comment\r\ncounts 2 0\r\nnode 0 0 0\r\n"

@@ -77,6 +77,64 @@ TEST(EdgeRelations, ConstructionValidation) {
   // Edge not in the graph.
   const std::vector<Edge> missing{{0, 1}, {0, 2}};
   EXPECT_THROW(EdgeRelations(g, missing, two), std::invalid_argument);
+
+  // A duplicated edge would leave (1, 2) at its default label; an unsorted
+  // list breaks the documented contract even where every edge exists.
+  const std::vector<Edge> duplicated{{0, 1}, {0, 1}};
+  EXPECT_THROW(EdgeRelations(g, duplicated, two), std::invalid_argument);
+  const std::vector<Edge> unsorted{{1, 2}, {0, 1}};
+  EXPECT_THROW(EdgeRelations(g, unsorted, two), std::invalid_argument);
+  GraphBuilder b(4);
+  b.add_edge(0, 1);
+  b.add_edge(2, 3);
+  const CsrGraph disjoint = b.build();
+  const std::vector<Edge> disjoint_unsorted{{2, 3}, {0, 1}};
+  EXPECT_THROW(EdgeRelations(disjoint, disjoint_unsorted, two), std::invalid_argument);
+  const std::vector<Edge> out_of_range{{0, 1}, {1, 7}};
+  EXPECT_THROW(EdgeRelations(g, out_of_range, two), std::invalid_argument);
+}
+
+TEST(EdgeRelations, QueriesRejectNonEdges) {
+  // Path 0-1-2 plus isolated vertex 3.
+  GraphBuilder b(4);
+  b.add_edge(0, 1);
+  b.add_edge(1, 2);
+  const CsrGraph g = b.build();
+  const auto edges = g.edges();
+  const std::vector<EdgeRel> labels{EdgeRel::kUProviderOfV, EdgeRel::kPeer};
+  const EdgeRelations rels(g, edges, labels);
+  EXPECT_TRUE(rels.is_provider_of(0, 1));
+  EXPECT_TRUE(rels.is_peer(2, 1));
+  EXPECT_THROW((void)rels.is_provider_of(0, 2), std::invalid_argument);
+  EXPECT_THROW((void)rels.rel_canonical(2, 3), std::invalid_argument);
+  EXPECT_THROW((void)rels.is_peer(3, 3), std::invalid_argument);
+  EXPECT_THROW((void)rels.rel_canonical(0, 4), std::invalid_argument);
+  EXPECT_THROW((void)rels.rel_canonical(9, 1), std::invalid_argument);
+  EXPECT_THROW((void)EdgeRelations().rel_canonical(0, 1), std::invalid_argument);
+}
+
+TEST(EdgeRelations, SlotLabelsMatchEdgeListConstruction) {
+  const Hierarchy h;
+  const auto slots = h.rels.canonical_rels();
+  ASSERT_EQ(slots.size(), h.graph.adjacency().size());
+  const EdgeRelations from_slots(h.graph,
+                                 std::vector<EdgeRel>(slots.begin(), slots.end()));
+  EXPECT_TRUE(from_slots == h.rels);
+  EXPECT_TRUE(from_slots.is_peer(1, 2));
+  EXPECT_TRUE(from_slots.is_provider_of(2, 4));
+
+  // One label per slot, and both slots of an edge must agree.
+  EXPECT_THROW(EdgeRelations(h.graph, std::vector<EdgeRel>(3, EdgeRel::kPeer)),
+               std::invalid_argument);
+  std::vector<EdgeRel> disagree(slots.begin(), slots.end());
+  disagree[h.graph.offsets()[3]] = EdgeRel::kPeer;  // 3's slot for edge (1, 3)
+  EXPECT_THROW(EdgeRelations(h.graph, disagree), std::invalid_argument);
+}
+
+TEST(EdgeRelations, ReversedFlipsProviderDirection) {
+  EXPECT_EQ(reversed(EdgeRel::kUProviderOfV), EdgeRel::kVProviderOfU);
+  EXPECT_EQ(reversed(EdgeRel::kVProviderOfU), EdgeRel::kUProviderOfV);
+  EXPECT_EQ(reversed(EdgeRel::kPeer), EdgeRel::kPeer);
 }
 
 TEST(ValleyFree, UphillThenDownhillAllowed) {

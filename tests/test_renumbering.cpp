@@ -16,6 +16,7 @@
 #include "graph/engine.hpp"
 #include "graph/fault_plane.hpp"
 #include "graph/rng.hpp"
+#include "reference_ingest.hpp"
 #include "sim/router.hpp"
 #include "test_util.hpp"
 #include "topology/internet.hpp"
@@ -259,6 +260,63 @@ TEST(Renumbering, RenumberedTopologySerializationRoundTrip) {
   EXPECT_EQ(loaded.graph.edges(), rt.topo.graph.edges());
   for (NodeId v = 0; v < loaded.num_vertices(); v += 7) {
     EXPECT_EQ(loaded.meta[v].tier, rt.topo.meta[v].tier);
+  }
+}
+
+TEST(Renumbering, ApplyMatchesPerListSortReference) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const CsrGraph g = make_random(120 + 40 * static_cast<NodeId>(seed), 0.04, seed);
+    const Renumbering ren =
+        Renumbering::from_new_order(shuffled_order(g.num_vertices(), seed + 100));
+    EXPECT_TRUE(ren.apply(g) == bsr::test::reference::relabel(g, ren)) << "seed " << seed;
+  }
+}
+
+TEST(Renumbering, ApplyReportsWhereEverySlotWent) {
+  const CsrGraph g = make_random(200, 0.05, 41);
+  const Renumbering ren = Renumbering::from_new_order(shuffled_order(200, 42));
+  // The owner of every adjacency slot, so a slot names its directed edge.
+  const auto owners = [](const CsrGraph& graph) {
+    std::vector<NodeId> owner(graph.adjacency().size());
+    for (NodeId v = 0; v < graph.num_vertices(); ++v) {
+      for (auto s = graph.offsets()[v]; s < graph.offsets()[v + 1]; ++s) owner[s] = v;
+    }
+    return owner;
+  };
+  const auto old_owner = owners(g);
+  std::vector<std::uint64_t> old_of(g.adjacency().size(), ~0ull);
+  std::vector<bool> swapped_of(g.adjacency().size(), false);
+  const CsrGraph h = ren.apply(g, [&](std::uint64_t old_slot, std::uint64_t new_slot,
+                                      bool swapped) {
+    ASSERT_EQ(old_of[new_slot], ~0ull) << "new slot reported twice";
+    old_of[new_slot] = old_slot;
+    swapped_of[new_slot] = swapped;
+  });
+  const auto new_owner = owners(h);
+  for (std::uint64_t s = 0; s < old_of.size(); ++s) {
+    ASSERT_NE(old_of[s], ~0ull);
+    // The new slot holds the same undirected edge, seen from its other end.
+    const NodeId a = old_owner[old_of[s]];
+    const NodeId b = g.adjacency()[old_of[s]];
+    EXPECT_EQ(new_owner[s], ren.to_new(b));
+    EXPECT_EQ(h.adjacency()[s], ren.to_new(a));
+    EXPECT_EQ(swapped_of[s], (a < b) != (ren.to_new(a) < ren.to_new(b)));
+  }
+}
+
+TEST(Renumbering, TopologyRenumberMatchesLookupReference) {
+  for (const std::uint64_t seed : {1ull, 7ull, 23ull, 9001ull}) {
+    auto config = bsr::topology::InternetConfig{}.scaled(0.01);
+    config.seed = seed;
+    const auto topo = bsr::topology::make_internet(config);
+    const auto got = bsr::topology::renumber_topology(topo);
+    const auto want = bsr::test::reference::renumber_topology(topo);
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    bsr::test::expect_same_topology(got.topo, want.topo);
+    EXPECT_TRUE(std::ranges::equal(got.renumbering.to_new_map(),
+                                   want.renumbering.to_new_map()));
+    EXPECT_TRUE(std::ranges::equal(got.renumbering.to_old_map(),
+                                   want.renumbering.to_old_map()));
   }
 }
 

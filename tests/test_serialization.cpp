@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 
 namespace bsr::topology {
 namespace {
@@ -80,6 +81,17 @@ TEST(Serialization, CommentsAndBlankLinesIgnored) {
   const auto topo = load_topology(iss);
   EXPECT_EQ(topo.num_ases, 2u);
   EXPECT_TRUE(topo.relations.is_provider_of(0, 1));
+}
+
+TEST(Serialization, SaveRejectsMisalignedTopology) {
+  auto topo = tiny();
+  topo.relations = EdgeRelations();
+  std::ostringstream no_labels;
+  EXPECT_THROW(save_topology(no_labels, topo), std::invalid_argument);
+  topo = tiny();
+  topo.meta.pop_back();
+  std::ostringstream short_meta;
+  EXPECT_THROW(save_topology(short_meta, topo), std::invalid_argument);
 }
 
 TEST(Serialization, FileRoundTrip) {
