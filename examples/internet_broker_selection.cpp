@@ -3,7 +3,8 @@
 // Generates the calibrated 52k-vertex AS/IXP topology (scaled by
 // REPRO_SCALE), runs every selection algorithm, and prints the Table-1-style
 // comparison — the workflow a network-planning user of this library would
-// run on their own topology (swap in io::read_edge_list_file to load one).
+// run on their own topology (convert it to a .topo file with `brokerctl
+// import-caida` and load it with topology::load_topology_file).
 #include <iostream>
 
 #include "broker/baselines.hpp"

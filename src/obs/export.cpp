@@ -4,8 +4,11 @@
 #include <charconv>
 #include <cmath>
 #include <cstdint>
+#include <istream>
 #include <ostream>
+#include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace bsr::obs {
@@ -23,12 +26,6 @@ void put_double(std::ostream& os, double value) {
   static_cast<void>(ec);  // shortest form always fits in 32 chars
 }
 
-/// Simulated time -> trace_event timestamp: microseconds, rounded to an
-/// integer tick so Perfetto gets monotone integral timestamps.
-std::int64_t trace_ts(double t) {
-  return static_cast<std::int64_t>(std::llround(t * 1e6));
-}
-
 void json_histogram(std::ostream& os, const Snapshot& snap, Histogram h) {
   const auto& buckets = snap.histograms[static_cast<std::size_t>(h)];
   os << "{\"total\": " << snap.histogram_total(h) << ", \"buckets\": [";
@@ -41,6 +38,80 @@ void json_histogram(std::ostream& os, const Snapshot& snap, Histogram h) {
   }
   os << "]}";
 }
+
+/// The one Chrome trace_event emitter: it owns the file framing, separators,
+/// integral-microsecond timestamps and each event shape's fixed fields. The
+/// writers pick a shape, add "args" and end() the event.
+class TraceEmitter {
+ public:
+  explicit TraceEmitter(std::ostream& os) : os_(os) {
+    os_ << "{\"traceEvents\": [";
+  }
+  TraceEmitter(const TraceEmitter&) = delete;  // the destructor closes the file
+  TraceEmitter& operator=(const TraceEmitter&) = delete;
+  ~TraceEmitter() { os_ << "\n], \"displayTimeUnit\": \"ms\"}\n"; }
+
+  /// Simulated time -> microseconds, rounded so Perfetto gets monotone
+  /// integral timestamps.
+  static std::int64_t us(double t) { return std::llround(t * 1e6); }
+  static std::int64_t us_from_ns(std::uint64_t ns) { return ns / 1000; }
+
+  TraceEmitter& complete(std::string_view name, int tid, std::int64_t ts,
+                         std::int64_t dur) {
+    open(name) << "\"ph\": \"X\", \"pid\": 1, \"tid\": " << tid
+               << ", \"ts\": " << ts << ", \"dur\": " << dur;
+    return *this;
+  }
+  TraceEmitter& instant(std::string_view name, std::int64_t ts) {
+    open(name) << "\"ph\": \"i\", \"s\": \"t\", \"pid\": 1, \"tid\": 1, \"ts\": "
+               << ts;
+    return *this;
+  }
+  TraceEmitter& counter(std::string_view name, std::int64_t ts) {
+    open(name) << "\"ph\": \"C\", \"pid\": 1, \"ts\": " << ts;
+    return *this;
+  }
+  TraceEmitter& thread_name(int tid, std::string_view label) {
+    open("thread_name") << "\"ph\": \"M\", \"pid\": 1, \"tid\": " << tid;
+    return arg("name", label);
+  }
+  /// Flow start ('s') or finish ('f', bound to the enclosing slice).
+  TraceEmitter& flow(char ph, std::uint64_t id, int tid, std::int64_t ts) {
+    open("episode") << "\"cat\": \"episode\", \"ph\": \"" << ph << "\", "
+                    << (ph == 'f' ? "\"bp\": \"e\", " : "") << "\"id\": " << id
+                    << ", \"pid\": 1, \"tid\": " << tid << ", \"ts\": " << ts;
+    return *this;
+  }
+  /// One "args" entry: strings quoted, bools as true/false, integers decimal.
+  template <class T>
+  TraceEmitter& arg(std::string_view key, const T& value) {
+    os_ << (in_args_ ? ", \"" : ", \"args\": {\"") << key << "\": ";
+    in_args_ = true;
+    if constexpr (std::is_same_v<T, bool>) {
+      os_ << (value ? "true" : "false");
+    } else if constexpr (std::is_convertible_v<T, std::string_view>) {
+      os_ << '"' << value << '"';
+    } else {
+      os_ << value;
+    }
+    return *this;
+  }
+  void end() {
+    os_ << (in_args_ ? "}}" : "}");
+    in_args_ = false;
+  }
+
+ private:
+  std::ostream& open(std::string_view name) {
+    os_ << (first_ ? "\n" : ",\n") << "  {\"name\": \"" << name << "\", ";
+    first_ = false;
+    return os_;
+  }
+
+  std::ostream& os_;
+  bool first_ = true;
+  bool in_args_ = false;
+};
 
 }  // namespace
 
@@ -115,19 +186,16 @@ void dump_pretty(std::ostream& os, const Snapshot& snap) {
 }
 
 void write_chrome_trace(std::ostream& os, std::span<const SpanRecord> spans) {
-  os << "{\"traceEvents\": [";
-  for (std::size_t i = 0; i < spans.size(); ++i) {
-    const SpanRecord& span = spans[i];
-    os << (i == 0 ? "\n" : ",\n") << "  {\"name\": \"" << span.name
-       << "\", \"ph\": \"X\", \"pid\": 1, \"tid\": 1, \"ts\": "
-       << span.start_ns / 1000 << ", \"dur\": " << span.duration_ns / 1000
-       << ", \"args\": {\"work_units\": " << span.work_units;
+  TraceEmitter trace(os);
+  for (const SpanRecord& span : spans) {
+    trace.complete(span.name, 1, TraceEmitter::us_from_ns(span.start_ns),
+                   TraceEmitter::us_from_ns(span.duration_ns))
+        .arg("work_units", span.work_units);
     for (const auto& [counter, moved] : span.counter_deltas) {
-      os << ", \"" << name(counter) << "\": " << moved;
+      trace.arg(name(counter), moved);
     }
-    os << "}}";
+    trace.end();
   }
-  os << "\n], \"displayTimeUnit\": \"ms\"}\n";
 }
 
 void write_events_jsonl(std::ostream& os, const Journal& journal) {
@@ -188,28 +256,6 @@ void write_qtrace_jsonl(std::ostream& os, const QtraceSnapshot& snap) {
        << ", \"lookup\": " << row.lookup_ticks
        << ", \"stitch\": " << row.stitch_ticks << "}}\n";
   }
-}
-
-void write_qtrace_chrome_trace(std::ostream& os, const QtraceSnapshot& snap) {
-  os << "{\"traceEvents\": [";
-  bool first = true;
-  for (const QueryTraceRow& row : snap.rows) {
-    os << (first ? "\n" : ",\n");
-    first = false;
-    const std::uint64_t total_ticks = std::uint64_t{row.admit_ticks} +
-                                      row.lookup_ticks + row.stitch_ticks;
-    os << "  {\"name\": \"" << answer_tag(row.status)
-       << "\", \"ph\": \"X\", \"pid\": 1, \"tid\": " << row.epoch
-       << ", \"ts\": " << trace_ts(row.time)
-       << ", \"dur\": " << total_ticks << ", \"args\": {\"id\": "
-       << row.trace_id << ", \"corr\": " << row.correlation
-       << ", \"src\": " << row.src << ", \"dst\": " << row.dst
-       << ", \"dist\": " << row.dist_bound << ", \"stale\": "
-       << row.stale_behind << ", \"admit_ticks\": " << row.admit_ticks
-       << ", \"lookup_ticks\": " << row.lookup_ticks
-       << ", \"stitch_ticks\": " << row.stitch_ticks << "}}";
-  }
-  os << "\n], \"displayTimeUnit\": \"ms\"}\n";
 }
 
 void write_slo_json(std::ostream& os, const SloReport& report) {
@@ -278,43 +324,28 @@ void write_episodes_jsonl(std::ostream& os, const EpisodeReport& report) {
 }
 
 void write_episode_chrome_trace(std::ostream& os, const EpisodeReport& report) {
-  os << "{\"traceEvents\": [";
-  bool first = true;
-  const auto sep = [&] {
-    os << (first ? "\n" : ",\n");
-    first = false;
-  };
-  sep();
-  os << "  {\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": 1, "
-        "\"args\": {\"name\": \"health plane\"}}";
-  sep();
-  os << "  {\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": 2, "
-        "\"args\": {\"name\": \"serve plane\"}}";
+  TraceEmitter trace(os);
+  trace.thread_name(1, "health plane").end();
+  trace.thread_name(2, "serve plane").end();
   for (const Episode& ep : report.episodes) {
     const int tid = ep.kind == EpisodeKind::kHealth ? 1 : 2;
     // The enclosing episode slice, then its exact phase partition nested
     // inside (same track, contained timestamps).
-    sep();
-    os << "  {\"name\": \"episode " << to_string(ep.kind) << "#" << ep.id
-       << "\", \"ph\": \"X\", \"pid\": 1, \"tid\": " << tid
-       << ", \"ts\": " << trace_ts(ep.open_time)
-       << ", \"dur\": " << trace_ts(ep.close_time) - trace_ts(ep.open_time)
-       << ", \"args\": {\"subject\": " << ep.subject
-       << ", \"closed\": " << (ep.closed ? "true" : "false")
-       << ", \"truncated\": " << (ep.truncated ? "true" : "false")
-       << ", \"attempts\": " << ep.attempts
-       << ", \"failures\": " << ep.failures
-       << ", \"stale_served\": " << ep.stale_served
-       << ", \"shedded\": " << ep.shedded << ", \"refused\": " << ep.refused
-       << "}}";
+    const std::int64_t open = TraceEmitter::us(ep.open_time);
+    const std::string name = "episode " + std::string(to_string(ep.kind)) +
+                             "#" + std::to_string(ep.id);
+    trace.complete(name, tid, open, TraceEmitter::us(ep.close_time) - open)
+        .arg("subject", ep.subject).arg("closed", ep.closed)
+        .arg("truncated", ep.truncated).arg("attempts", ep.attempts)
+        .arg("failures", ep.failures).arg("stale_served", ep.stale_served)
+        .arg("shedded", ep.shedded).arg("refused", ep.refused)
+        .end();
     for (const PhaseSlice& slice : ep.slices) {
-      sep();
-      os << "  {\"name\": \"" << to_string(slice.phase)
-         << "\", \"ph\": \"X\", \"pid\": 1, \"tid\": " << tid
-         << ", \"ts\": " << trace_ts(slice.begin)
-         << ", \"dur\": " << trace_ts(slice.end) - trace_ts(slice.begin)
-         << ", \"args\": {\"kind\": \"" << to_string(ep.kind)
-         << "\", \"id\": " << ep.id << "}}";
+      const std::int64_t begin = TraceEmitter::us(slice.begin);
+      trace.complete(to_string(slice.phase), tid, begin,
+                     TraceEmitter::us(slice.end) - begin)
+          .arg("kind", to_string(ep.kind)).arg("id", ep.id)
+          .end();
     }
   }
   // Flow arrows from the health-plane episode that was live when a serve
@@ -329,36 +360,21 @@ void write_episode_chrome_trace(std::ostream& os, const EpisodeReport& report) {
         continue;
       }
       ++flow_id;
-      sep();
-      os << "  {\"name\": \"episode\", \"cat\": \"episode\", \"ph\": \"s\", "
-            "\"id\": "
-         << flow_id << ", \"pid\": 1, \"tid\": 1, \"ts\": "
-         << trace_ts(serve.open_time) << "}";
-      sep();
-      os << "  {\"name\": \"episode\", \"cat\": \"episode\", \"ph\": \"f\", "
-            "\"bp\": \"e\", \"id\": "
-         << flow_id << ", \"pid\": 1, \"tid\": 2, \"ts\": "
-         << trace_ts(serve.open_time) << "}";
+      const std::int64_t ts = TraceEmitter::us(serve.open_time);
+      trace.flow('s', flow_id, 1, ts).end();
+      trace.flow('f', flow_id, 2, ts).end();
     }
   }
-  os << "\n], \"displayTimeUnit\": \"ms\"}\n";
 }
 
 void write_journal_chrome_trace(std::ostream& os, const Journal& journal,
                                 std::span<const SeriesRow> rows) {
-  os << "{\"traceEvents\": [";
-  bool first = true;
-  const auto sep = [&] {
-    os << (first ? "\n" : ",\n");
-    first = false;
-  };
+  TraceEmitter trace(os);
   for (const EventRecord& rec : journal.events) {
-    sep();
-    os << "  {\"name\": \"" << name(rec.type)
-       << "\", \"ph\": \"i\", \"s\": \"t\", \"pid\": 1, \"tid\": 1, \"ts\": "
-       << trace_ts(rec.time) << ", \"args\": {\"subject\": " << rec.subject
-       << ", \"corr\": " << rec.correlation << ", \"seq\": " << rec.seq
-       << "}}";
+    trace.instant(name(rec.type), TraceEmitter::us(rec.time))
+        .arg("subject", rec.subject).arg("corr", rec.correlation)
+        .arg("seq", rec.seq)
+        .end();
   }
   // One counter track per slot that moved anywhere in the series; each round
   // contributes one sample at its start, holding the round's delta.
@@ -368,13 +384,138 @@ void write_journal_chrome_trace(std::ostream& os, const Journal& journal,
         [i](const SeriesRow& row) { return row.deltas[i] != 0; });
     if (!moved) continue;
     for (const SeriesRow& row : rows) {
-      sep();
-      os << "  {\"name\": \"" << name(static_cast<Counter>(i))
-         << "\", \"ph\": \"C\", \"pid\": 1, \"ts\": " << trace_ts(row.t_begin)
-         << ", \"args\": {\"delta\": " << row.deltas[i] << "}}";
+      trace.counter(name(static_cast<Counter>(i)), TraceEmitter::us(row.t_begin))
+          .arg("delta", row.deltas[i])
+          .end();
     }
   }
-  os << "\n], \"displayTimeUnit\": \"ms\"}\n";
+}
+
+namespace {
+
+/// One line of a JSONL artifact, matched against its writer's exact layout.
+/// Any mismatch throws std::runtime_error naming the line.
+class LineCursor {
+ public:
+  LineCursor(std::string_view text, std::size_t line)
+      : rest_(text), line_(line) {}
+
+  [[noreturn]] void fail(const std::string& what) const {
+    throw std::runtime_error("line " + std::to_string(line_) + ": " + what);
+  }
+  LineCursor& lit(std::string_view expected) {
+    if (!rest_.starts_with(expected)) {
+      fail("expected '" + std::string(expected) + "'");
+    }
+    rest_.remove_prefix(expected.size());
+    return *this;
+  }
+  /// A double, or an unsigned integer that must fit T.
+  template <class T = std::uint64_t>
+  T number() {
+    T value{};
+    const char* first = rest_.data();
+    const auto [end, ec] = std::from_chars(first, first + rest_.size(), value);
+    if (ec != std::errc{}) fail("bad or out-of-range number");
+    rest_.remove_prefix(static_cast<std::size_t>(end - first));
+    return value;
+  }
+  /// A quoted name (opening quote already consumed), as its index in `names`.
+  std::size_t name(std::span<const std::string_view> names) {
+    const std::string_view text = rest_.substr(0, rest_.find('"'));
+    const auto it = std::find(names.begin(), names.end(), text);
+    if (it == names.end() || text.size() == rest_.size()) {
+      fail("unknown name '" + std::string(text) + "'");
+    }
+    rest_.remove_prefix(text.size() + 1);
+    return static_cast<std::size_t>(it - names.begin());
+  }
+  bool boolean() {
+    const bool value = rest_.starts_with("true");
+    lit(value ? "true" : "false");
+    return value;
+  }
+  void end() const {
+    if (!rest_.empty()) fail("trailing bytes");
+  }
+
+ private:
+  std::string_view rest_;
+  std::size_t line_;
+};
+
+/// Reads the {"schema": "<schema>", "<count_key>": N, "dropped": D} header,
+/// then exactly N newline-terminated lines, each handed to `record`; returns D.
+template <class Record>
+std::uint64_t read_jsonl(std::istream& is, std::string_view schema,
+                         std::string_view count_key, Record record) {
+  std::uint64_t count = 0, dropped = 0;
+  std::size_t line = 0;
+  for (std::string text; std::getline(is, text);) {
+    LineCursor in(text, ++line);
+    if (is.eof()) in.fail("unterminated line");  // cut before its newline
+    if (text.empty()) in.fail("empty line");
+    if (line == 1) {
+      in.lit("{\"schema\": \"").lit(schema).lit("\", \"").lit(count_key);
+      count = in.lit("\": ").number();
+      dropped = in.lit(", \"dropped\": ").number();
+      in.lit("}");
+    } else if (line - 1 > count) {
+      in.fail("more records than the header's " + std::to_string(count));
+    } else {
+      record(in);
+    }
+    in.end();
+  }
+  if (line == 0) {
+    LineCursor("", 1).fail("missing " + std::string(schema) + " header");
+  }
+  if (line - 1 < count) {
+    LineCursor("", line + 1).fail("header promises " + std::to_string(count) +
+                                  " records, found " + std::to_string(line - 1));
+  }
+  return dropped;
+}
+
+}  // namespace
+
+Journal read_events_jsonl(std::istream& is) {
+  Journal journal;
+  journal.dropped = read_jsonl(is, kEventSchema, "events", [&](LineCursor& in) {
+    EventRecord& rec = journal.events.emplace_back();
+    rec.time = in.lit("{\"t\": ").number<double>();
+    rec.type = static_cast<Event>(in.lit(", \"type\": \"").name(kEventNames));
+    rec.subject = in.lit(", \"subject\": ").number();
+    rec.correlation = in.lit(", \"corr\": ").number();
+    rec.seq = journal.events.size() - 1;
+    in.lit("}");
+  });
+  journal.recorded = journal.events.size() + journal.dropped;
+  return journal;
+}
+
+QtraceSnapshot read_qtrace_jsonl(std::istream& is) {
+  QtraceSnapshot snap;
+  snap.dropped = read_jsonl(is, kQtraceSchema, "rows", [&](LineCursor& in) {
+    QueryTraceRow& row = snap.rows.emplace_back();
+    row.trace_id = in.lit("{\"id\": ").number();
+    row.time = in.lit(", \"t\": ").number<double>();
+    row.epoch = in.lit(", \"epoch\": ").number();
+    row.correlation = in.lit(", \"corr\": ").number();
+    row.src = in.lit(", \"src\": ").number<std::uint32_t>();
+    row.dst = in.lit(", \"dst\": ").number<std::uint32_t>();
+    row.status = static_cast<std::uint8_t>(
+        in.lit(", \"tag\": \"").name(kAnswerTagNames));
+    row.reachable = in.lit(", \"reachable\": ").boolean();
+    row.dist_bound = in.lit(", \"dist\": ").number<std::uint32_t>();
+    row.stale_behind = in.lit(", \"stale\": ").number();
+    row.admit_ticks = in.lit(", \"ticks\": {\"admit\": ").number<std::uint16_t>();
+    row.lookup_ticks = in.lit(", \"lookup\": ").number<std::uint16_t>();
+    row.stitch_ticks = in.lit(", \"stitch\": ").number<std::uint16_t>();
+    in.lit("}}");
+  });
+  snap.recorded = snap.rows.size() + snap.dropped;
+  return snap;
 }
 
 }  // namespace bsr::obs

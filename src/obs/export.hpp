@@ -1,6 +1,6 @@
-// Exporters for the telemetry plane.
+// Writers and readers for the telemetry plane's artifacts.
 //
-// Three consumers, three formats:
+// Snapshot and span formats:
 //   * write_json     — machine-readable snapshot with a stable, versioned
 //                      schema ("obs_schema_version"); keys appear in fixed
 //                      registry slot order so outputs diff cleanly run-to-run.
@@ -24,6 +24,11 @@
 //   * write_journal_chrome_trace — journal records as trace_event instant
 //                      ("i") events plus per-round counter ("C") tracks, so
 //                      a whole churn run loads in Perfetto.
+//
+// Serving-plane formats (qtrace.hpp / episode.hpp / slo.hpp):
+// write_qtrace_jsonl, write_episodes_jsonl, write_episode_chrome_trace and
+// write_slo_json. The three Chrome-trace writers share one emitter. Readers:
+// read_events_jsonl and read_qtrace_jsonl parse their writers' output back.
 //
 // obs sits below every other library, so formatting here is hand-rolled
 // rather than borrowed from bsr_io.
@@ -77,13 +82,6 @@ void write_journal_chrome_trace(std::ostream& os, const Journal& journal,
 /// "ticks". Byte-identical at any BSR_THREADS for a fixed seed.
 void write_qtrace_jsonl(std::ostream& os, const QtraceSnapshot& snap);
 
-/// Query traces as Chrome trace_event JSON: one complete ("X") event per
-/// row, named by answer tag, placed on the serving epoch's track
-/// (tid = epoch) with dur = total ticks, so Perfetto shows each oracle
-/// epoch's serving behavior as its own lane keyed by the failure-episode
-/// correlation id in "args".
-void write_qtrace_chrome_trace(std::ostream& os, const QtraceSnapshot& snap);
-
 /// Reconstructed episodes as `bsr-episodes/1` JSON Lines: header object
 /// first ({"schema", "episodes", "journal_dropped", "qtrace_dropped",
 /// "malformed", "unattributed"}), then one object per episode in report
@@ -106,5 +104,14 @@ void write_episode_chrome_trace(std::ostream& os, const EpisodeReport& report);
 /// per objective (target, worst short/long burn, breach sample count, first
 /// breach time; -1 = never). Doubles print via std::to_chars — byte-stable.
 void write_slo_json(std::ostream& os, const SloReport& report);
+
+/// Read write_events_jsonl / write_qtrace_jsonl output back: records in file
+/// order (journal `seq` = line order), `dropped` from the header, `recorded`
+/// = records + dropped. Throws std::runtime_error("line N: ...") on a missing
+/// or foreign header, a record count other than the header's, a cut or empty
+/// line, trailing bytes, a number outside its field's range (ticks are u16),
+/// or an unknown event name or answer tag.
+[[nodiscard]] Journal read_events_jsonl(std::istream& is);
+[[nodiscard]] QtraceSnapshot read_qtrace_jsonl(std::istream& is);
 
 }  // namespace bsr::obs

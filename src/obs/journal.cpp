@@ -14,12 +14,6 @@ namespace bsr::obs {
 
 namespace {
 
-constexpr std::array<std::string_view, kNumEvents> kEventNames = {
-#define BSR_OBS_X(id, name) name,
-    BSR_OBS_EVENT_TABLE(BSR_OBS_X)
-#undef BSR_OBS_X
-};
-
 /// How many trailing records the BSR_DCHECK hook dumps before the abort.
 constexpr std::size_t kBlackBoxTail = 32;
 

@@ -34,6 +34,7 @@
 // role (see start_recording / graph/check.hpp's failure hook).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <iosfwd>
 #include <string_view>
@@ -127,6 +128,13 @@ enum class Event : std::uint16_t {
 };
 
 inline constexpr std::size_t kNumEvents = static_cast<std::size_t>(Event::kCount);
+
+/// Event names by slot: name(e) and the bsr-events/1 reader look them up here.
+inline constexpr std::array<std::string_view, kNumEvents> kEventNames = {
+#define BSR_OBS_X(id, name) name,
+    BSR_OBS_EVENT_TABLE(BSR_OBS_X)
+#undef BSR_OBS_X
+};
 
 [[nodiscard]] std::string_view name(Event e) noexcept;
 

@@ -1,9 +1,9 @@
 // Full-topology serialization (graph + node metadata + edge relationships).
 //
-// The plain edge-list format (io/edge_list_io.hpp) loses node types, tiers
-// and business relationships, which the policy experiments need. This
-// format round-trips an InternetTopology exactly, so a user can snapshot a
-// generated instance (or encode a real dataset once parsed) and feed it to
+// A bare edge list loses node types, tiers and business relationships,
+// which the policy experiments need. This `.topo` format round-trips an
+// InternetTopology exactly, so a user can snapshot a generated instance (or
+// import a real dataset once with `brokerctl import-caida`) and feed it to
 // every bench via a file instead of the generator.
 //
 // Format (text, line-oriented, '#' comments):

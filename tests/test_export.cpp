@@ -1,0 +1,372 @@
+// Tests for the artifact readers and the Chrome-trace writers in
+// obs/export: write -> read -> write round trips over seeded random journals
+// and query traces, a table of corrupt inputs that must each be rejected
+// with their line named, and golden bytes for every trace writer.
+#include "obs/export.hpp"
+
+#include <gtest/gtest.h>
+
+#include <limits>
+#include <sstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "graph/rng.hpp"
+
+namespace bsr::obs {
+namespace {
+
+constexpr std::uint64_t kMaxU64 = std::numeric_limits<std::uint64_t>::max();
+
+// --- write -> read -> write -------------------------------------------------
+
+/// Edge values first, then random ones: every draw below mixes both.
+std::uint64_t pick_u64(bsr::graph::Rng& rng, std::uint64_t max) {
+  const std::uint64_t edges[] = {0, 1, max - 1, max};
+  return rng.bernoulli(0.5) ? edges[rng.uniform(4)] : rng() % max;
+}
+
+double pick_time(bsr::graph::Rng& rng) {
+  const double edges[] = {0.0, 0.1, 1e-300, 1e300, 1.0 / 3.0, 2.5};
+  return rng.bernoulli(0.5) ? edges[rng.uniform(6)] : rng.uniform01() * 1e4;
+}
+
+Journal random_journal(std::uint64_t seed) {
+  bsr::graph::Rng rng(seed);
+  Journal journal;
+  const std::size_t n = kNumEvents + rng.uniform(64);
+  for (std::size_t i = 0; i < n; ++i) {
+    EventRecord rec;
+    rec.time = pick_time(rng);
+    // The first kNumEvents records cover every event type.
+    rec.type = static_cast<Event>(i < kNumEvents ? i : rng.uniform(kNumEvents));
+    rec.subject = pick_u64(rng, kMaxU64);
+    rec.correlation = pick_u64(rng, kMaxU64);
+    rec.seq = i;
+    journal.events.push_back(rec);
+  }
+  journal.dropped = seed % 2 == 0 ? 0 : 1 + rng.uniform(1000);
+  journal.recorded = journal.events.size() + journal.dropped;
+  return journal;
+}
+
+QtraceSnapshot random_qtrace(std::uint64_t seed) {
+  bsr::graph::Rng rng(seed);
+  constexpr std::uint64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
+  constexpr std::uint64_t kMaxU16 = std::numeric_limits<std::uint16_t>::max();
+  QtraceSnapshot snap;
+  const std::size_t n = 8 + rng.uniform(64);
+  for (std::size_t i = 0; i < n; ++i) {
+    QueryTraceRow row;
+    row.trace_id = pick_u64(rng, kMaxU64);
+    row.time = pick_time(rng);
+    row.epoch = pick_u64(rng, kMaxU64);
+    row.correlation = pick_u64(rng, kMaxU64);
+    row.src = static_cast<std::uint32_t>(pick_u64(rng, kMaxU32));
+    row.dst = static_cast<std::uint32_t>(pick_u64(rng, kMaxU32));
+    row.dist_bound = static_cast<std::uint32_t>(pick_u64(rng, kMaxU32));
+    row.stale_behind = pick_u64(rng, kMaxU64);
+    row.admit_ticks = static_cast<std::uint16_t>(pick_u64(rng, kMaxU16));
+    row.lookup_ticks = static_cast<std::uint16_t>(pick_u64(rng, kMaxU16));
+    row.stitch_ticks = static_cast<std::uint16_t>(pick_u64(rng, kMaxU16));
+    // Rows 0-7 cover every answer tag with reachable both ways.
+    row.status = static_cast<std::uint8_t>(i < 8 ? i % 4 : rng.uniform(4));
+    row.reachable = static_cast<std::uint8_t>(i < 8 ? i / 4 : rng.uniform(2));
+    snap.rows.push_back(row);
+  }
+  snap.dropped = seed % 2 == 0 ? 0 : 1 + rng.uniform(1000);
+  snap.recorded = snap.rows.size() + snap.dropped;
+  return snap;
+}
+
+template <class T, class Write>
+std::string written(const T& artifact, Write write) {
+  std::ostringstream os;
+  write(os, artifact);
+  return os.str();
+}
+
+TEST(ExportReaders, JournalRoundTripsFieldForFieldAndByteForByte) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE(seed);
+    const Journal journal = random_journal(seed);
+    const std::string text = written(journal, write_events_jsonl);
+    std::istringstream in(text);
+    const Journal back = read_events_jsonl(in);
+    EXPECT_EQ(written(back, write_events_jsonl), text);
+    EXPECT_EQ(back.dropped, journal.dropped);
+    EXPECT_EQ(back.recorded, journal.recorded);
+    ASSERT_EQ(back.events.size(), journal.events.size());
+    for (std::size_t i = 0; i < back.events.size(); ++i) {
+      const EventRecord& a = journal.events[i];
+      const EventRecord& b = back.events[i];
+      EXPECT_EQ(b.time, a.time);
+      EXPECT_EQ(b.type, a.type);
+      EXPECT_EQ(b.subject, a.subject);
+      EXPECT_EQ(b.correlation, a.correlation);
+      EXPECT_EQ(b.seq, a.seq);
+    }
+  }
+}
+
+TEST(ExportReaders, QtraceRoundTripsFieldForFieldAndByteForByte) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE(seed);
+    const QtraceSnapshot snap = random_qtrace(seed);
+    const std::string text = written(snap, write_qtrace_jsonl);
+    std::istringstream in(text);
+    const QtraceSnapshot back = read_qtrace_jsonl(in);
+    EXPECT_EQ(written(back, write_qtrace_jsonl), text);
+    EXPECT_EQ(back.dropped, snap.dropped);
+    EXPECT_EQ(back.recorded, snap.recorded);
+    ASSERT_EQ(back.rows.size(), snap.rows.size());
+    for (std::size_t i = 0; i < back.rows.size(); ++i) {
+      const QueryTraceRow& a = snap.rows[i];
+      const QueryTraceRow& b = back.rows[i];
+      EXPECT_EQ(b.trace_id, a.trace_id);
+      EXPECT_EQ(b.time, a.time);
+      EXPECT_EQ(b.epoch, a.epoch);
+      EXPECT_EQ(b.correlation, a.correlation);
+      EXPECT_EQ(b.src, a.src);
+      EXPECT_EQ(b.dst, a.dst);
+      EXPECT_EQ(b.dist_bound, a.dist_bound);
+      EXPECT_EQ(b.stale_behind, a.stale_behind);
+      EXPECT_EQ(b.admit_ticks, a.admit_ticks);
+      EXPECT_EQ(b.lookup_ticks, a.lookup_ticks);
+      EXPECT_EQ(b.stitch_ticks, a.stitch_ticks);
+      EXPECT_EQ(b.status, a.status);
+      EXPECT_EQ(b.reachable, a.reachable);
+    }
+  }
+}
+
+// --- corrupt input ----------------------------------------------------------
+
+const std::string kHeader =
+    "{\"schema\": \"bsr-events/1\", \"events\": 2, \"dropped\": 0}\n";
+const std::string kRec1 =
+    "{\"t\": 0.5, \"type\": \"sim.churn.departure\", \"subject\": 17, "
+    "\"corr\": 0}\n";
+const std::string kRec2 =
+    "{\"t\": 2.25, \"type\": \"sim.health.quarantine\", \"subject\": 17, "
+    "\"corr\": 3}\n";
+
+const std::string kQHeader =
+    "{\"schema\": \"bsr-qtrace/1\", \"rows\": 1, \"dropped\": 0}\n";
+const std::string kQRow =
+    "{\"id\": 7, \"t\": 1.5, \"epoch\": 2, \"corr\": 3, \"src\": 11, "
+    "\"dst\": 13, \"tag\": \"stale_served\", \"reachable\": true, "
+    "\"dist\": 4, \"stale\": 1, \"ticks\": {\"admit\": 1, \"lookup\": 9, "
+    "\"stitch\": 5}}\n";
+
+std::string with(std::string text, const std::string& from,
+                 const std::string& to) {
+  const std::size_t at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  return text.replace(at, from.size(), to);
+}
+
+struct Corrupt {
+  const char* what;
+  std::string text;
+  int line;
+  bool qtrace = false;
+};
+
+TEST(ExportReaders, ValidFixturesRead) {
+  std::istringstream journal(kHeader + kRec1 + kRec2);
+  EXPECT_EQ(read_events_jsonl(journal).events.size(), 2u);
+  std::istringstream qtrace(kQHeader + kQRow);
+  EXPECT_EQ(read_qtrace_jsonl(qtrace).rows.size(), 1u);
+}
+
+TEST(ExportReaders, CorruptInputThrowsNamingTheLine) {
+  const std::string journal = kHeader + kRec1 + kRec2;
+  const std::vector<Corrupt> cases = {
+      // header problems
+      {"missing header", "", 1},
+      {"wrong schema", with(journal, "bsr-events/1", "bsr-events/2"), 1},
+      {"foreign schema", kQHeader + kQRow, 1},
+      {"negative drop count", with(journal, "\"dropped\": 0", "\"dropped\": -1"), 1},
+      // count mismatch
+      {"short of the header's count", kHeader + kRec1, 3},
+      {"past the header's count",
+       with(journal, "\"events\": 2", "\"events\": 1"), 3},
+      // broken lines
+      {"line cut mid-object", kHeader + kRec1 + kRec2.substr(0, 20), 3},
+      {"line cut mid-object, newline kept",
+       kHeader + kRec1.substr(0, 20) + "\n" + kRec2, 2},
+      {"last newline cut", journal.substr(0, journal.size() - 1), 3},
+      {"trailing bytes", kHeader + kRec1 + with(kRec2, "}\n", "} x\n"), 3},
+      {"empty line", kHeader + kRec1 + "\n" + kRec2, 3},
+      // bad numbers
+      {"negative integer", with(journal, "\"subject\": 17", "\"subject\": -7"), 2},
+      {"u64 overflow",
+       with(journal, "\"subject\": 17", "\"subject\": 18446744073709551616"), 2},
+      {"junk after a number", with(journal, "\"t\": 0.5", "\"t\": 1xyz"), 2},
+      {"tick over 65535",
+       kQHeader + with(kQRow, "\"admit\": 1", "\"admit\": 65536"), 2, true},
+      {"u32 overflow",
+       kQHeader + with(kQRow, "\"src\": 11", "\"src\": 4294967296"), 2, true},
+      // bad names
+      {"unknown event name",
+       with(journal, "sim.churn.departure", "sim.churn.nope"), 2},
+      {"unknown tag", kQHeader + with(kQRow, "stale_served", "stale"), 2, true},
+      {"bad boolean",
+       kQHeader + with(kQRow, "\"reachable\": true", "\"reachable\": yes"), 2,
+       true},
+      {"qtrace short of the header's count", kQHeader, 2, true},
+  };
+  for (const Corrupt& c : cases) {
+    SCOPED_TRACE(c.what);
+    std::istringstream in(c.text);
+    try {
+      if (c.qtrace) {
+        (void)read_qtrace_jsonl(in);
+      } else {
+        (void)read_events_jsonl(in);
+      }
+      ADD_FAILURE() << "accepted";
+    } catch (const std::runtime_error& error) {
+      EXPECT_EQ(std::string(error.what())
+                    .rfind("line " + std::to_string(c.line) + ": ", 0),
+                0u)
+          << error.what();
+    }
+  }
+}
+
+// --- golden trace bytes -----------------------------------------------------
+// Each trace writer's bytes over fixed inputs, so a change to the emitter
+// they share cannot move any writer's output unnoticed.
+
+std::vector<SpanRecord> fixed_spans() {
+  std::vector<SpanRecord> spans(2);
+  spans[0].name = "select";
+  spans[0].start_ns = 1'500'000;
+  spans[0].duration_ns = 2'750'999;
+  spans[0].work_units = 42;
+  spans[0].counter_deltas = {{Counter::kEngineBfsRuns, 7},
+                             {Counter::kEngineUniteEdgeScans, 1}};
+  spans[1].name = "bfs";
+  spans[1].parent = 0;
+  spans[1].depth = 1;
+  spans[1].start_ns = 1'600'500;
+  spans[1].duration_ns = 999;
+  return spans;
+}
+
+Journal fixed_journal() {
+  Journal journal;
+  journal.events = {{0.25, Event::kChurnDeparture, 6, 0, 0},
+                    {1.0000005, Event::kHealthQuarantine, 6, 1, 1},
+                    {2.5, Event::kRouteServiceBatch, std::uint64_t{1} << 40, 3, 2}};
+  journal.recorded = 3;
+  return journal;
+}
+
+std::vector<SeriesRow> fixed_series() {
+  std::vector<SeriesRow> rows(2);
+  rows[0] = {0, 0.0, 1.0, {}};
+  rows[1] = {1, 1.0, 2.0, {}};
+  rows[0].deltas[0] = 5;
+  rows[1].deltas[4] = 9;
+  return rows;
+}
+
+EpisodeReport fixed_episodes() {
+  EpisodeReport report;
+  Episode health;
+  health.kind = EpisodeKind::kHealth;
+  health.id = 3;
+  health.subject = 17;
+  health.open_time = 1.0;
+  health.close_time = 4.5;
+  health.closed = true;
+  health.attempts = 2;
+  health.failures = 1;
+  health.slices = {{EpisodePhase::kDetect, 1.0, 2.25},
+                   {EpisodePhase::kQueue, 2.25, 4.5}};
+  Episode serve;
+  serve.kind = EpisodeKind::kServe;
+  serve.id = 9;
+  serve.subject = 2;
+  serve.open_time = 2.0;
+  serve.close_time = 6.0000004;
+  serve.truncated = true;
+  serve.stale_served = 11;
+  serve.shedded = 1;
+  serve.refused = 2;
+  serve.slices = {{EpisodePhase::kReact, 2.0, 6.0000004}};
+  Episode late = serve;
+  late.id = 10;
+  late.open_time = 5.0;
+  late.slices.clear();
+  report.episodes = {health, serve, late};
+  return report;
+}
+
+TEST(ExportTraceGolden, SpanTrace) {
+  std::ostringstream os;
+  write_chrome_trace(os, fixed_spans());
+  EXPECT_EQ(os.str(),
+      "{\"traceEvents\": [\n"
+      "  {\"name\": \"select\", \"ph\": \"X\", \"pid\": 1, \"tid\": 1, \"ts\": 1500, \"dur\": 2750, \"args\": {\"work_units\": 42, \"engine.bfs.runs\": 7, \"engine.unite.edge_scans\": 1}},\n"
+      "  {\"name\": \"bfs\", \"ph\": \"X\", \"pid\": 1, \"tid\": 1, \"ts\": 1600, \"dur\": 0, \"args\": {\"work_units\": 0}}\n"
+      "], \"displayTimeUnit\": \"ms\"}\n");
+  std::ostringstream empty;
+  write_chrome_trace(empty, {});
+  EXPECT_EQ(empty.str(),
+      "{\"traceEvents\": [\n"
+      "], \"displayTimeUnit\": \"ms\"}\n");
+}
+
+TEST(ExportTraceGolden, JournalTrace) {
+  std::ostringstream os;
+  const std::vector<SeriesRow> rows = fixed_series();
+  write_journal_chrome_trace(os, fixed_journal(), rows);
+  EXPECT_EQ(os.str(),
+      "{\"traceEvents\": [\n"
+      "  {\"name\": \"sim.churn.departure\", \"ph\": \"i\", \"s\": \"t\", \"pid\": 1, \"tid\": 1, \"ts\": 250000, \"args\": {\"subject\": 6, \"corr\": 0, \"seq\": 0}},\n"
+      "  {\"name\": \"sim.health.quarantine\", \"ph\": \"i\", \"s\": \"t\", \"pid\": 1, \"tid\": 1, \"ts\": 1000001, \"args\": {\"subject\": 6, \"corr\": 1, \"seq\": 1}},\n"
+      "  {\"name\": \"sim.route_service.batch\", \"ph\": \"i\", \"s\": \"t\", \"pid\": 1, \"tid\": 1, \"ts\": 2500000, \"args\": {\"subject\": 1099511627776, \"corr\": 3, \"seq\": 2}},\n"
+      "  {\"name\": \"engine.bfs.runs\", \"ph\": \"C\", \"pid\": 1, \"ts\": 0, \"args\": {\"delta\": 5}},\n"
+      "  {\"name\": \"engine.bfs.runs\", \"ph\": \"C\", \"pid\": 1, \"ts\": 1000000, \"args\": {\"delta\": 0}},\n"
+      "  {\"name\": \"engine.unite.edge_scans\", \"ph\": \"C\", \"pid\": 1, \"ts\": 0, \"args\": {\"delta\": 0}},\n"
+      "  {\"name\": \"engine.unite.edge_scans\", \"ph\": \"C\", \"pid\": 1, \"ts\": 1000000, \"args\": {\"delta\": 9}}\n"
+      "], \"displayTimeUnit\": \"ms\"}\n");
+  std::ostringstream empty;
+  write_journal_chrome_trace(empty, Journal{}, {});
+  EXPECT_EQ(empty.str(),
+      "{\"traceEvents\": [\n"
+      "], \"displayTimeUnit\": \"ms\"}\n");
+}
+
+TEST(ExportTraceGolden, EpisodeTrace) {
+  std::ostringstream os;
+  write_episode_chrome_trace(os, fixed_episodes());
+  EXPECT_EQ(os.str(),
+      "{\"traceEvents\": [\n"
+      "  {\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": 1, \"args\": {\"name\": \"health plane\"}},\n"
+      "  {\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": 2, \"args\": {\"name\": \"serve plane\"}},\n"
+      "  {\"name\": \"episode health#3\", \"ph\": \"X\", \"pid\": 1, \"tid\": 1, \"ts\": 1000000, \"dur\": 3500000, \"args\": {\"subject\": 17, \"closed\": true, \"truncated\": false, \"attempts\": 2, \"failures\": 1, \"stale_served\": 0, \"shedded\": 0, \"refused\": 0}},\n"
+      "  {\"name\": \"detect\", \"ph\": \"X\", \"pid\": 1, \"tid\": 1, \"ts\": 1000000, \"dur\": 1250000, \"args\": {\"kind\": \"health\", \"id\": 3}},\n"
+      "  {\"name\": \"queue\", \"ph\": \"X\", \"pid\": 1, \"tid\": 1, \"ts\": 2250000, \"dur\": 2250000, \"args\": {\"kind\": \"health\", \"id\": 3}},\n"
+      "  {\"name\": \"episode serve#9\", \"ph\": \"X\", \"pid\": 1, \"tid\": 2, \"ts\": 2000000, \"dur\": 4000000, \"args\": {\"subject\": 2, \"closed\": false, \"truncated\": true, \"attempts\": 0, \"failures\": 0, \"stale_served\": 11, \"shedded\": 1, \"refused\": 2}},\n"
+      "  {\"name\": \"react\", \"ph\": \"X\", \"pid\": 1, \"tid\": 2, \"ts\": 2000000, \"dur\": 4000000, \"args\": {\"kind\": \"serve\", \"id\": 9}},\n"
+      "  {\"name\": \"episode serve#10\", \"ph\": \"X\", \"pid\": 1, \"tid\": 2, \"ts\": 5000000, \"dur\": 1000000, \"args\": {\"subject\": 2, \"closed\": false, \"truncated\": true, \"attempts\": 0, \"failures\": 0, \"stale_served\": 11, \"shedded\": 1, \"refused\": 2}},\n"
+      "  {\"name\": \"episode\", \"cat\": \"episode\", \"ph\": \"s\", \"id\": 1, \"pid\": 1, \"tid\": 1, \"ts\": 2000000},\n"
+      "  {\"name\": \"episode\", \"cat\": \"episode\", \"ph\": \"f\", \"bp\": \"e\", \"id\": 1, \"pid\": 1, \"tid\": 2, \"ts\": 2000000}\n"
+      "], \"displayTimeUnit\": \"ms\"}\n");
+  std::ostringstream empty;
+  write_episode_chrome_trace(empty, EpisodeReport{});
+  EXPECT_EQ(empty.str(),
+      "{\"traceEvents\": [\n"
+      "  {\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": 1, \"args\": {\"name\": \"health plane\"}},\n"
+      "  {\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": 2, \"args\": {\"name\": \"serve plane\"}}\n"
+      "], \"displayTimeUnit\": \"ms\"}\n");
+}
+
+}  // namespace
+}  // namespace bsr::obs

@@ -1,6 +1,6 @@
 // Fuzz-style round-trip tests over randomized instances.
 //
-// Serialization, edge-list IO and EdgeRelations must survive arbitrary
+// Serialization and EdgeRelations must survive arbitrary
 // generator outputs, not just the default configuration. Each TEST_P draws
 // a differently-shaped topology (size, tail, IXP ecosystem all varying with
 // the seed) and pushes it through every persistence path. The loader fuzz
@@ -20,7 +20,6 @@
 #include "broker/broker_set.hpp"
 #include "broker/dominated.hpp"
 #include "graph/fault_plane.hpp"
-#include "io/edge_list_io.hpp"
 #include "reference_ingest.hpp"
 #include "topology/serialization.hpp"
 
@@ -57,17 +56,6 @@ TEST_P(FuzzRoundTripTest, TopologySerializationRoundTrips) {
     EXPECT_EQ(loaded.relations.rel_canonical(edges[i].u, edges[i].v),
               topo.relations.rel_canonical(edges[i].u, edges[i].v));
   }
-}
-
-TEST_P(FuzzRoundTripTest, EdgeListRoundTrips) {
-  const auto topo = topology::make_internet(fuzz_config(GetParam() + 500));
-  std::ostringstream oss;
-  io::write_edge_list(oss, topo.graph);
-  std::istringstream iss(oss.str());
-  const auto loaded = io::read_edge_list(iss);
-  // Isolated vertices are dropped by the edge-list format (no lines), so
-  // compare edge sets after compaction, not vertex counts.
-  EXPECT_EQ(loaded.num_edges(), topo.graph.num_edges());
 }
 
 TEST_P(FuzzRoundTripTest, GeneratorInvariantsHold) {

@@ -4,10 +4,8 @@
 #include <sstream>
 
 #include "io/csv.hpp"
-#include "io/edge_list_io.hpp"
 #include "io/env.hpp"
 #include "io/table.hpp"
-#include "test_util.hpp"
 
 namespace bsr::io {
 namespace {
@@ -60,107 +58,6 @@ TEST(Csv, DocumentSerialization) {
 TEST(Csv, RejectsArityMismatch) {
   CsvWriter w({"x"});
   EXPECT_THROW(w.add_row({"1", "2"}), std::invalid_argument);
-}
-
-TEST(EdgeList, RoundTrip) {
-  const auto g = bsr::test::make_connected_random(30, 0.1, 5);
-  std::ostringstream oss;
-  write_edge_list(oss, g);
-  std::istringstream iss(oss.str());
-  const auto g2 = read_edge_list(iss);
-  EXPECT_EQ(g2.num_vertices(), g.num_vertices());
-  EXPECT_EQ(g2.num_edges(), g.num_edges());
-  EXPECT_EQ(g2.edges(), g.edges());
-}
-
-TEST(EdgeList, SparseIdsCompactedInOrder) {
-  std::istringstream iss("100 5\n7 100\n");
-  const auto g = read_edge_list(iss);
-  EXPECT_EQ(g.num_vertices(), 3u);  // ids 5, 7, 100 -> 0, 1, 2
-  EXPECT_TRUE(g.has_edge(2, 0));    // 100-5
-  EXPECT_TRUE(g.has_edge(1, 2));    // 7-100
-}
-
-TEST(EdgeList, CommentsAndBlanksSkipped) {
-  std::istringstream iss("# header\n\n0 1 # trailing comment\n");
-  const auto g = read_edge_list(iss);
-  EXPECT_EQ(g.num_edges(), 1u);
-}
-
-TEST(EdgeList, MalformedLinesThrow) {
-  std::istringstream one_token("0\n");
-  EXPECT_THROW(read_edge_list(one_token), std::runtime_error);
-  std::istringstream three_tokens("0 1 2\n");
-  EXPECT_THROW(read_edge_list(three_tokens), std::runtime_error);
-}
-
-TEST(EdgeList, CrlfLineEndingsParse) {
-  // Windows-edited datasets: every line terminated \r\n, including comments.
-  std::istringstream iss("# header\r\n0 1\r\n1 2\r\n");
-  const auto g = read_edge_list(iss);
-  EXPECT_EQ(g.num_vertices(), 3u);
-  EXPECT_EQ(g.num_edges(), 2u);
-  EXPECT_TRUE(g.has_edge(0, 1));
-  EXPECT_TRUE(g.has_edge(1, 2));
-}
-
-TEST(EdgeList, CrlfRoundTrip) {
-  const auto g = bsr::test::make_connected_random(20, 0.15, 6);
-  std::ostringstream oss;
-  write_edge_list(oss, g);
-  // Re-terminate every line with \r\n, as a DOS-mode transfer would.
-  std::string crlf;
-  for (const char c : oss.str()) {
-    if (c == '\n') crlf += '\r';
-    crlf += c;
-  }
-  std::istringstream iss(crlf);
-  const auto g2 = read_edge_list(iss);
-  EXPECT_EQ(g2.edges(), g.edges());
-}
-
-TEST(EdgeList, OverflowingIdThrowsWithLineContext) {
-  // 2^64 = 18446744073709551616 does not fit in uint64_t.
-  std::istringstream iss("0 1\n18446744073709551616 2\n");
-  try {
-    (void)read_edge_list(iss);
-    FAIL() << "expected std::runtime_error";
-  } catch (const std::runtime_error& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("line 2"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("overflows"), std::string::npos) << msg;
-  }
-}
-
-TEST(EdgeList, NegativeIdThrowsWithLineContext) {
-  std::istringstream iss("0 1\n1 2\n-3 4\n");
-  try {
-    (void)read_edge_list(iss);
-    FAIL() << "expected std::runtime_error";
-  } catch (const std::runtime_error& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("line 3"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("negative"), std::string::npos) << msg;
-  }
-}
-
-TEST(EdgeList, NonNumericIdThrows) {
-  std::istringstream iss("0 x1\n");
-  EXPECT_THROW(read_edge_list(iss), std::runtime_error);
-  std::istringstream partial("0 1z\n");  // trailing junk glued to the id
-  EXPECT_THROW(read_edge_list(partial), std::runtime_error);
-}
-
-TEST(EdgeList, MaxUint64IdAccepted) {
-  // The largest representable raw id still maps to a dense NodeId.
-  std::istringstream iss("18446744073709551615 0\n");
-  const auto g = read_edge_list(iss);
-  EXPECT_EQ(g.num_vertices(), 2u);
-  EXPECT_TRUE(g.has_edge(0, 1));
-}
-
-TEST(EdgeList, MissingFileThrows) {
-  EXPECT_THROW(read_edge_list_file("/nonexistent/path/x.txt"), std::runtime_error);
 }
 
 class EnvGuard {
