@@ -1,5 +1,5 @@
 // perf_scale — the Internet-scale kernel suite: locality renumbering,
-// direction-optimizing BFS, and the anchor-cache MaxSG, measured at the
+// direction-optimizing BFS, and the incremental-gain MaxSG, measured at the
 // paper's full topology (REPRO_SCALE=1.0, ~52k vertices) plus a 10x stress
 // topology (~500k vertices, ~3.5M edges).
 //
@@ -15,8 +15,8 @@
 //      the original labeling vs bfs_dir_opt on the degree-renumbered graph
 //      (distances compared through the relabeling per source);
 //   2. MaxSG: the pre-anchor snapshot-sweep implementation (reference copy
-//      below) vs the live anchor-cache broker::maxsg vs the anchor cache on
-//      the renumbered graph with original-id results;
+//      below) vs the live incremental-gain broker::maxsg vs the same on the
+//      renumbered graph with original-id results;
 //   3. greedy MCB: direct vs renumbered round-trip equality.
 //
 // Env knobs beyond the standard REPRO_*:
@@ -65,8 +65,8 @@ namespace snapshot {
 // The pre-anchor-cache MaxSG (minus telemetry), the reference the live
 // implementation is checked and timed against: every round refreshes flat
 // root/size snapshots of a union-find and re-evaluates EVERY candidate's
-// gain, O(k * (|V| + |E|)) total, vs the live implementation's amortized
-// O(|V| + |E|) dirty-candidate recomputation over component labels.
+// gain, O(k * (|V| + |E|)) total, vs the live implementation's delta
+// updates to the candidates each merge reaches.
 bsr::broker::MaxSgResult maxsg(const CsrGraph& g, std::uint32_t k) {
   const NodeId n = g.num_vertices();
 
@@ -313,7 +313,7 @@ void digest_maxsg(Digest& d, const bsr::broker::MaxSgResult& r) {
 
 int main() {
   const auto ctx = bsr::bench::make_context(
-      "perf_scale: renumbering + dir-opt BFS + anchor-cache MaxSG at scale");
+      "perf_scale: renumbering + dir-opt BFS + incremental-gain MaxSG at scale");
   const CsrGraph& g = ctx.topo.graph;
   const NodeId n = g.num_vertices();
   std::cout << "threads: " << engine::num_threads() << " (BSR_THREADS)\n\n";
@@ -416,9 +416,9 @@ int main() {
             << "):\n"
             << "  snapshot full sweep:   "
             << bsr::io::format_double(snapshot_s, 3) << "s\n"
-            << "  anchor cache:          " << bsr::io::format_double(anchor_s, 3)
+            << "  incremental gains:     " << bsr::io::format_double(anchor_s, 3)
             << "s  (x" << bsr::io::format_double(maxsg_speedup, 2) << ")\n"
-            << "  anchor + renumbered:   "
+            << "  incremental + renum:   "
             << bsr::io::format_double(maxsg_renum_s, 3) << "s  (x"
             << bsr::io::format_double(maxsg_renum_speedup, 2) << ")\n\n";
 
@@ -467,7 +467,7 @@ int main() {
                                           stress_sources, 1);
     print_bfs("stress fault-filtered BFS", stress_bfs, stress_sources.size());
 
-    // Only the anchor-cache MaxSG runs at stress scale: the snapshot sweep's
+    // Only the live MaxSG runs at stress scale: the snapshot sweep's
     // O(k * (|V| + |E|)) would dominate the suite's wall time for a number
     // already established at scale 1.0.
     const std::uint32_t stress_k = 256;

@@ -6,25 +6,27 @@
 // brokers are added (a pick relabels the smaller components of its star into
 // the largest, O(|V| log |V|) relabels over a run); the candidate gain — the
 // size of the component that would form around w — is the sum of the
-// distinct component sizes of w and its neighbors, computed in O(deg(w)).
+// distinct component sizes of w and its neighbors.
 //
 // Unlike coverage f, the component-size objective is NOT submodular (merging
-// grows future gains), so lazy evaluation is unsound here. Instead of the
-// naive full candidate sweep per round, the implementation factors every
-// candidate's gain around the *anchor* — the distinguished (giant) dominated
-// component — as
-//     gain(w) = rest_gain[w] + (adj_anchor[w] ? |anchor| : 0)
-// and caches rest_gain/adj_anchor across rounds. When a pick merely grows
-// the anchor, candidates adjacent only to the anchor need no recomputation
-// (|anchor| is read fresh); only candidates adjacent to a component that
-// changed this round are re-evaluated. The recomputed gains are exactly the
-// full-sweep values, so the selected set is bit-identical to the naive
-// sweep; per-round recomputation is amortized O(|V| + |E|) over the run
-// because each vertex is absorbed into the anchor at most once.
-//
-// Dirty-candidate recomputation and the per-round argmax are sharded across
-// BSR_THREADS workers over candidate ranges; reductions are integer-only and
-// merged in shard order, so results are invariant under the thread count.
+// grows future gains), so lazy evaluation is unsound. Instead every
+// candidate's gain is kept exact by deltas. It is factored around the
+// *anchor* — the component the first pick forms, extended by every later
+// merge that contains it — as
+//     gain(c) = rest[c] + (adj[c] ? |anchor| : 0)
+// where rest[c] sums the distinct non-anchor component sizes of N[c] and
+// adj[c] says N[c] meets the anchor. A pick changes only the candidates
+// whose closed neighborhood meets a merged non-anchor component; the walk
+// over those components' members and neighbors sums, per candidate u, the
+// merged sizes u meets (touch[u]). A merge into the anchor then subtracts
+// touch[u] and sets u's anchor bit; any other merge adds |merged| −
+// touch[u]. Candidates meeting only the anchor never change: |anchor| is
+// read at the argmax. Two max-trees over original ids, one per anchor bit,
+// give the argmax in O(1) and each update in O(log |V|), batched per pick.
+// Ties go to the lowest original id, so the picks, the component curve and
+// the coverage are bit-identical to a full sweep that recomputes every gain
+// every round, under any renumbering. The run is single-threaded.
+
 #pragma once
 
 #include <cstdint>
@@ -45,10 +47,10 @@ struct MaxSgOptions {
   bool stop_when_dominating = true;
 
   /// When non-null, `g` is a locality-renumbered graph and `renumbering`
-  /// maps its ids back to the original label space. Candidates are iterated
-  /// in ORIGINAL-id order and the returned brokers carry original ids, so
-  /// the result is bit-identical to running on the un-renumbered graph —
-  /// the relabeling only changes memory layout, never tie-breaks.
+  /// maps its ids back to the original label space. Ties between candidates
+  /// go to the lowest ORIGINAL id and the returned brokers carry original
+  /// ids, so the result is bit-identical to running on the un-renumbered
+  /// graph — the relabeling only changes memory layout, never tie-breaks.
   const bsr::graph::Renumbering* renumbering = nullptr;
 };
 

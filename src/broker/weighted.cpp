@@ -167,11 +167,11 @@ WeightedMaxSgResult weighted_maxsg(const CsrGraph& g, std::uint32_t k,
   std::uint32_t epoch = 0;
   double heaviest = 0.0;
 
-  // Per-round root/weight snapshot, as in maxsg(): no unions happen during
-  // a sweep, so candidate gains are flat array loads. Roots snapshotted
-  // before a sweep equal live find() results, so the stamp-dedup visits
-  // roots in the same first-encounter order — the double accumulation
-  // order (and thus the result) is unchanged.
+  // Per-round root/weight snapshot: no unions happen during a sweep, so
+  // candidate gains are flat array loads. Roots snapshotted before a sweep
+  // equal live find() results, so the stamp-dedup visits roots in the same
+  // first-encounter order — the double accumulation order (and thus the
+  // result) is unchanged.
   std::vector<NodeId> root_of(n);
   std::vector<double> weight_of(n);
 

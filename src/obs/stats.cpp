@@ -113,7 +113,7 @@ bool is_work_unit(Counter c) noexcept {
 }
 
 namespace detail {
-thread_local ThreadBlock* t_block = nullptr;
+constinit thread_local ThreadBlock* t_block = nullptr;
 }  // namespace detail
 
 ThreadBlock& tls_block_slow() noexcept {

@@ -194,8 +194,11 @@ namespace detail {
 /// cache lets the macros reach their slot with one TLS load and a
 /// predictable branch instead of an out-of-line call per site, which is
 /// what keeps per-item sites (UF finds, per-answer sketches) at a few
-/// inline adds.
-extern thread_local ThreadBlock* t_block;
+/// inline adds. constinit tells every including TU that the pointer needs
+/// no dynamic initialization. Without it, GCC guards each site with a check
+/// of (and a possible call to) the weak TLS init-function symbol, and an
+/// optimized UBSan build aborts there on a null-pointer load.
+extern constinit thread_local ThreadBlock* t_block;
 }  // namespace detail
 
 /// Registers this thread's block with the global registry and fills the

@@ -10,13 +10,16 @@
 #include "graph/components.hpp"
 #include "graph/engine.hpp"
 #include "graph/renumbering.hpp"
+#include "graph/rng.hpp"
 #include "graph/rollback_union_find.hpp"
 #include "test_util.hpp"
+#include "topology/internet.hpp"
 
 namespace bsr::broker {
 namespace {
 
 using bsr::graph::CsrGraph;
+using bsr::graph::GraphBuilder;
 using bsr::graph::NodeId;
 using bsr::test::make_connected_random;
 using bsr::test::make_path;
@@ -170,22 +173,74 @@ TEST(MaxSg, MatchesFullSweepReference) {
     graphs.push_back(make_connected_random(70, 0.05, seed));
     graphs.push_back(make_random(70, 0.025, seed + 10));
   }
+  // Hub-heavy Internet topologies: 521 and 1,041 vertices, top degrees 218
+  // and 416, a few stragglers outside the giant component.
+  for (const double scale : {0.01, 0.02}) {
+    auto cfg = bsr::topology::InternetConfig{}.scaled(scale);
+    cfg.seed = 77;
+    graphs.push_back(bsr::topology::make_internet(cfg).graph);
+  }
+  {
+    // A 6-vertex star (center 0, leaves 3..7), picked first on the id
+    // tie-break, beside two adjacent hubs 1 and 2 with 4 leaves each (8..11,
+    // 12..15). The hubs are picked next, ahead of the star's leaves (all
+    // gain 6, lower ids), and the second one merges them into a component
+    // of 10 away from the anchor of 6. The anchor must not switch: the hubs'
+    // leaves (gain 10) must then come before the star's (gain 6).
+    GraphBuilder b(16);
+    for (NodeId v = 3; v < 8; ++v) b.add_edge(0, v);
+    b.add_edge(1, 2);
+    for (NodeId v = 8; v < 12; ++v) b.add_edge(1, v);
+    for (NodeId v = 12; v < 16; ++v) b.add_edge(2, v);
+    graphs.push_back(b.build());
+  }
+  // Edgeless: every gain ties at 1, so picks come in original-id order.
+  graphs.push_back(GraphBuilder(9).build());
+  // Seeded random graphs of 2-80 vertices; every third has a hub joined to
+  // most other vertices.
+  for (std::uint64_t seed = 100; seed < 136; ++seed) {
+    bsr::graph::Rng rng(seed);
+    const auto n = static_cast<NodeId>(2 + rng.uniform(79));
+    const double p = 0.1 * rng.uniform01();
+    GraphBuilder b(n);
+    for (NodeId u = 0; u < n; ++u) {
+      for (NodeId v = u + 1; v < n; ++v) {
+        if (rng.bernoulli(p)) b.add_edge(u, v);
+      }
+    }
+    if (seed % 3 == 0) {
+      const auto hub = static_cast<NodeId>(rng.uniform(n));
+      for (NodeId v = 0; v < n; ++v) {
+        if (v != hub && rng.bernoulli(0.7)) b.add_edge(hub, v);
+      }
+    }
+    graphs.push_back(b.build());
+  }
   for (const CsrGraph& g : graphs) {
     const NodeId n = g.num_vertices();
-    const bsr::graph::Renumbering ren = bsr::graph::Renumbering::degree_descending(g);
-    const CsrGraph renumbered = ren.apply(g);
+    // Degree-descending relabelling, and a reversal, which turns every
+    // id-order tie-break upside down.
+    std::vector<NodeId> reversed(n);
+    for (NodeId v = 0; v < n; ++v) reversed[v] = n - 1 - v;
+    const std::vector<bsr::graph::Renumbering> renumberings{
+        bsr::graph::Renumbering::degree_descending(g),
+        bsr::graph::Renumbering::from_new_order(std::move(reversed))};
     for (const bool stop : {true, false}) {
       const MaxSgResult expected = full_sweep_maxsg(g, n, stop);
-      for (const bool renumber : {false, true}) {
+      for (std::size_t r = 0; r <= renumberings.size(); ++r) {
+        const bsr::graph::Renumbering* ren =
+            r == 0 ? nullptr : &renumberings[r - 1];
+        const CsrGraph renumbered = ren != nullptr ? ren->apply(g) : CsrGraph();
         for (const int threads : {1, 4}) {
           bsr::graph::engine::set_num_threads(threads);
           MaxSgOptions options;
           options.stop_when_dominating = stop;
-          options.renumbering = renumber ? &ren : nullptr;
-          const MaxSgResult got = maxsg(renumber ? renumbered : g, n, options);
+          options.renumbering = ren;
+          const MaxSgResult got = maxsg(ren != nullptr ? renumbered : g, n, options);
           bsr::graph::engine::set_num_threads(0);
-          SCOPED_TRACE(::testing::Message() << "stop " << stop << " renumber "
-                                            << renumber << " threads " << threads);
+          SCOPED_TRACE(::testing::Message() << "n " << n << " stop " << stop
+                                            << " renumbering " << r << " threads "
+                                            << threads);
           EXPECT_TRUE(std::ranges::equal(got.brokers.members(),
                                          expected.brokers.members()));
           EXPECT_EQ(got.component_curve, expected.component_curve);
