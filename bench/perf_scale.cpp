@@ -18,6 +18,9 @@
 //      below) vs the live incremental-gain broker::maxsg vs the same on the
 //      renumbered graph with original-id results;
 //   3. greedy MCB: direct vs renumbered round-trip equality.
+// It then times robust_maxsg for r = 1 (k = 8), r = 2 (k = 6) and the
+// IXP-outage failure groups (k = 3), whose picks, surviving curves, pair
+// counts and coverage go into the results digest.
 //
 // Env knobs beyond the standard REPRO_*:
 //   PERF_SCALE_STRESS=0   skip the 10x stress section (CI does; the
@@ -41,6 +44,7 @@
 #include "broker/coverage.hpp"
 #include "broker/greedy_mcb.hpp"
 #include "broker/maxsg.hpp"
+#include "broker/robust.hpp"
 #include "graph/components.hpp"
 #include "graph/engine.hpp"
 #include "graph/fault_plane.hpp"
@@ -309,6 +313,16 @@ void digest_maxsg(Digest& d, const bsr::broker::MaxSgResult& r) {
   d.add(r.coverage);
 }
 
+std::uint64_t robust_digest(const bsr::broker::RobustResult& r) {
+  Digest d;
+  for (const NodeId v : r.brokers.members()) d.add(v);
+  for (const std::uint64_t p : r.surviving_curve) d.add(p);
+  d.add(r.surviving_pairs);
+  d.add(r.nominal_pairs);
+  d.add(r.coverage);
+  return d.value();
+}
+
 }  // namespace
 
 int main() {
@@ -434,6 +448,36 @@ int main() {
   std::cout << "greedy MCB round-trip: OK (k=" << k << ", coverage "
             << greedy_direct.coverage << ")\n\n";
 
+  // --- robust_maxsg --------------------------------------------------------
+  std::vector<bsr::graph::FailureGroup> ixp_groups;
+  for (NodeId v = ctx.topo.num_ases; v < n; ++v) {
+    ixp_groups.push_back(bsr::graph::incident_group(g, v));
+  }
+  const auto run_robust = [&](const char* name, std::uint32_t robust_k,
+                              const bsr::broker::RobustOptions& options) {
+    bsr::broker::RobustResult result;
+    const double s =
+        harness
+            .run(name,
+                 [&] { result = bsr::broker::robust_maxsg(g, robust_k, options); })
+            .wall_ms /
+        1e3;
+    std::cout << "  " << name << " (k=" << robust_k
+              << "): " << bsr::io::format_double(s, 3) << "s, surviving pairs "
+              << result.surviving_pairs << "\n";
+    return result;
+  };
+  bsr::broker::RobustOptions r2_options;
+  r2_options.redundancy = 2;
+  bsr::broker::RobustOptions groups_options;
+  groups_options.mode = bsr::broker::RobustMode::kFailureGroups;
+  groups_options.groups = ixp_groups;
+  std::cout << "robust_maxsg (" << ixp_groups.size() << " IXP groups):\n";
+  const auto robust_r1 = run_robust("robust.r1", 8, {});
+  const auto robust_r2 = run_robust("robust.r2", 6, r2_options);
+  const auto robust_groups = run_robust("robust.groups", 3, groups_options);
+  std::cout << "\n";
+
   // --- 10x stress topology -------------------------------------------------
   const char* stress_env = std::getenv("PERF_SCALE_STRESS");
   const bool run_stress = stress_env == nullptr || std::string(stress_env) != "0";
@@ -542,7 +586,10 @@ int main() {
         << "maxsg_renum_digest " << renum_digest.value() << "\n"
         << "greedy_digest " << greedy_digest.value() << "\n"
         << "greedy_coverage " << greedy_direct.coverage << "\n"
-        << "stress_digest " << (run_stress ? stress_digest.value() : 0) << "\n";
+        << "stress_digest " << (run_stress ? stress_digest.value() : 0) << "\n"
+        << "robust_r1_digest " << robust_digest(robust_r1) << "\n"
+        << "robust_r2_digest " << robust_digest(robust_r2) << "\n"
+        << "robust_groups_digest " << robust_digest(robust_groups) << "\n";
     std::cout << "wrote " << txt_path << "\n";
   }
 

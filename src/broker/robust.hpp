@@ -15,12 +15,17 @@
 // The greedy scores every candidate w by the worst case over all failure
 // scenarios of the connected-pair count of G_{B∪{w}} minus the failed
 // capacity. Scenario states are enumerated on one RollbackUnionFind with a
-// checkpoint/rollback recursion (shared unite prefixes are never redone),
-// and per-scenario candidate gains are flat root/size array loads exactly
-// like maxsg.cpp's sweep. Ties in the worst case break on the no-failure
-// pair count, then on the lowest vertex id, so the output is deterministic
-// — and the candidate sweeps are sharded by candidate range with per-shard
-// scratch, so it is bit-identical at any BSR_THREADS.
+// checkpoint/rollback recursion (shared unite prefixes are never redone).
+// Only the covered set C = B ∪ N(B) can lie in a component of two or more,
+// so once per round each candidate w is compacted to the number of vertices
+// of N[w] outside C (singletons in every scenario) plus the list of those
+// inside C; each scenario then refreshes roots and sizes for C alone and
+// scores a candidate from its list. In kFailureGroups mode only the
+// endpoints of the fired group's edges are rescanned through the fault
+// filter. Ties in the worst case break on the no-failure pair count, then
+// on the lowest vertex id, so the output is deterministic — and the
+// candidate sweeps are sharded by candidate range with per-shard scratch,
+// so it is bit-identical at any BSR_THREADS.
 //
 // Caveat from the note paper (PAPERS.md): greedy redundancy does NOT
 // inherit the (1 + ln n) set-cover guarantee — the surviving objective is

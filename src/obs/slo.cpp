@@ -239,10 +239,9 @@ void SloMonitor::observe(const SloSample& sample) {
 
   ++report_.samples;
   BSR_COUNT(SloEvaluations);
-  BSR_GAUGE_MAX(SloWorstBurnPct,
-                static_cast<std::uint64_t>(std::llround(worst_burn * 100.0)));
-  const std::uint64_t burn_pct =
-      static_cast<std::uint64_t>(std::llround(worst_burn * 100.0));
+  BSR_STATS_ONLY(const auto burn_pct =
+                     static_cast<std::uint64_t>(std::llround(worst_burn * 100.0));)
+  BSR_GAUGE_MAX(SloWorstBurnPct, burn_pct);
   if (breach_mask != 0 && !report_.in_breach) {
     report_.in_breach = true;
     ++report_.breaches;

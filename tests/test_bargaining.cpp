@@ -19,7 +19,7 @@ TEST(GoldenSection, HandlesBoundaryMaximum) {
 }
 
 TEST(GoldenSection, RejectsInvertedInterval) {
-  EXPECT_THROW(golden_section_max([](double) { return 0.0; }, 1.0, 0.0),
+  EXPECT_THROW((void)golden_section_max([](double) { return 0.0; }, 1.0, 0.0),
                std::invalid_argument);
 }
 
@@ -86,13 +86,13 @@ TEST(Bargaining, MoreEmployeesLowerPrice) {
 TEST(Bargaining, RejectsBadInputs) {
   BargainingConfig config;
   config.broker_price = 0.0;
-  EXPECT_THROW(solve_bargaining(config), std::invalid_argument);
+  EXPECT_THROW((void)solve_bargaining(config), std::invalid_argument);
   config = BargainingConfig{};
   config.transit_cost = -1.0;
-  EXPECT_THROW(solve_bargaining(config), std::invalid_argument);
+  EXPECT_THROW((void)solve_bargaining(config), std::invalid_argument);
   config = BargainingConfig{};
   config.beta = 0;
-  EXPECT_THROW(solve_bargaining(config), std::invalid_argument);
+  EXPECT_THROW((void)solve_bargaining(config), std::invalid_argument);
 }
 
 }  // namespace

@@ -81,7 +81,9 @@ TEST(Bfs, StarGraphAllWithinTwo) {
   const auto dist = bfs_distances(g, 5);
   EXPECT_EQ(dist[0], 1u);
   for (NodeId v = 1; v < 20; ++v) {
-    if (v != 5) EXPECT_EQ(dist[v], 2u);
+    if (v != 5) {
+      EXPECT_EQ(dist[v], 2u);
+    }
   }
 }
 

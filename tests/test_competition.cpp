@@ -72,11 +72,11 @@ TEST(Competition, AccountingConsistent) {
 
 TEST(Competition, RejectsBadInput) {
   Duopoly empty;
-  EXPECT_THROW(compete(empty), std::invalid_argument);
+  EXPECT_THROW((void)compete(empty), std::invalid_argument);
   Duopoly bad_coverage;
   bad_coverage.customers = customers(5);
   bad_coverage.coverage_a = 1.5;
-  EXPECT_THROW(compete(bad_coverage), std::invalid_argument);
+  EXPECT_THROW((void)compete(bad_coverage), std::invalid_argument);
 }
 
 }  // namespace

@@ -111,7 +111,7 @@ TEST(Dominated, BrokerOnlyShareDetectsNonBrokerTransit) {
 
 TEST(Dominated, SizeMismatchThrows) {
   const CsrGraph g = make_path(4);
-  EXPECT_THROW(saturated_connectivity(g, BrokerSet(5)), std::invalid_argument);
+  EXPECT_THROW((void)saturated_connectivity(g, BrokerSet(5)), std::invalid_argument);
 }
 
 TEST(Dominated, DistanceCdfRejectsForeignBrokerSet) {

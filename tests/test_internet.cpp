@@ -161,7 +161,7 @@ TEST(Internet, ValidationCatchesBadConfigs) {
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
 
   cfg = InternetConfig{};
-  EXPECT_THROW(cfg.scaled(0.0), std::invalid_argument);
+  EXPECT_THROW((void)cfg.scaled(0.0), std::invalid_argument);
 }
 
 TEST(Internet, SummaryStatisticsConsistent) {

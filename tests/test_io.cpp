@@ -92,12 +92,12 @@ TEST(Env, ParsesOverrides) {
 
 TEST(Env, RejectsGarbage) {
   EnvGuard scale("REPRO_SCALE", "banana");
-  EXPECT_THROW(experiment_env(), std::runtime_error);
+  EXPECT_THROW((void)experiment_env(), std::runtime_error);
 }
 
 TEST(Env, RejectsOutOfRangeScale) {
   EnvGuard scale("REPRO_SCALE", "99");
-  EXPECT_THROW(experiment_env(), std::runtime_error);
+  EXPECT_THROW((void)experiment_env(), std::runtime_error);
 }
 
 TEST(Env, ScaledCountsKeepMinimum) {

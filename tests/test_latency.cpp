@@ -55,7 +55,9 @@ TEST(LatencyModel, TierStructureRespected) {
     }
   }
   ASSERT_GT(core_latency, 0.0);
-  if (stub_latency > 0.0) EXPECT_GT(core_latency, stub_latency);
+  if (stub_latency > 0.0) {
+    EXPECT_GT(core_latency, stub_latency);
+  }
 }
 
 TEST(LatencyModel, PathLatencySumsHops) {

@@ -28,7 +28,7 @@ TEST(McbgBudget, PreselectFormula) {
   EXPECT_EQ(mcbg_preselect_budget(7, 1), 7u);
   // beta = 6 -> cost 3 -> x* = ⌊(k+2)/3⌋.
   EXPECT_EQ(mcbg_preselect_budget(10, 6), 4u);
-  EXPECT_THROW(mcbg_preselect_budget(5, 0), std::invalid_argument);
+  EXPECT_THROW((void)mcbg_preselect_budget(5, 0), std::invalid_argument);
 }
 
 TEST(Mcbg, EmptyGraphThrows) {

@@ -17,11 +17,11 @@ using bsr::graph::kUnreachable;
 using bsr::graph::NodeId;
 
 /// Builds a small hierarchy:
-///        0   (tier-1)
-///       / \
-///      1   2    (0 provides to 1 and 2; 1-2 peer)
-///     /     \
-///    3       4  (1 provides to 3, 2 provides to 4)
+///        0      (tier-1)
+///       / \     (0 provides to 1 and 2; 1-2 peer)
+///      1   2
+///     /     \   (1 provides to 3, 2 provides to 4)
+///    3       4
 struct Hierarchy {
   CsrGraph graph;
   EdgeRelations rels;

@@ -187,7 +187,9 @@ TEST(RouteServiceOracle, StitchedPathsAreValidDominatedPaths) {
       EXPECT_EQ(path.back(), t);
       // The stitched walk realizes the advertised bound exactly.
       EXPECT_EQ(path.size() - 1, a.dist_bound);
-      if (s != t) EXPECT_EQ(path[1], a.next_hop);
+      if (s != t) {
+        EXPECT_EQ(path[1], a.next_hop);
+      }
       for (std::size_t i = 0; i + 1 < path.size(); ++i) {
         const auto nbrs = g.neighbors(path[i]);
         EXPECT_NE(std::find(nbrs.begin(), nbrs.end(), path[i + 1]), nbrs.end())

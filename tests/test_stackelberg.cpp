@@ -93,7 +93,7 @@ TEST(BestResponse, IsArgmaxOfUtility) {
 TEST(BestResponse, RejectsBadA0) {
   auto p = default_customer();
   p.a0 = 1.5;
-  EXPECT_THROW(best_response(p, 1.0), std::invalid_argument);
+  EXPECT_THROW((void)best_response(p, 1.0), std::invalid_argument);
 }
 
 TEST(Stackelberg, EquilibriumExistsAndIsConsistent) {

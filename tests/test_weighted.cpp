@@ -44,9 +44,9 @@ TEST(WeightedCoverage, RejectsBadWeights) {
   const CsrGraph g = make_path(3);
   BrokerSet b(3);
   const std::vector<double> short_weights{1.0};
-  EXPECT_THROW(weighted_coverage(g, b, short_weights), std::invalid_argument);
+  EXPECT_THROW((void)weighted_coverage(g, b, short_weights), std::invalid_argument);
   const std::vector<double> negative{1.0, -1.0, 1.0};
-  EXPECT_THROW(weighted_coverage(g, b, negative), std::invalid_argument);
+  EXPECT_THROW((void)weighted_coverage(g, b, negative), std::invalid_argument);
 }
 
 TEST(WeightedCoverage, RejectsForeignBrokerSet) {
