@@ -6,15 +6,15 @@
 
 #include "broker/coverage.hpp"
 #include "broker/greedy_mcb.hpp"
-#include "graph/bfs.hpp"
+#include "graph/engine.hpp"
 #include "obs/stats.hpp"
 #include "obs/trace.hpp"
 
 namespace bsr::broker {
 
 using bsr::graph::CsrGraph;
-using bsr::graph::kUnreachable;
 using bsr::graph::NodeId;
+namespace engine = bsr::graph::engine;
 
 std::uint32_t mcbg_preselect_budget(std::uint32_t k, std::uint32_t beta) {
   if (beta == 0) throw std::invalid_argument("mcbg_preselect_budget: beta = 0");
@@ -27,35 +27,16 @@ std::uint32_t mcbg_preselect_budget(std::uint32_t k, std::uint32_t beta) {
 
 namespace {
 
-/// BFS tree from `root`; returns parents (kUnreachable where not reached).
-std::vector<NodeId> bfs_parents(const CsrGraph& g, NodeId root) {
-  std::vector<NodeId> parent(g.num_vertices(), kUnreachable);
-  std::vector<NodeId> queue;
-  queue.reserve(g.num_vertices());
-  parent[root] = root;
-  queue.push_back(root);
-  for (std::size_t head = 0; head < queue.size(); ++head) {
-    const NodeId u = queue[head];
-    for (const NodeId v : g.neighbors(u)) {
-      if (parent[v] == kUnreachable) {
-        parent[v] = u;
-        queue.push_back(v);
-      }
-    }
-  }
-  return parent;
-}
-
 struct StitchPlan {
   std::vector<NodeId> added;  // B″ for this root
   std::uint32_t unreachable = 0;
 };
 
 /// For one candidate root, walk every other pre-selected broker's shortest
-/// path to the root and promote alternate interior nodes so each hop is
-/// dominated by B' ∪ B″.
+/// path to the root (the BFS tree `ws` holds) and promote alternate
+/// interior nodes so each hop is dominated by B' ∪ B″.
 StitchPlan stitch_for_root(const CsrGraph& g, const BrokerSet& preselected,
-                           NodeId root, const std::vector<NodeId>& parent) {
+                           NodeId root, const engine::Workspace& ws) {
   BSR_COUNT(McbgStitchRounds);
   StitchPlan plan;
   std::vector<bool> in_set(g.num_vertices(), false);
@@ -64,12 +45,12 @@ StitchPlan stitch_for_root(const CsrGraph& g, const BrokerSet& preselected,
   std::vector<NodeId> path;
   for (const NodeId v : preselected.members()) {
     if (v == root) continue;
-    if (parent[v] == kUnreachable) {
+    if (!ws.visited(v)) {
       ++plan.unreachable;
       continue;
     }
     path.clear();
-    for (NodeId w = v; w != root; w = parent[w]) path.push_back(w);
+    for (NodeId w = v; w != root; w = ws.parent(w)) path.push_back(w);
     path.push_back(root);
     // Walk hops v..root; when neither endpoint of hop (path[i], path[i+1])
     // is in the set, promote the far endpoint — it also dominates the next
@@ -94,10 +75,11 @@ StitchPlan best_stitch(const CsrGraph& g, const BrokerSet& preselected,
                            max_roots, static_cast<std::uint32_t>(preselected.size()));
   StitchPlan best;
   bool have_best = false;
+  engine::Workspace ws;
   for (std::uint32_t i = 0; i < roots_to_try; ++i) {
     const NodeId root = preselected.members()[i];
-    const auto parent = bfs_parents(g, root);
-    StitchPlan plan = stitch_for_root(g, preselected, root, parent);
+    engine::bfs(g, root, ws, engine::AllEdges{});
+    StitchPlan plan = stitch_for_root(g, preselected, root, ws);
     if (!have_best || plan.added.size() < best.added.size()) {
       best = std::move(plan);
       have_best = true;

@@ -1,8 +1,8 @@
 // Causal episode reconstruction: fault-lifecycle stitching and critical-path
 // latency decomposition over the flight-recorder journal.
 //
-// The journal (journal.hpp) records *events*; the qtrace rings (qtrace.hpp)
-// record *answers*. Neither answers the operator question "for episode 17,
+// The journal (journal.hpp) records *events*; the qtrace ring (qtrace.hpp)
+// records *answers*. Neither answers the operator question "for episode 17,
 // how much of the 4.2 s of exposure was detection lag vs rebuild backoff vs
 // rebuild execution, and which queries did it hurt?". The reconstructor here
 // folds one pass over a journal snapshot (plus an optional qtrace snapshot)

@@ -1,39 +1,24 @@
 #include "obs/qtrace.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace bsr::obs {
 
 namespace {
 
-/// Upper bound on engine::plan_shards results (engine clamps BSR_THREADS to
-/// 256). Ring slots beyond the live shard count stay empty vectors.
-constexpr std::size_t kMaxShards = 256;
-
-/// One shard's wrap-around ring. `rows` is lazily sized to capacity on the
-/// shard's first record, so idle shard slots cost a few pointers. `head` is
-/// the next write position (always recorded % capacity); kept explicitly so
-/// the record path wraps with a compare instead of a 64-bit divide.
-struct ShardRing {
+/// The wrap-around ring, owned by the control thread. `head` is the next
+/// write position (always recorded % capacity); kept explicitly so the
+/// record path wraps with a compare instead of a 64-bit divide.
+struct Tracer {
   std::vector<QueryTraceRow> rows;
   std::uint64_t recorded = 0;
   std::size_t head = 0;
-};
-
-// The control thread owns `enabled`, `capacity` and `next_id`; each worker
-// shard owns rings[shard] exclusively while a batch is in flight. No other
-// sharing, hence no synchronization (mirrors the journal's Recorder).
-struct Tracer {
-  std::vector<ShardRing> rings;
-  std::size_t capacity = 0;
-  std::uint64_t next_id = 0;
   bool enabled = false;
 };
 
 Tracer& tracer() noexcept {
-  static Tracer* t = new Tracer();  // leaked: outlives worker threads
-  return *t;
+  static Tracer t;
+  return t;
 }
 
 }  // namespace
@@ -43,9 +28,9 @@ void start_query_trace(const QtraceOptions& options) {
     throw std::invalid_argument("start_query_trace: capacity must be > 0");
   }
   Tracer& t = tracer();
-  t.rings.assign(kMaxShards, ShardRing{});
-  t.capacity = options.capacity;
-  t.next_id = 0;
+  t.rows.assign(options.capacity, QueryTraceRow{});
+  t.recorded = 0;
+  t.head = 0;
   t.enabled = true;
 }
 
@@ -53,45 +38,26 @@ void stop_query_trace() { tracer().enabled = false; }
 
 bool query_trace_enabled() noexcept { return tracer().enabled; }
 
-std::uint64_t qtrace_begin_batch(std::size_t n) noexcept {
+void qtrace_record(const QueryTraceRow& row) noexcept {
   Tracer& t = tracer();
-  const std::uint64_t base = t.next_id;
-  t.next_id += n;
-  return base;
-}
-
-void qtrace_record(std::size_t shard, const QueryTraceRow& row) noexcept {
-  Tracer& t = tracer();
-  if (!t.enabled || shard >= t.rings.size()) return;
-  ShardRing& ring = t.rings[shard];
-  if (ring.rows.empty()) ring.rows.resize(t.capacity);
-  ring.rows[ring.head] = row;
-  if (++ring.head == t.capacity) ring.head = 0;
-  ++ring.recorded;
+  if (!t.enabled) return;
+  QueryTraceRow& slot = t.rows[t.head];
+  slot = row;
+  slot.trace_id = t.recorded++;
+  if (++t.head == t.rows.size()) t.head = 0;
 }
 
 QtraceSnapshot snapshot_query_trace() {
   const Tracer& t = tracer();
   QtraceSnapshot snap;
-  for (const ShardRing& ring : t.rings) {
-    snap.recorded += ring.recorded;
-    const std::uint64_t live =
-        std::min<std::uint64_t>(ring.recorded, t.capacity);
-    for (std::uint64_t s = ring.recorded - live; s < ring.recorded; ++s) {
-      snap.rows.push_back(ring.rows[static_cast<std::size_t>(s % t.capacity)]);
-    }
-  }
-  // Trace ids are globally unique and each shard records them in increasing
-  // order, so per-shard eviction only ever dropped ids below every survivor
-  // of that shard — the union above is a superset of the global newest
-  // `capacity` ids. Sort and trim to exactly that set.
-  std::sort(snap.rows.begin(), snap.rows.end(),
-            [](const QueryTraceRow& a, const QueryTraceRow& b) {
-              return a.trace_id < b.trace_id;
-            });
-  if (snap.rows.size() > t.capacity) {
-    snap.rows.erase(snap.rows.begin(),
-                    snap.rows.end() - static_cast<std::ptrdiff_t>(t.capacity));
+  snap.recorded = t.recorded;
+  const auto head = t.rows.begin() + static_cast<std::ptrdiff_t>(t.head);
+  if (t.recorded >= t.rows.size()) {
+    // Full: the oldest surviving row sits at the write position.
+    snap.rows.assign(head, t.rows.end());
+    snap.rows.insert(snap.rows.end(), t.rows.begin(), head);
+  } else {
+    snap.rows.assign(t.rows.begin(), head);
   }
   snap.dropped = snap.recorded - snap.rows.size();
   return snap;

@@ -4,25 +4,18 @@
 // epochs turned over. Neither can answer "what happened to *this* query" —
 // which stage cost what, how stale the oracle was when it answered, which
 // epoch served it. The query tracer fills that gap: while the runtime
-// switch is on, RouteService::serve_batch assigns every query a globally
-// unique, monotonically increasing trace id and each worker shard emits one
-// fixed-size QueryTraceRow (enqueue -> admit/shed -> oracle lookup ->
-// stitch, with per-stage deterministic tick costs) into its *own* bounded
-// ring. Rings are shard-disjoint — no locks, no atomics, no false sharing —
-// and the snapshot merges them into one deterministic stream.
+// switch is on, RouteService records one fixed-size QueryTraceRow per
+// answered query (enqueue -> admit/shed -> oracle lookup -> stitch, with
+// per-stage deterministic tick costs) into one bounded ring, and the
+// tracer gives each row the next trace id.
 //
-// Determinism at any BSR_THREADS value (the property CI `cmp`s):
-//   1. Trace ids are assigned per batch on the control thread
-//      (qtrace_begin_batch returns a base; query i gets base + i), so a
-//      query's id depends only on program order, never on sharding.
-//   2. Each shard records in increasing query-index order, so per-shard
-//      ring eviction drops exactly the shard's lowest ids. The union of
-//      "last capacity rows per shard" therefore always contains the global
-//      last-capacity ids: snapshot_query_trace sorts the union by trace id
-//      and keeps the newest `capacity` rows — the same set, in the same
-//      order, at any shard count.
-//   3. Rows carry only integers and the simulated-time double; exporters
-//      (export.hpp) print doubles via to_chars. Byte-identical output.
+// Determinism at any BSR_THREADS value (the property CI `cmp`s) follows
+// from the journal's rule 3 (journal.hpp): rows are recorded only on the
+// single-threaded control path, after a batch's worker shards have joined,
+// in query order. So ids follow program order, the ring evicts the lowest
+// ids first, and the snapshot is the same rows in the same order at any
+// shard count. Rows carry only integers and the simulated-time double;
+// exporters (export.hpp) print doubles via to_chars. Byte-identical output.
 //
 // Recording costs one branch while the switch is off. Under BSR_STATS=OFF
 // the RouteService call sites compile away entirely (they sit inside
@@ -47,7 +40,7 @@ inline constexpr std::string_view kQtraceSchema = "bsr-qtrace/1";
 /// wall time, so rows are bit-identical across hosts and thread counts.
 struct QueryTraceRow {
   std::uint64_t trace_id = 0;
-  double time = 0.0;            ///< simulated time of the serve_batch call
+  double time = 0.0;            ///< simulated time of the serving call
   std::uint64_t epoch = 0;      ///< oracle epoch that served the query
   std::uint64_t correlation = 0;///< failure-episode correlation: the truth
                                 ///< version the epoch lagged behind (0 = fresh)
@@ -63,13 +56,12 @@ struct QueryTraceRow {
 };
 
 struct QtraceOptions {
-  /// Rows retained *per shard* and in the merged snapshot; older rows (lower
-  /// trace ids) are evicted first.
+  /// Rows the ring retains; older rows (lower trace ids) are evicted first.
   std::size_t capacity = std::size_t{1} << 16;
 };
 
-/// Turns query tracing on: resets rings and the trace-id allocator. Throws
-/// std::invalid_argument on zero capacity.
+/// Turns query tracing on: allocates the ring and rewinds trace ids to 0.
+/// Throws std::invalid_argument on zero capacity.
 void start_query_trace(const QtraceOptions& options = {});
 
 /// Turns tracing off. Recorded rows stay readable until the next
@@ -78,24 +70,18 @@ void stop_query_trace();
 
 [[nodiscard]] bool query_trace_enabled() noexcept;
 
-/// Reserves `n` consecutive trace ids for one batch and returns the first.
-/// Control thread only (before the worker shards fork).
-[[nodiscard]] std::uint64_t qtrace_begin_batch(std::size_t n) noexcept;
-
-/// Records one row from worker shard `shard` (shard-disjoint by contract:
-/// concurrent calls must use distinct shard indices). No-op unless tracing.
-void qtrace_record(std::size_t shard, const QueryTraceRow& row) noexcept;
+/// Records a copy of `row` under the next trace id (its own trace_id is
+/// ignored). Control thread only. No-op unless tracing.
+void qtrace_record(const QueryTraceRow& row) noexcept;
 
 struct QtraceSnapshot {
   /// Surviving rows in ascending trace-id order (ids are unique).
   std::vector<QueryTraceRow> rows;
-  std::uint64_t recorded = 0;  ///< rows ever offered to the rings
+  std::uint64_t recorded = 0;  ///< rows ever offered to the ring
   std::uint64_t dropped = 0;   ///< rows evicted (== recorded - rows.size())
 };
 
-/// Merges every shard ring into one deterministic stream: sorted by trace
-/// id, trimmed to the newest `capacity` rows. Only call while worker
-/// threads are quiescent (between serve_batch calls).
+/// The ring's rows, oldest first.
 [[nodiscard]] QtraceSnapshot snapshot_query_trace();
 
 }  // namespace bsr::obs

@@ -1,7 +1,6 @@
 #include "sim/latency.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 
 #include "graph/dijkstra.hpp"
@@ -25,20 +24,14 @@ int tier_rank(const topology::InternetTopology& topo, NodeId v) {
 }  // namespace
 
 LatencyModel::LatencyModel(const topology::InternetTopology& topo,
-                           const LatencyModelConfig& config, bsr::graph::Rng& rng) {
+                           const LatencyModelConfig& config, bsr::graph::Rng& rng)
+    : graph_(&topo.graph) {
   if (config.jitter < 0.0) {
     throw std::invalid_argument("LatencyModel: negative jitter");
   }
   const auto& g = topo.graph;
   const NodeId n = g.num_vertices();
-  offsets_.assign(static_cast<std::size_t>(n) + 1, 0);
-  for (NodeId v = 0; v < n; ++v) offsets_[v + 1] = offsets_[v] + g.degree(v);
-  adjacency_.reserve(offsets_.back());
-  for (NodeId v = 0; v < n; ++v) {
-    const auto nbrs = g.neighbors(v);
-    adjacency_.insert(adjacency_.end(), nbrs.begin(), nbrs.end());
-  }
-  latency_by_slot_.assign(offsets_.back(), 0.0);
+  latency_by_slot_.assign(g.adjacency().size(), 0.0);
 
   // One draw per undirected edge, mirrored to both slots for symmetry.
   for (NodeId u = 0; u < n; ++u) {
@@ -56,11 +49,16 @@ LatencyModel::LatencyModel(const topology::InternetTopology& topo,
 }
 
 std::size_t LatencyModel::slot(NodeId u, NodeId v) const {
-  const auto begin = adjacency_.begin() + static_cast<std::ptrdiff_t>(offsets_[u]);
-  const auto end = adjacency_.begin() + static_cast<std::ptrdiff_t>(offsets_[u + 1]);
-  const auto it = std::lower_bound(begin, end, v);
-  assert(it != end && *it == v);
-  return static_cast<std::size_t>(it - adjacency_.begin());
+  const NodeId n = graph_->num_vertices();
+  if (u >= n || v >= n) {
+    throw std::invalid_argument("LatencyModel: vertex id out of range");
+  }
+  const auto nbrs = graph_->neighbors(u);
+  const auto it = std::lower_bound(nbrs.begin(), nbrs.end(), v);
+  if (it == nbrs.end() || *it != v) {
+    throw std::invalid_argument("LatencyModel: not an edge");
+  }
+  return graph_->offsets()[u] + static_cast<std::size_t>(it - nbrs.begin());
 }
 
 double LatencyModel::latency(NodeId u, NodeId v) const {

@@ -31,23 +31,26 @@ struct LatencyModelConfig {
 };
 
 /// Per-edge latencies aligned with the graph's adjacency slots (same layout
-/// trick as EdgeRelations). Deterministic in the rng.
+/// trick as EdgeRelations). Deterministic in the rng. Slots are looked up
+/// through `topo.graph`, which is held by reference: the topology must
+/// outlive the model (as for FaultPlane).
 class LatencyModel {
  public:
   LatencyModel(const topology::InternetTopology& topo, const LatencyModelConfig& config,
                bsr::graph::Rng& rng);
 
-  /// Latency of edge (u, v) in ms; symmetric.
+  /// Latency of edge (u, v) in ms; symmetric. Throws std::invalid_argument
+  /// when u or v is out of range or {u, v} is not an edge.
   [[nodiscard]] double latency(bsr::graph::NodeId u, bsr::graph::NodeId v) const;
 
-  /// Total latency of a path (sum over hops).
+  /// Total latency of a path (sum over hops); throws as latency() does on
+  /// any hop that is not an edge.
   [[nodiscard]] double path_latency(std::span<const bsr::graph::NodeId> path) const;
 
  private:
   [[nodiscard]] std::size_t slot(bsr::graph::NodeId u, bsr::graph::NodeId v) const;
 
-  std::vector<std::uint64_t> offsets_;
-  std::vector<bsr::graph::NodeId> adjacency_;
+  const bsr::graph::CsrGraph* graph_;
   std::vector<double> latency_by_slot_;
 };
 

@@ -381,6 +381,26 @@ AnswerStatus RouteService::serving_status() const noexcept {
   return AnswerStatus::kRefused;
 }
 
+// `inline`: without it GCC keeps this out of line and eval pays a call per
+// reachable query.
+inline RouteService::Landmark RouteService::best_landmark(NodeId src,
+                                                          NodeId dst) const {
+  // Landmark triangle bound: min over trees covering both endpoints. Ties
+  // break toward the lowest landmark index, so the sketch is deterministic.
+  const NodeId n = graph_->num_vertices();
+  Landmark best{landmarks_.size(), bsr::graph::kUnreachable};
+  for (std::size_t li = 0; li < landmarks_.size(); ++li) {
+    const std::size_t row = li * n;
+    const std::uint16_t ds = lm_dist_[row + src];
+    const std::uint16_t dt = lm_dist_[row + dst];
+    if (ds == kLmUnreachable || dt == kLmUnreachable) continue;
+    const std::uint32_t bound =
+        static_cast<std::uint32_t>(ds) + static_cast<std::uint32_t>(dt);
+    if (bound < best.bound) best = {li, bound};
+  }
+  return best;
+}
+
 void RouteService::eval(NodeId src, NodeId dst, RouteAnswer& answer) const {
   const NodeId n = graph_->num_vertices();
   BSR_DCHECK(src < n && dst < n);
@@ -407,28 +427,12 @@ void RouteService::eval(NodeId src, NodeId dst, RouteAnswer& answer) const {
   if (comp_[src] != comp_[dst]) return;
   answer.reachable = true;
 
-  // Landmark triangle bound: min over trees covering both endpoints. Ties
-  // break toward the lowest landmark index, so the sketch is deterministic.
-  const std::size_t num_lm = landmarks_.size();
-  std::uint32_t best = bsr::graph::kUnreachable;
-  std::size_t best_l = num_lm;
-  for (std::size_t li = 0; li < num_lm; ++li) {
-    const std::size_t row = li * n;
-    const std::uint16_t ds = lm_dist_[row + src];
-    const std::uint16_t dt = lm_dist_[row + dst];
-    if (ds == kLmUnreachable || dt == kLmUnreachable) continue;
-    const std::uint32_t bound =
-        static_cast<std::uint32_t>(ds) + static_cast<std::uint32_t>(dt);
-    if (bound < best) {
-      best = bound;
-      best_l = li;
-    }
-  }
+  const Landmark best = best_landmark(src, dst);
   answer.lookup_ticks = static_cast<std::uint16_t>(
-      std::min<std::size_t>(2 + num_lm, 0xffff));
-  if (best_l == num_lm) return;  // reachable (exact), but no sketch covers it
-  answer.dist_bound = best;
-  const std::size_t row = best_l * n;
+      std::min<std::size_t>(2 + landmarks_.size(), 0xffff));
+  if (best.index == landmarks_.size()) return;  // reachable, but no sketch covers it
+  answer.dist_bound = best.bound;
+  const std::size_t row = best.index * n;
   if (lm_dist_[row + src] > 0) {
     answer.next_hop = lm_parent_[row + src];
     answer.stitch_ticks = 1;
@@ -446,74 +450,21 @@ void RouteService::eval(NodeId src, NodeId dst, RouteAnswer& answer) const {
   }
 }
 
-#if BSR_STATS_ENABLED
-namespace {
-
-/// One qtrace row from a served answer. The failure-episode correlation is
-/// the truth version the epoch lagged behind (0 when served fresh), linking
-/// the row to the degrade/rebuild journal chain of the same divergence.
-bsr::obs::QueryTraceRow make_trace_row(std::uint64_t id, double now, NodeId src,
-                                       NodeId dst, const RouteAnswer& a,
-                                       std::uint64_t truth_version,
-                                       std::uint64_t stale_behind) {
-  bsr::obs::QueryTraceRow row;
-  row.trace_id = id;
-  row.time = now;
-  row.epoch = a.epoch;
-  row.correlation = stale_behind == 0 ? 0 : truth_version;
-  row.src = static_cast<std::uint32_t>(src);
-  row.dst = static_cast<std::uint32_t>(dst);
-  row.dist_bound = a.dist_bound;
-  row.stale_behind = stale_behind;
-  row.admit_ticks = 1;
-  row.lookup_ticks = a.lookup_ticks;
-  row.stitch_ticks = a.stitch_ticks;
-  row.status = static_cast<std::uint8_t>(a.status);
-  row.reachable = a.reachable ? 1 : 0;
-  return row;
-}
-
-}  // namespace
-#endif
-
 RouteAnswer RouteService::query(NodeId src, NodeId dst, double now) {
+  const Flow flow{src, dst, 1.0};
   RouteAnswer answer;
-  answer.epoch = epoch_id_;
-  bool admitted = true;
-  if (config_.admit_rate > 0.0) {
-    const double burst =
-        config_.admit_burst > 0.0 ? config_.admit_burst : config_.admit_rate;
-    const double rate =
-        config_.admit_rate * (degraded() ? config_.degraded_admit_factor : 1.0);
-    if (now > bucket_at_) {
-      tokens_ = std::min(burst, tokens_ + (now - bucket_at_) * rate);
-      bucket_at_ = now;
-    }
-    if (tokens_ >= 1.0) {
-      tokens_ -= 1.0;
-    } else {
-      admitted = false;
-    }
-  }
-  answer.status = admitted ? serving_status() : AnswerStatus::kShedded;
-  if (answer.status == AnswerStatus::kFresh ||
-      answer.status == AnswerStatus::kStaleServed) {
-    eval(src, dst, answer);
-  }
-#if BSR_STATS_ENABLED
-  if (bsr::obs::query_trace_enabled()) {
-    bsr::obs::qtrace_record(
-        0, make_trace_row(bsr::obs::qtrace_begin_batch(1), now, src, dst,
-                          answer, truth_version_, stale_events()));
-  }
-#endif
-  tally({&answer, 1}, now);
+  serve({&flow, 1}, now, {&answer, 1});
   return answer;
 }
 
 void RouteService::serve_batch(std::span<const Flow> queries, double now,
                                std::vector<RouteAnswer>& out) {
   out.assign(queries.size(), RouteAnswer{});
+  serve(queries, now, out);
+}
+
+void RouteService::serve(std::span<const Flow> queries, double now,
+                         std::span<RouteAnswer> out) {
   const AnswerStatus base = serving_status();
 
   // Admission runs sequentially (the bucket is a running prefix sum), so the
@@ -540,18 +491,8 @@ void RouteService::serve_batch(std::span<const Flow> queries, double now,
     for (RouteAnswer& a : out) a.status = base;
   }
 
-#if BSR_STATS_ENABLED
-  // Trace ids are reserved on the control thread (program order); each shard
-  // writes only its own ring, in increasing query-index order — the two
-  // properties the snapshot's thread-count invariance rests on (qtrace.hpp).
-  const bool tracing = bsr::obs::query_trace_enabled();
-  const std::uint64_t trace_base =
-      tracing ? bsr::obs::qtrace_begin_batch(queries.size()) : 0;
-  const std::uint64_t stale_behind = stale_events();
-#endif
   engine::for_each_shard(queries.size(),
-                         [&](std::size_t shard, std::size_t begin, std::size_t end) {
-                           static_cast<void>(shard);
+                         [&](std::size_t, std::size_t begin, std::size_t end) {
                            for (std::size_t i = begin; i < end; ++i) {
                              RouteAnswer& a = out[i];
                              a.epoch = epoch_id_;
@@ -559,22 +500,14 @@ void RouteService::serve_batch(std::span<const Flow> queries, double now,
                                  a.status == AnswerStatus::kStaleServed) {
                                eval(queries[i].src, queries[i].dst, a);
                              }
-#if BSR_STATS_ENABLED
-                             if (tracing) {
-                               bsr::obs::qtrace_record(
-                                   shard,
-                                   make_trace_row(trace_base + i, now,
-                                                  queries[i].src, queries[i].dst,
-                                                  a, truth_version_,
-                                                  stale_behind));
-                             }
-#endif
                            }
                          });
-  tally(out, now);
+  tally(queries, out, now);
 }
 
-void RouteService::tally(std::span<const RouteAnswer> answers, double now) {
+void RouteService::tally(std::span<const Flow> queries,
+                         std::span<const RouteAnswer> answers, double now) {
+  static_cast<void>(queries);
   static_cast<void>(now);
   std::uint64_t fresh = 0, stale = 0, shed = 0, refused = 0;
   for (const RouteAnswer& a : answers) {
@@ -588,11 +521,12 @@ void RouteService::tally(std::span<const RouteAnswer> answers, double now) {
 #if BSR_STATS_ENABLED
   // Distribution plane: per-answer-tag tick and distance sketches, the
   // distance histogram, a batch-local sketch for the batch's own p99/max,
-  // and the packed journal events the SLO monitor replays offline
-  // (subject/correlation layout in journal.hpp). tally runs on the control
-  // thread after the worker shards join (journal.hpp rule 3), so the global
-  // sketch registry needs no locks, and both sketch_observe and the counter
-  // TLS fast path are inline — the per-answer cost is a few integer adds.
+  // the per-query trace rows, and the packed journal events the SLO monitor
+  // replays offline (subject/correlation layout in journal.hpp). tally runs
+  // on the control thread after the worker shards join (journal.hpp rule 3),
+  // so the global sketch registry and the trace ring need no locks, and both
+  // sketch_observe and the counter TLS fast path are inline — the
+  // per-answer cost is a few integer adds.
   bsr::obs::QuantileSketch batch_ticks;
   for (const RouteAnswer& a : answers) {
     const std::uint64_t ticks =
@@ -621,6 +555,30 @@ void RouteService::tally(std::span<const RouteAnswer> answers, double now) {
       case AnswerStatus::kRefused:
         BSR_SKETCH(RouteTicksRefused, ticks);
         break;
+    }
+  }
+  if (bsr::obs::query_trace_enabled()) {
+    // One row per answer in query order. The failure-episode correlation is
+    // the truth version the epoch lagged behind (0 when served fresh),
+    // linking the row to the degrade/rebuild journal chain of the same
+    // divergence. Kept out of the sketch loop above: folding it in measured
+    // slower in perf_obs's traced twin.
+    bsr::obs::QueryTraceRow row;
+    row.time = now;
+    row.stale_behind = stale_events();
+    row.correlation = row.stale_behind == 0 ? 0 : truth_version_;
+    row.admit_ticks = 1;
+    for (std::size_t i = 0; i < answers.size(); ++i) {
+      const RouteAnswer& a = answers[i];
+      row.epoch = a.epoch;
+      row.src = static_cast<std::uint32_t>(queries[i].src);
+      row.dst = static_cast<std::uint32_t>(queries[i].dst);
+      row.dist_bound = a.dist_bound;
+      row.lookup_ticks = a.lookup_ticks;
+      row.stitch_ticks = a.stitch_ticks;
+      row.status = static_cast<std::uint8_t>(a.status);
+      row.reachable = a.reachable ? 1 : 0;
+      bsr::obs::qtrace_record(row);
     }
   }
   if (!answers.empty()) {
@@ -656,25 +614,10 @@ std::vector<NodeId> RouteService::stitch_path(NodeId src, NodeId dst) const {
   if (src == dst) return {src};
   if (comp_[src] != comp_[dst]) return {};
 
-  const std::size_t num_lm = landmarks_.size();
-  std::uint32_t best = bsr::graph::kUnreachable;
-  std::size_t best_l = num_lm;
-  for (std::size_t li = 0; li < num_lm; ++li) {
-    const std::size_t row = li * n;
-    const std::uint16_t ds = lm_dist_[row + src];
-    const std::uint16_t dt = lm_dist_[row + dst];
-    if (ds == kLmUnreachable || dt == kLmUnreachable) continue;
-    const std::uint32_t bound =
-        static_cast<std::uint32_t>(ds) + static_cast<std::uint32_t>(dt);
-    if (bound < best) {
-      best = bound;
-      best_l = li;
-    }
-  }
-  if (best_l == num_lm) return {};
-
-  const std::size_t row = best_l * n;
-  const NodeId landmark = landmarks_[best_l];
+  const Landmark best = best_landmark(src, dst);
+  if (best.index == landmarks_.size()) return {};
+  const std::size_t row = best.index * n;
+  const NodeId landmark = landmarks_[best.index];
   std::vector<NodeId> path;
   path.push_back(src);
   for (NodeId p = src; p != landmark;) {

@@ -50,10 +50,11 @@
 // Determinism contract: answers depend only on (epoch contents, query,
 // admission prefix), never on thread count — serve_batch() shards the
 // evaluation but every per-query decision is computed from shared immutable
-// state, so the answer digest is bit-identical at any BSR_THREADS. Journal
-// events (sim.route_service.*) are emitted only from the single-threaded
-// control paths (construction, notifications, advance()), never from worker
-// shards.
+// state, so the answer digest is bit-identical at any BSR_THREADS. query()
+// is a one-flow batch through the same path. Journal events
+// (sim.route_service.*) and per-query trace rows are recorded only on the
+// single-threaded control path (construction, notifications, advance(), and
+// a batch's bookkeeping after its shards join), never from worker shards.
 #pragma once
 
 #include <cstdint>
@@ -262,7 +263,8 @@ class RouteService {
 
   // --- serving --------------------------------------------------------------
 
-  /// Answers one query at `now` (volume 1 against the admission bucket).
+  /// Answers one query at `now`: a one-flow batch of volume 1, so it is
+  /// admitted, evaluated, counted and traced exactly as serve_batch would.
   [[nodiscard]] RouteAnswer query(bsr::graph::NodeId src, bsr::graph::NodeId dst,
                                   double now);
 
@@ -321,11 +323,27 @@ class RouteService {
   void complete_build(double now);
   [[nodiscard]] bool draw_crash(std::uint32_t& deterministic_queue);
   void record(double now, EpochEventKind kind, std::uint64_t attempt);
+  /// The landmark whose tree gives the least d(l, src) + d(l, dst) among
+  /// those reaching both, ties to the lowest index; index ==
+  /// landmarks_.size() when none does.
+  struct Landmark {
+    std::size_t index;
+    std::uint32_t bound;
+  };
+  [[nodiscard]] Landmark best_landmark(bsr::graph::NodeId src,
+                                       bsr::graph::NodeId dst) const;
   /// Read-side evaluation against the serving epoch; thread-safe const.
   void eval(bsr::graph::NodeId src, bsr::graph::NodeId dst,
             RouteAnswer& answer) const;
   [[nodiscard]] AnswerStatus serving_status() const noexcept;
-  void tally(std::span<const RouteAnswer> answers, double now);
+  /// The one serve path behind query() and serve_batch(): admission, the
+  /// sharded evaluation into `out` (default answers, one per query), then
+  /// tally.
+  void serve(std::span<const Flow> queries, double now, std::span<RouteAnswer> out);
+  /// Control-thread bookkeeping after the shards join: stats, counters,
+  /// sketches, journal events and trace rows.
+  void tally(std::span<const Flow> queries, std::span<const RouteAnswer> answers,
+             double now);
 
   const bsr::graph::CsrGraph* graph_;
   const bsr::broker::BrokerSet* brokers_;

@@ -8,6 +8,7 @@
 
 #include "graph/bfs.hpp"
 #include "graph/graph_builder.hpp"
+#include "topology/line_reader.hpp"
 
 namespace bsr::topology {
 
@@ -22,31 +23,52 @@ struct RawEdge {
   int rel = 0;  // -1 = a provides b, 0 = peer
 };
 
+[[noreturn]] void reject(const detail::LineReader& in, const std::string& what) {
+  detail::fail_at("import_caida", in.line_no(), what, in.line());
+}
+
 std::vector<RawEdge> parse_as_rel(std::istream& is,
                                   std::map<std::uint64_t, NodeId>& id_map) {
   std::vector<RawEdge> edges;
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(is, line)) {
-    ++line_no;
-    if (line.empty() || line[0] == '#') continue;
-    std::replace(line.begin(), line.end(), '|', ' ');
-    std::istringstream ls(line);
+  detail::LineReader in(is);
+  while (in.next()) {
+    detail::Fields fields(in.line(), '|');
     RawEdge e;
-    if (!(ls >> e.a >> e.b >> e.rel)) {
-      throw std::runtime_error("import_caida: line " + std::to_string(line_no) +
-                               ": expected <as>|<as>|<rel>");
+    if (!fields.integer(e.a) || !fields.integer(e.b) || !fields.integer(e.rel)) {
+      reject(in, "expected <as>|<as>|<rel> (AS numbers 0..2^64-1)");
     }
-    if (e.rel != -1 && e.rel != 0) {
-      throw std::runtime_error("import_caida: line " + std::to_string(line_no) +
-                               ": relationship must be -1 or 0");
-    }
+    if (e.rel != -1 && e.rel != 0) reject(in, "relationship must be -1 or 0");
     if (e.a == e.b) continue;
     edges.push_back(e);
     id_map.emplace(e.a, 0);
     id_map.emplace(e.b, 0);
   }
   return edges;
+}
+
+/// IXP membership lines: "<ixp-name> <as> <as> ...". Members the as-rel
+/// stream does not name are skipped; IXPs left with < 2 members are dropped.
+std::vector<std::vector<NodeId>> parse_ixp_members(
+    std::istream& is, const std::map<std::uint64_t, NodeId>& id_map) {
+  std::vector<std::vector<NodeId>> ixps;
+  detail::LineReader in(is);
+  while (in.next()) {
+    detail::Fields fields(in.line());
+    static_cast<void>(fields.word());  // the name
+    std::vector<NodeId> members;
+    while (!fields.at_end()) {
+      std::uint64_t as_number = 0;
+      if (!fields.integer(as_number)) {
+        reject(in, "expected <ixp-name> <as>... (AS numbers 0..2^64-1)");
+      }
+      // Unknown AS numbers (not in the as-rel file) are skipped: the
+      // membership data routinely covers more ASes than the BGP view.
+      const auto it = id_map.find(as_number);
+      if (it != id_map.end()) members.push_back(it->second);
+    }
+    if (members.size() >= 2) ixps.push_back(std::move(members));
+  }
+  return ixps;
 }
 
 /// Provider-depth peel for tier labels: ASes with no providers are tier 1,
@@ -105,28 +127,7 @@ InternetTopology import_caida_as_rel(std::istream& as_rel, std::istream& ixp_mem
   for (auto& [raw, dense] : id_map) dense = next++;
   const NodeId n_as = next;
 
-  // IXP membership lines: "<ixp-name> <as> <as> ..."
-  std::vector<std::vector<NodeId>> ixps;
-  {
-    std::string line;
-    std::size_t line_no = 0;
-    while (std::getline(ixp_members, line)) {
-      ++line_no;
-      if (line.empty() || line[0] == '#') continue;
-      std::istringstream ls(line);
-      std::string name;
-      if (!(ls >> name)) continue;
-      std::vector<NodeId> members;
-      std::uint64_t as_number = 0;
-      while (ls >> as_number) {
-        const auto it = id_map.find(as_number);
-        if (it != id_map.end()) members.push_back(it->second);
-        // Unknown AS numbers (not in the as-rel file) are skipped: the
-        // membership data routinely covers more ASes than the BGP view.
-      }
-      if (members.size() >= 2) ixps.push_back(std::move(members));
-    }
-  }
+  const auto ixps = parse_ixp_members(ixp_members, id_map);
   const auto n_ixp = static_cast<NodeId>(ixps.size());
 
   bsr::graph::GraphBuilder builder(n_as + n_ixp);

@@ -5,11 +5,16 @@
 // instead of the synthetic substitute. Format, one edge per line:
 //     <provider-as>|<customer-as>|-1      (provider-to-customer)
 //     <peer-as>|<peer-as>|0               (settlement-free peering)
-// '#' lines are comments. AS numbers are arbitrary; they are compacted to
-// dense ids in numeric order. Optionally, a second file lists IXP
+// Fields are split at '|' and whitespace, so spaces around '|' are fine and
+// serial-2's trailing fields (|bgp, |mlp, ...) are ignored. AS numbers are
+// unsigned 64-bit decimals (an optional '+', no '-'); they are compacted
+// to dense ids in numeric order. Optionally, a second file lists IXP
 // memberships as "<ixp-name> <as-number>..." per line; IXPs become
 // independent vertices appended after the ASes, with peering membership
-// edges — the paper's §3 treatment.
+// edges — the paper's §3 treatment. Both streams are read by the .topo
+// loader's line reader: '#' starts a comment anywhere on a line, a CR
+// before the newline is ignored, and blank lines are skipped. A malformed
+// field throws with its line number; see docs/TOPOLOGY.md.
 #pragma once
 
 #include <iosfwd>

@@ -3,7 +3,6 @@
 #include "graph/bfs.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 
 namespace bsr::topology {
@@ -121,7 +120,9 @@ std::vector<std::uint32_t> valley_free_distances(
     const CsrGraph& g, const EdgeRelations& rels, NodeId source,
     const std::function<bool(NodeId, NodeId)>& edge_ok,
     const EdgeOverrideFn& override_edge) {
-  assert(source < g.num_vertices());
+  if (source >= g.num_vertices()) {
+    throw std::invalid_argument("valley_free_distances: source out of range");
+  }
   // State-expanded BFS. Phases of a valley-free walk:
   //   0 = still climbing (only c2p hops so far)
   //   1 = crossed the single allowed peer hop

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <charconv>
-#include <cstring>
 #include <fstream>
 #include <limits>
 #include <numeric>
@@ -13,29 +11,22 @@
 #include <vector>
 
 #include "graph/graph_builder.hpp"
+#include "topology/line_reader.hpp"
 
 namespace bsr::topology {
 
 using bsr::graph::Edge;
 using bsr::graph::NodeId;
+using detail::Fields;
+using detail::LineReader;
 
 namespace {
 
 constexpr std::string_view kMagic = "brokerset-topology v1";
 
-/// Error with line number and a (truncated) snippet of the offending line,
-/// so a corrupt multi-megabyte file points straight at the bad record.
 [[noreturn]] void fail(std::size_t line_no, const std::string& what,
                        std::string_view line_text = {}) {
-  std::string msg =
-      "load_topology: line " + std::to_string(line_no) + ": " + what;
-  if (!line_text.empty()) {
-    constexpr std::size_t kSnippet = 60;
-    msg += " [\"";
-    msg += line_text.substr(0, kSnippet);
-    msg += line_text.size() > kSnippet ? "...\"]" : "\"]";
-  }
-  throw std::runtime_error(msg);
+  detail::fail_at("load_topology", line_no, what, line_text);
 }
 
 /// Range-checks a signed parse result into NodeId space. Parsing through
@@ -45,128 +36,6 @@ bool fits_node_id(long long value) {
   return value >= 0 &&
          value <= static_cast<long long>(std::numeric_limits<NodeId>::max());
 }
-
-/// The stream's lines, read in fixed-size blocks so the loader's transient
-/// memory does not grow with the file. A line runs up to '\n' (a last line
-/// without one still counts) and loses any '#' comment; next() skips lines
-/// left holding only ' ', '\t' and '\r'.
-class LineReader {
- public:
-  explicit LineReader(std::istream& is) : is_(is), buf_(kBlock) {}
-
-  /// Advances to the next non-blank line; false at the end of the input.
-  bool next() {
-    for (;;) {
-      const char* begin = buf_.data() + pos_;
-      const std::size_t avail = end_ - pos_;
-      const auto* newline = static_cast<const char*>(std::memchr(begin, '\n', avail));
-      std::size_t length = avail;
-      if (newline != nullptr) {
-        length = static_cast<std::size_t>(newline - begin);
-        pos_ += length + 1;
-      } else if (!eof_) {
-        refill();
-        continue;
-      } else if (avail == 0) {
-        return false;
-      } else {
-        pos_ = end_;
-      }
-      ++line_no_;
-      std::string_view line(begin, length);
-      line = line.substr(0, line.find('#'));
-      if (line.find_first_not_of(" \t\r") != std::string_view::npos) {
-        line_ = line;
-        return true;
-      }
-    }
-  }
-
-  /// The current line; valid until the next call to next().
-  [[nodiscard]] std::string_view line() const noexcept { return line_; }
-  [[nodiscard]] std::size_t line_no() const noexcept { return line_no_; }
-
- private:
-  static constexpr std::size_t kBlock = std::size_t{1} << 16;
-
-  /// Keeps the unfinished line at the front of the buffer and reads behind
-  /// it; the buffer only grows for a line longer than itself.
-  void refill() {
-    std::memmove(buf_.data(), buf_.data() + pos_, end_ - pos_);
-    end_ -= pos_;
-    pos_ = 0;
-    if (end_ == buf_.size()) buf_.resize(2 * buf_.size());
-    const std::size_t want = buf_.size() - end_;
-    is_.read(buf_.data() + end_, static_cast<std::streamsize>(want));
-    const auto got = static_cast<std::size_t>(is_.gcount());
-    end_ += got;
-    eof_ = got < want;
-  }
-
-  std::istream& is_;
-  std::vector<char> buf_;
-  std::size_t pos_ = 0;  // first unread byte
-  std::size_t end_ = 0;  // one past the last byte read
-  bool eof_ = false;
-  std::string_view line_;
-  std::size_t line_no_ = 0;
-};
-
-/// One line tokenized in place under the grammar of `istream >>`: tokens
-/// are separated by ' ', '\t', '\n', '\v', '\f' or '\r'; an integer is an
-/// optional sign and decimal digits, ends at the first other character
-/// (which starts the next token), and is malformed if it overflows.
-class Fields {
- public:
-  explicit Fields(std::string_view line)
-      : p_(line.data()), end_(line.data() + line.size()) {}
-
-  /// Reads "<tag> <int>..." into `values`; false if the tag differs or an
-  /// integer is missing or malformed.
-  template <std::size_t N>
-  bool record(std::string_view tag, std::array<long long, N>& values) {
-    if (word() != tag) return false;
-    for (long long& value : values) {
-      if (!integer(value)) return false;
-    }
-    return true;
-  }
-
-  /// True iff nothing but whitespace remains.
-  bool at_end() {
-    skip_space();
-    return p_ == end_;
-  }
-
- private:
-  static bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
-
-  void skip_space() {
-    while (p_ != end_ && is_space(*p_)) ++p_;
-  }
-
-  std::string_view word() {
-    skip_space();
-    const char* begin = p_;
-    while (p_ != end_ && !is_space(*p_)) ++p_;
-    return {begin, static_cast<std::size_t>(p_ - begin)};
-  }
-
-  bool integer(long long& out) {
-    skip_space();
-    // from_chars takes a '-' sign but not '+'; after a '+' a digit must follow.
-    if (p_ != end_ && *p_ == '+') {
-      ++p_;
-      if (p_ == end_ || *p_ < '0' || *p_ > '9') return false;
-    }
-    const auto [next, error] = std::from_chars(p_, end_, out);
-    p_ = next;
-    return error == std::errc{};
-  }
-
-  const char* p_;
-  const char* end_;
-};
 
 /// Line numbers of the edge lines, kept as runs of consecutive lines: an
 /// edge section without blank or comment lines is a single run.

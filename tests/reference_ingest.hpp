@@ -1,14 +1,15 @@
 // Reference implementations of the topology ingest path, for differential
-// tests against the single-pass library code.
+// tests against the single-pass library code and the CAIDA importer.
 //
 // They are the straightforward versions the library used to ship: the
 // line-at-a-time istringstream loader, the textbook CSR construction (sort,
 // unique, then sort each adjacency list), slot labels placed by a binary
-// search per edge, and the lookup-based renumber that re-sorts every
-// relabeled list and re-reads every label through rel_canonical. None of
-// them shares a pass with the code under test, so "identical output" is a
-// real check of the in-place tokenizer, the sorted-edge CSR fill, the cursor
-// walk in EdgeRelations and the transpose relabel.
+// search per edge, the lookup-based renumber that re-sorts every relabeled
+// list and re-reads every label through rel_canonical, and the getline +
+// istringstream CAIDA importer. None of them shares a pass with the code
+// under test, so "identical output" is a real check of the in-place
+// tokenizer, the sorted-edge CSR fill, the cursor walk in EdgeRelations,
+// the transpose relabel and the CAIDA field parsing.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include <algorithm>
 #include <istream>
 #include <limits>
+#include <map>
 #include <span>
 #include <sstream>
 #include <stdexcept>
@@ -23,6 +25,7 @@
 #include <vector>
 
 #include "graph/csr_graph.hpp"
+#include "graph/graph_builder.hpp"
 #include "graph/renumbering.hpp"
 #include "topology/internet.hpp"
 #include "topology/renumber.hpp"
@@ -268,6 +271,174 @@ inline bsr::topology::RenumberedTopology renumber_topology(const InternetTopolog
   out.relations = relations(out.graph, edges, rels);
   return {std::move(out), std::move(ren)};
 }
+
+
+// --- CAIDA as-rel import ------------------------------------------------------
+
+/// The getline + replace('|', ' ') + istringstream importer that
+/// import_caida_as_rel replaced, kept whole (parse, assembly, tier peel) so
+/// a differential test compares every topology it imports.
+namespace caida {
+
+using bsr::topology::NodeMeta;
+using bsr::topology::NodeType;
+using bsr::topology::Tier;
+
+struct RawEdge {
+  std::uint64_t a = 0;
+  std::uint64_t b = 0;
+  int rel = 0;  // -1 = a provides b, 0 = peer
+};
+
+inline std::vector<RawEdge> parse_as_rel(std::istream& is,
+                                         std::map<std::uint64_t, NodeId>& id_map) {
+  std::vector<RawEdge> edges;
+  std::string line;
+  std::size_t line_no = 0;
+  while (std::getline(is, line)) {
+    ++line_no;
+    if (line.empty() || line[0] == '#') continue;
+    std::replace(line.begin(), line.end(), '|', ' ');
+    std::istringstream ls(line);
+    RawEdge e;
+    if (!(ls >> e.a >> e.b >> e.rel)) {
+      throw std::runtime_error("import_caida: line " + std::to_string(line_no) +
+                               ": expected <as>|<as>|<rel>");
+    }
+    if (e.rel != -1 && e.rel != 0) {
+      throw std::runtime_error("import_caida: line " + std::to_string(line_no) +
+                               ": relationship must be -1 or 0");
+    }
+    if (e.a == e.b) continue;
+    edges.push_back(e);
+    id_map.emplace(e.a, 0);
+    id_map.emplace(e.b, 0);
+  }
+  return edges;
+}
+
+inline std::vector<Tier> infer_tiers(NodeId n_as, const std::vector<RawEdge>& edges,
+                                     const std::map<std::uint64_t, NodeId>& id_map) {
+  std::vector<std::vector<NodeId>> customers(n_as);
+  std::vector<std::uint32_t> provider_count(n_as, 0);
+  for (const RawEdge& e : edges) {
+    if (e.rel != -1) continue;
+    const NodeId provider = id_map.at(e.a);
+    const NodeId customer = id_map.at(e.b);
+    customers[provider].push_back(customer);
+    ++provider_count[customer];
+  }
+  std::vector<std::uint32_t> depth(n_as, bsr::graph::kUnreachable);
+  std::vector<NodeId> queue;
+  for (NodeId v = 0; v < n_as; ++v) {
+    if (provider_count[v] == 0) {
+      depth[v] = 0;
+      queue.push_back(v);
+    }
+  }
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const NodeId u = queue[head];
+    for (const NodeId c : customers[u]) {
+      if (depth[c] == bsr::graph::kUnreachable) {
+        depth[c] = depth[u] + 1;
+        queue.push_back(c);
+      }
+    }
+  }
+  std::vector<Tier> tiers(n_as, Tier::kStub);
+  for (NodeId v = 0; v < n_as; ++v) {
+    if (customers[v].empty()) continue;
+    if (depth[v] == 0) tiers[v] = Tier::kTier1;
+    else if (depth[v] == 1) tiers[v] = Tier::kTier2;
+    else tiers[v] = Tier::kTier3;
+  }
+  return tiers;
+}
+
+inline InternetTopology import_caida_as_rel(std::istream& as_rel,
+                                            std::istream& ixp_members) {
+  std::map<std::uint64_t, NodeId> id_map;
+  const auto edges = parse_as_rel(as_rel, id_map);
+  if (edges.empty()) throw std::runtime_error("import_caida: no edges");
+  NodeId next = 0;
+  for (auto& [raw, dense] : id_map) dense = next++;
+  const NodeId n_as = next;
+
+  std::vector<std::vector<NodeId>> ixps;
+  {
+    std::string line;
+    std::size_t line_no = 0;
+    while (std::getline(ixp_members, line)) {
+      ++line_no;
+      if (line.empty() || line[0] == '#') continue;
+      std::istringstream ls(line);
+      std::string name;
+      if (!(ls >> name)) continue;
+      std::vector<NodeId> members;
+      std::uint64_t as_number = 0;
+      while (ls >> as_number) {
+        const auto it = id_map.find(as_number);
+        if (it != id_map.end()) members.push_back(it->second);
+      }
+      if (members.size() >= 2) ixps.push_back(std::move(members));
+    }
+  }
+  const auto n_ixp = static_cast<NodeId>(ixps.size());
+
+  bsr::graph::GraphBuilder builder(n_as + n_ixp);
+  std::vector<Edge> canonical;
+  std::vector<EdgeRel> rels;
+  const auto add = [&](NodeId u, NodeId v, EdgeRel rel_u_provider) {
+    if (u == v) return;
+    const bool flip = u > v;
+    const Edge e = flip ? Edge{v, u} : Edge{u, v};
+    builder.add_edge(e.u, e.v);
+    canonical.push_back(e);
+    rels.push_back(flip ? bsr::topology::reversed(rel_u_provider) : rel_u_provider);
+  };
+  for (const RawEdge& e : edges) {
+    add(id_map.at(e.a), id_map.at(e.b),
+        e.rel == -1 ? EdgeRel::kUProviderOfV : EdgeRel::kPeer);
+  }
+  for (NodeId i = 0; i < n_ixp; ++i) {
+    for (const NodeId m : ixps[i]) add(n_as + i, m, EdgeRel::kPeer);
+  }
+
+  InternetTopology topo;
+  topo.graph = builder.build();
+  topo.num_ases = n_as;
+  topo.num_ixps = n_ixp;
+  {
+    std::vector<std::size_t> order(canonical.size());
+    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+    std::stable_sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
+      return canonical[x] < canonical[y];
+    });
+    std::vector<Edge> unique_edges;
+    std::vector<EdgeRel> unique_rels;
+    unique_edges.reserve(topo.graph.num_edges());
+    for (const std::size_t idx : order) {
+      if (!unique_edges.empty() && unique_edges.back() == canonical[idx]) continue;
+      unique_edges.push_back(canonical[idx]);
+      unique_rels.push_back(rels[idx]);
+    }
+    topo.relations = EdgeRelations(topo.graph, unique_edges, unique_rels);
+  }
+
+  const auto tiers = infer_tiers(n_as, edges, id_map);
+  topo.meta.resize(topo.num_vertices());
+  for (NodeId v = 0; v < n_as; ++v) {
+    const bool transit = tiers[v] != Tier::kStub;
+    topo.meta[v] = NodeMeta{
+        transit ? NodeType::kTransitAccess : NodeType::kEnterprise, tiers[v]};
+  }
+  for (NodeId v = n_as; v < topo.num_vertices(); ++v) {
+    topo.meta[v] = NodeMeta{NodeType::kIxp, Tier::kTierNone};
+  }
+  return topo;
+}
+
+}  // namespace caida
 
 }  // namespace bsr::test::reference
 

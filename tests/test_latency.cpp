@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
+#include <vector>
+
 #include "broker/maxsg.hpp"
 #include "broker/verify.hpp"
 
@@ -73,6 +77,59 @@ TEST(LatencyModel, PathLatencySumsHops) {
   const std::vector<NodeId> path{u, mid, w};
   EXPECT_DOUBLE_EQ(model.path_latency(path),
                    model.latency(u, mid) + model.latency(mid, w));
+}
+
+TEST(LatencyModel, RejectsNonEdgesInEveryBuild) {
+  const auto topo = small_topo(9);
+  Rng rng(10);
+  const LatencyModel model(topo, {}, rng);
+  const auto& g = topo.graph;
+  // The first vertex past 0 that is not its neighbour: a lookup that lands
+  // inside 0's list without finding the id.
+  const auto nbrs0 = g.neighbors(0);
+  NodeId far = 1;
+  while (std::binary_search(nbrs0.begin(), nbrs0.end(), far)) ++far;
+  ASSERT_LT(far, g.num_vertices());
+  EXPECT_THROW((void)model.latency(0, far), std::invalid_argument);
+  EXPECT_THROW((void)model.latency(far, 0), std::invalid_argument);
+  EXPECT_THROW((void)model.latency(0, 0), std::invalid_argument);  // no self-loops
+  // Past the end of the last vertex's list, which ends the adjacency array.
+  const NodeId last = g.num_vertices() - 1;
+  const auto nbrs_last = g.neighbors(last);
+  ASSERT_FALSE(nbrs_last.empty());
+  const NodeId below = nbrs_last.back() + 1;
+  if (below != last) {
+    ASSERT_LT(below, last);
+    EXPECT_THROW((void)model.latency(last, below), std::invalid_argument);
+  }
+  EXPECT_THROW((void)model.latency(last, last), std::invalid_argument);
+  // A real edge still answers.
+  EXPECT_GT(model.latency(0, nbrs0.front()), 0.0);
+}
+
+TEST(LatencyModel, RejectsOutOfRangeIds) {
+  const auto topo = small_topo(11);
+  Rng rng(12);
+  const LatencyModel model(topo, {}, rng);
+  const NodeId n = topo.num_vertices();
+  EXPECT_THROW((void)model.latency(n, 0), std::invalid_argument);
+  EXPECT_THROW((void)model.latency(0, n), std::invalid_argument);
+  EXPECT_THROW((void)model.latency(n + 7, n + 9), std::invalid_argument);
+}
+
+TEST(LatencyModel, PathLatencyRejectsANonEdgeHop) {
+  const auto topo = small_topo(13);
+  Rng rng(14);
+  const LatencyModel model(topo, {}, rng);
+  const auto& g = topo.graph;
+  const NodeId mid = g.neighbors(0)[0];
+  const auto nbrs_mid = g.neighbors(mid);
+  NodeId far = 0;
+  while (far == mid || std::binary_search(nbrs_mid.begin(), nbrs_mid.end(), far)) ++far;
+  const std::vector<NodeId> path{0, mid, far};
+  EXPECT_THROW((void)model.path_latency(path), std::invalid_argument);
+  const std::vector<NodeId> off_graph{0, mid, g.num_vertices()};
+  EXPECT_THROW((void)model.path_latency(off_graph), std::invalid_argument);
 }
 
 TEST(LatencyRouting, FreePlaneBeatsOrMatchesDominated) {

@@ -1,8 +1,9 @@
-// Query tracer: bounded per-shard rings (eviction drops the lowest trace
-// ids), deterministic multi-shard merge, lifecycle edge cases, the exported
-// JSONL shape, and thread-count invariance of the rows RouteService emits.
+// Query tracer: the bounded ring (eviction drops the lowest trace ids, ids
+// follow record order), lifecycle edge cases, the exported JSONL shape, and
+// thread-count invariance of the rows RouteService emits.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <sstream>
 #include <stdexcept>
@@ -42,7 +43,7 @@ TEST(Qtrace, StartRejectsZeroCapacity) {
 
 TEST(Qtrace, RecordIsANoOpWhileDisabled) {
   bsr::obs::stop_query_trace();
-  bsr::obs::qtrace_record(0, row_with_id(42));
+  bsr::obs::qtrace_record(row_with_id(42));
   const QtraceSnapshot snap = bsr::obs::snapshot_query_trace();
   EXPECT_EQ(snap.recorded, 0u);
   EXPECT_TRUE(snap.rows.empty());
@@ -52,10 +53,10 @@ TEST(Qtrace, RingKeepsTheNewestCapacityRows) {
   QtraceOptions options;
   options.capacity = 8;
   bsr::obs::start_query_trace(options);
-  const std::uint64_t base = bsr::obs::qtrace_begin_batch(20);
-  EXPECT_EQ(base, 0u);
   for (std::uint64_t i = 0; i < 20; ++i) {
-    bsr::obs::qtrace_record(0, row_with_id(base + i));
+    QueryTraceRow row = row_with_id(i);
+    row.trace_id = 1000 + i;  // the tracer assigns ids itself
+    bsr::obs::qtrace_record(row);
   }
   bsr::obs::stop_query_trace();
 
@@ -65,66 +66,39 @@ TEST(Qtrace, RingKeepsTheNewestCapacityRows) {
   ASSERT_EQ(snap.rows.size(), 8u);
   for (std::size_t i = 0; i < snap.rows.size(); ++i) {
     EXPECT_EQ(snap.rows[i].trace_id, 12u + i);  // ids 12..19, ascending
+    // The payload travelled with its row through the wrap.
+    EXPECT_EQ(snap.rows[i].src, (12u + i) * 3);
+    EXPECT_EQ(snap.rows[i].dst, (12u + i) * 3 + 1);
   }
 }
 
-TEST(Qtrace, SnapshotMergesShardsByTraceId) {
-  QtraceOptions options;
-  options.capacity = 16;
-  bsr::obs::start_query_trace(options);
-  const std::uint64_t base = bsr::obs::qtrace_begin_batch(12);
-  // Interleave ids across three shards the way a strided worker split would.
-  for (std::uint64_t i = 0; i < 12; ++i) {
-    bsr::obs::qtrace_record(i % 3, row_with_id(base + i));
-  }
-  bsr::obs::stop_query_trace();
-
-  const QtraceSnapshot snap = bsr::obs::snapshot_query_trace();
-  EXPECT_EQ(snap.recorded, 12u);
-  EXPECT_EQ(snap.dropped, 0u);
-  ASSERT_EQ(snap.rows.size(), 12u);
-  for (std::size_t i = 0; i < snap.rows.size(); ++i) {
-    EXPECT_EQ(snap.rows[i].trace_id, i);
-    EXPECT_EQ(snap.rows[i].src, i * 3);  // payload travelled with the id
-  }
-}
-
-TEST(Qtrace, MergedStreamTrimsToTheGlobalNewestRows) {
-  // Per-shard rings retain capacity rows each; the merged snapshot must trim
-  // the union back down to the newest `capacity` ids overall.
+TEST(Qtrace, FullRingWithoutEvictionKeepsEveryRow) {
   QtraceOptions options;
   options.capacity = 4;
   bsr::obs::start_query_trace(options);
-  const std::uint64_t base = bsr::obs::qtrace_begin_batch(10);
-  // Shard 0 gets ids 0..6, shard 1 gets ids 7..9: shard 0 evicts down to
-  // {3,4,5,6}, shard 1 keeps {7,8,9}; union has 7 rows but only the newest
-  // 4 survive the merge.
-  for (std::uint64_t i = 0; i < 10; ++i) {
-    bsr::obs::qtrace_record(i < 7 ? 0 : 1, row_with_id(base + i));
-  }
+  for (std::uint64_t i = 0; i < 4; ++i) bsr::obs::qtrace_record(row_with_id(i));
   bsr::obs::stop_query_trace();
-
   const QtraceSnapshot snap = bsr::obs::snapshot_query_trace();
-  EXPECT_EQ(snap.recorded, 10u);
-  EXPECT_EQ(snap.dropped, 6u);
+  EXPECT_EQ(snap.dropped, 0u);
   ASSERT_EQ(snap.rows.size(), 4u);
   for (std::size_t i = 0; i < snap.rows.size(); ++i) {
-    EXPECT_EQ(snap.rows[i].trace_id, 6u + i);  // ids 6..9
+    EXPECT_EQ(snap.rows[i].trace_id, i);
+    EXPECT_EQ(snap.rows[i].src, i * 3);
   }
 }
 
 TEST(Qtrace, RestartResetsRingsAndIdAllocator) {
   bsr::obs::start_query_trace();
-  (void)bsr::obs::qtrace_begin_batch(5);
-  bsr::obs::qtrace_record(0, row_with_id(0));
+  bsr::obs::qtrace_record(row_with_id(0));
+  bsr::obs::qtrace_record(row_with_id(1));
   bsr::obs::start_query_trace();  // restart: previous rows gone, ids rewind
-  EXPECT_EQ(bsr::obs::qtrace_begin_batch(3), 0u);
-  bsr::obs::qtrace_record(0, row_with_id(2));
+  bsr::obs::qtrace_record(row_with_id(2));
   bsr::obs::stop_query_trace();
   const QtraceSnapshot snap = bsr::obs::snapshot_query_trace();
   EXPECT_EQ(snap.recorded, 1u);
   ASSERT_EQ(snap.rows.size(), 1u);
-  EXPECT_EQ(snap.rows[0].trace_id, 2u);
+  EXPECT_EQ(snap.rows[0].trace_id, 0u);
+  EXPECT_EQ(snap.rows[0].src, 6u);
 }
 
 // --- export golden -----------------------------------------------------------
@@ -170,9 +144,22 @@ TEST(QtraceExport, JsonlMatchesTheSchemaByteForByte) {
 
 // --- thread-count invariance -------------------------------------------------
 
-// The exported qtrace stream must be byte-identical at any BSR_THREADS: ids
-// come from program order and the merge sorts per-shard rings back into one
-// deterministic sequence. This is the property the CI serve job `cmp`s.
+/// FNV-1a over the exported bytes.
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+// The exported qtrace stream must be byte-identical at any BSR_THREADS:
+// rows are recorded on the control thread in query order, so ids and
+// eviction follow program order. This is the property the CI serve job
+// `cmp`s. Batches, single query() calls and shedding interleave, and the
+// bytes are pinned to a value captured before the serve path was folded
+// into one, so a change that moves them at every thread count fails too.
 TEST(QtraceThreads, RouteServiceTraceIsThreadCountInvariant) {
   if (!BSR_STATS_ENABLED) GTEST_SKIP() << "built with BSR_STATS=OFF";
   const bsr::graph::CsrGraph g = bsr::test::make_connected_random(300, 0.02, 17);
@@ -184,22 +171,33 @@ TEST(QtraceThreads, RouteServiceTraceIsThreadCountInvariant) {
   demand.num_flows = 400;
   bsr::graph::Rng rng(3);
   const auto flows = bsr::sim::generate_flows(g, demand, rng);
+  constexpr std::size_t kSingles = 24;  // query() calls after each batch
 
   const auto run_traced = [&]() -> std::string {
     QtraceOptions options;
     options.capacity = 512;  // smaller than total rows: eviction is exercised
     bsr::obs::start_query_trace(options);
     bsr::graph::FaultPlane faults(g);
-    bsr::sim::RouteService service(g, brokers, &faults);
+    bsr::sim::RouteServiceConfig config;
+    config.admit_rate = 600.0;  // sheds part of every batch
+    bsr::sim::RouteService service(g, brokers, &faults, config);
     std::vector<bsr::sim::RouteAnswer> answers;
+    const auto singles = [&](double now) {
+      for (std::size_t i = 0; i < kSingles; ++i) {
+        (void)service.query(flows[i].src, flows[i].dst, now);
+      }
+    };
     service.serve_batch(flows, 0.0, answers);
+    singles(0.25);
     faults.fail_vertex(members[0]);
     service.on_fault(1.0);
     service.serve_batch(flows, 1.5, answers);  // stale epoch, correlation set
+    singles(1.5);
     while (service.next_event_time() <= 1e9) {
       service.advance(service.next_event_time());
     }
     service.serve_batch(flows, 50.0, answers);
+    singles(50.0);
     bsr::obs::stop_query_trace();
     std::ostringstream os;
     bsr::obs::write_qtrace_jsonl(os, bsr::obs::snapshot_query_trace());
@@ -216,11 +214,21 @@ TEST(QtraceThreads, RouteServiceTraceIsThreadCountInvariant) {
 
   EXPECT_EQ(t1, t4);
   EXPECT_EQ(t1, t7);
-  // The run actually recorded more rows than the ring holds.
+  EXPECT_EQ(fnv1a(t1), 0x4658a5b7448ae39bULL) << std::hex << fnv1a(t1);
+  // The run recorded more rows than the ring holds, and the kept rows mix
+  // shed and served answers.
   const QtraceSnapshot snap = bsr::obs::snapshot_query_trace();
-  EXPECT_EQ(snap.recorded, 3u * 400u);
+  EXPECT_EQ(snap.recorded, 3u * (400u + kSingles));
   EXPECT_GT(snap.dropped, 0u);
-  EXPECT_EQ(snap.rows.size(), 512u);
+  ASSERT_EQ(snap.rows.size(), 512u);
+  const auto count_tag = [&](bsr::sim::AnswerStatus status) {
+    return std::count_if(snap.rows.begin(), snap.rows.end(),
+                         [&](const QueryTraceRow& row) {
+                           return row.status == static_cast<std::uint8_t>(status);
+                         });
+  };
+  EXPECT_GT(count_tag(bsr::sim::AnswerStatus::kShedded), 0);
+  EXPECT_GT(count_tag(bsr::sim::AnswerStatus::kFresh), 0);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "graph/bfs.hpp"
 #include "graph/graph_builder.hpp"
 #include "test_util.hpp"
@@ -195,6 +197,17 @@ TEST(ValleyFree, EdgeFilterRestrictsFurther) {
       h.graph, h.rels, 3, [](NodeId, NodeId) { return false; }, {});
   EXPECT_EQ(dist[1], kUnreachable);
   EXPECT_EQ(dist[3], 0u);
+}
+
+TEST(ValleyFree, RejectsOutOfRangeSource) {
+  // The state arrays hold n * 3 entries; a source past the last vertex must
+  // be refused in every build, not index past them.
+  const Hierarchy h;
+  const NodeId n = h.graph.num_vertices();
+  EXPECT_THROW((void)valley_free_distances(h.graph, h.rels, n), std::invalid_argument);
+  EXPECT_THROW((void)valley_free_distances(h.graph, h.rels, n + 1000),
+               std::invalid_argument);
+  EXPECT_EQ(valley_free_distances(h.graph, h.rels, n - 1)[n - 1], 0u);
 }
 
 TEST(ValleyFreePath, ReconstructsAdmissiblePath) {

@@ -1,18 +1,24 @@
 // RouteService: construction guards, oracle correctness against the router,
 // epoch lifecycle (degrade / patch / rebuild / crash / discard / give-up),
 // RetryScheduler backoff semantics, admission shedding, thread-count
-// determinism, and the stale-serving monotonicity harness.
+// determinism, query() as a one-flow batch, and the stale-serving
+// monotonicity harness.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <limits>
 #include <queue>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "broker/broker_set.hpp"
 #include "graph/engine.hpp"
 #include "graph/fault_plane.hpp"
+#include "obs/export.hpp"
+#include "obs/journal.hpp"
+#include "obs/qtrace.hpp"
 #include "obs/stats.hpp"
 #include "sim/demand.hpp"
 #include "sim/route_service.hpp"
@@ -700,6 +706,136 @@ TEST(RouteServiceDeterminism, DigestIsBitIdenticalAcrossThreadCounts) {
   const std::uint64_t d4 = run(4);
   bsr::graph::engine::set_num_threads(0);
   EXPECT_EQ(d1, d4);
+}
+
+// --- one serve path ------------------------------------------------------------
+
+// query() is a one-flow batch of volume 1. A service answering every flow by
+// query() and one answering each flow by a one-flow serve_batch call must
+// agree on every answer, on stats() and transitions(), and on the recorded
+// journal and qtrace bytes, through fresh -> fault -> stale -> rebuild ->
+// heal patch with the token bucket shedding part of every round.
+TEST(RouteServiceServePath, QueryMatchesOneFlowBatches) {
+  const CsrGraph g = make_connected_random(200, 0.03, 41);
+  const BrokerSet brokers = top_degree_brokers(g, 20);
+  bsr::sim::DemandConfig demand;
+  demand.num_flows = 150;
+  bsr::graph::Rng rng(9);
+  const std::vector<Flow> flows = bsr::sim::generate_flows(g, demand, rng);
+  const NodeId victim = brokers.members()[0];
+
+  struct Run {
+    std::vector<RouteAnswer> answers;
+    bsr::sim::RouteServiceStats stats;
+    std::vector<bsr::sim::EpochTransition> transitions;
+    std::string journal;
+    std::string qtrace;
+  };
+  const auto run = [&](bool by_query) {
+    FaultPlane faults(g);
+    bsr::obs::start_recording();
+    bsr::obs::start_query_trace();
+    RouteServiceConfig config;
+    config.admit_rate = 60.0;  // 150 queries per round: some are shed
+    RouteService service(g, brokers, &faults, config);
+    Run out;
+    std::vector<RouteAnswer> one;
+    const auto round = [&](double now) {
+      for (const Flow& f : flows) {
+        if (by_query) {
+          out.answers.push_back(service.query(f.src, f.dst, now));
+        } else {
+          const Flow flow{f.src, f.dst, 1.0};
+          service.serve_batch({&flow, 1}, now, one);
+          out.answers.push_back(one.at(0));
+        }
+      }
+    };
+    round(0.0);  // fresh
+    faults.fail_vertex(victim);
+    service.on_fault(1.0);
+    round(1.5);  // stale
+    drain(service);
+    round(10.0);  // rebuilt
+    faults.heal_vertex(victim);
+    service.on_heal(11.0);
+    round(11.5);  // patched
+    bsr::obs::stop_query_trace();
+    bsr::obs::stop_recording();
+    std::ostringstream journal, qtrace;
+    bsr::obs::write_events_jsonl(journal, bsr::obs::snapshot_journal());
+    bsr::obs::write_qtrace_jsonl(qtrace, bsr::obs::snapshot_query_trace());
+    out.journal = journal.str();
+    out.qtrace = qtrace.str();
+    out.stats = service.stats();
+    out.transitions.assign(service.transitions().begin(),
+                           service.transitions().end());
+    return out;
+  };
+  const auto expect_same = [](const Run& a, const Run& b) {
+    ASSERT_EQ(a.answers.size(), b.answers.size());
+    for (std::size_t i = 0; i < a.answers.size(); ++i) {
+      const RouteAnswer& x = a.answers[i];
+      const RouteAnswer& y = b.answers[i];
+      EXPECT_EQ(x.status, y.status) << i;
+      EXPECT_EQ(x.reachable, y.reachable) << i;
+      EXPECT_EQ(x.dist_bound, y.dist_bound) << i;
+      EXPECT_EQ(x.next_hop, y.next_hop) << i;
+      EXPECT_EQ(x.epoch, y.epoch) << i;
+      EXPECT_EQ(x.lookup_ticks, y.lookup_ticks) << i;
+      EXPECT_EQ(x.stitch_ticks, y.stitch_ticks) << i;
+    }
+    const auto& s = a.stats;
+    const auto& t = b.stats;
+    EXPECT_EQ(s.queries, t.queries);
+    EXPECT_EQ(s.fresh, t.fresh);
+    EXPECT_EQ(s.stale_served, t.stale_served);
+    EXPECT_EQ(s.shedded, t.shedded);
+    EXPECT_EQ(s.refused, t.refused);
+    EXPECT_EQ(s.rebuilds_started, t.rebuilds_started);
+    EXPECT_EQ(s.rebuild_crashes, t.rebuild_crashes);
+    EXPECT_EQ(s.rebuilds_discarded, t.rebuilds_discarded);
+    EXPECT_EQ(s.patches, t.patches);
+    EXPECT_EQ(s.patch_crashes, t.patch_crashes);
+    EXPECT_EQ(s.epochs_published, t.epochs_published);
+    EXPECT_EQ(s.max_stale_served, t.max_stale_served);
+    EXPECT_EQ(s.last_batch_p99_ticks, t.last_batch_p99_ticks);
+    EXPECT_EQ(s.last_batch_max_ticks, t.last_batch_max_ticks);
+    ASSERT_EQ(a.transitions.size(), b.transitions.size());
+    for (std::size_t i = 0; i < a.transitions.size(); ++i) {
+      const auto& x = a.transitions[i];
+      const auto& y = b.transitions[i];
+      EXPECT_EQ(x.time, y.time) << i;
+      EXPECT_EQ(x.kind, y.kind) << i;
+      EXPECT_EQ(x.epoch, y.epoch) << i;
+      EXPECT_EQ(x.truth_version, y.truth_version) << i;
+      EXPECT_EQ(x.attempt, y.attempt) << i;
+    }
+    EXPECT_EQ(a.journal, b.journal);
+    EXPECT_EQ(a.qtrace, b.qtrace);
+  };
+
+  std::vector<Run> by_query;
+  for (const int threads : {1, 4, 7}) {
+    bsr::graph::engine::set_num_threads(threads);
+    by_query.push_back(run(true));
+    expect_same(by_query.back(), run(false));
+    expect_same(by_query.back(), by_query.front());
+  }
+  bsr::graph::engine::set_num_threads(0);
+
+  // The schedule reached every state it names.
+  const Run& r = by_query.front();
+  EXPECT_GT(r.stats.fresh, 0u);
+  EXPECT_GT(r.stats.stale_served, 0u);
+  EXPECT_GT(r.stats.shedded, 0u);
+  EXPECT_EQ(r.stats.rebuilds_started, 1u);
+  EXPECT_EQ(r.stats.patches, 1u);
+  EXPECT_EQ(r.stats.epochs_published, 2u);
+  if (BSR_STATS_ENABLED) {
+    EXPECT_NE(r.journal.find("sim.route_service.patch"), std::string::npos);
+    EXPECT_NE(r.qtrace.find("\"tag\": \"shedded\""), std::string::npos);
+  }
 }
 
 // --- stale-serving monotonicity ----------------------------------------------
