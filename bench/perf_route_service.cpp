@@ -1,12 +1,15 @@
 // perf_route_service — the route-serving plane under load and under churn.
 //
-// Two measurements plus one correctness gate:
+// Three measurements plus one correctness gate:
 //   1. Throughput: serve_batch over a gravity-demand workload, repeated until
 //      >= 1M routes are served at scale 1.0, reported as routes/sec.
 //   2. Latency: query() over a pair sample, as batch-amortized wall time
 //      per call (no clock read inside the timed loop) next to the answers'
 //      deterministic tick costs, p50/p99.
-//   3. Stale-vs-fresh ablation (the exit-code gate): deterministic churn
+//   3. Epoch upkeep: the median oracle build, and the median in-place heal
+//      patch over fail -> rebuild -> heal cycles on the landmark hubs
+//      (oracle_build_seconds and heal_patch_seconds in the JSON artifact).
+//   4. Stale-vs-fresh ablation (the exit-code gate): deterministic churn
 //      schedules — a failure burst, a flap storm, and a burst with injected
 //      rebuild crashes — served through RouteService while a from-scratch
 //      service built at every audit instant provides the ground truth. Any
@@ -24,6 +27,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -427,6 +431,33 @@ int main() {
     std::cout << "wrote " << txt_path << "\n";
   }
 
+  // --- heal patch ------------------------------------------------------------
+  // Each cycle fails one landmark hub, drains the rebuild, then times the
+  // heal, which lands on a fresh epoch and is patched in place. Runs after
+  // the digest is written and with the journal off, so it adds nothing to
+  // ROUTE_RESULTS_TXT.
+  constexpr int kHealCycles = 5;
+  std::vector<double> patch_samples;
+  double now = 100.0;
+  for (int i = 0; i < kHealCycles; ++i) {
+    const NodeId hub = hubs[static_cast<std::size_t>(i) % hubs.size()];
+    faults.fail_vertex(hub);
+    service.on_fault(now);
+    while (service.next_event_time() != std::numeric_limits<double>::infinity()) {
+      now = service.next_event_time();
+      service.advance(now);
+    }
+    faults.heal_vertex(hub);
+    bsr::bench::Stopwatch watch;
+    service.on_heal(now);
+    patch_samples.push_back(watch.seconds());
+  }
+  std::sort(patch_samples.begin(), patch_samples.end());
+  const double patch_s = patch_samples[patch_samples.size() / 2];
+  std::cout << "heal patch: " << bsr::io::format_double(patch_s * 1e3, 3)
+            << " ms median of " << kHealCycles << " (" << service.stats().patches
+            << " patches, fail -> rebuild -> heal on landmark hubs)\n";
+
   // --- JSON artifact -------------------------------------------------------
   harness.metric("vertices", static_cast<double>(n));
   harness.metric("brokers", static_cast<double>(brokers.size()));
@@ -436,6 +467,7 @@ int main() {
   harness.metric("query_ticks_p50", static_cast<double>(query_ticks.p50()));
   harness.metric("query_ticks_p99", static_cast<double>(query_ticks.p99()));
   harness.metric("oracle_build_seconds", build_s);
+  harness.metric("heal_patch_seconds", patch_s);
   harness.metric("journal_events", static_cast<double>(journal.events.size()));
   harness.metric("slo_samples", static_cast<double>(slo_report.samples));
   harness.metric("slo_breaches", static_cast<double>(slo_report.breaches));

@@ -95,11 +95,13 @@ Subgraph compact_dominated(const CsrGraph& g, const std::vector<bool>& usable,
   });
   // Shifted exclusive prefix sum: offsets[v + 1] becomes v's start, serves
   // as v's write cursor below, and so ends at v's end — where v + 1 starts.
+  sub.has_edges.assign((std::size_t{n} + 63) / 64, 0);
   std::uint64_t total = 0;
   for (NodeId v = 0; v < n; ++v) {
     const std::uint64_t degree = sub.offsets[v + 1];
     sub.offsets[v + 1] = total;
     total += degree;
+    if (degree != 0) sub.has_edges[v >> 6] |= std::uint64_t{1} << (v & 63);
   }
   sub.adjacency.resize(total);
   for_each_admitted([&](NodeId b, NodeId v) {

@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <functional>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "graph/check.hpp"
@@ -142,6 +143,10 @@ struct Subgraph {
   const CsrGraph* graph = nullptr;     // the parent; must outlive this
   std::vector<std::uint64_t> offsets;  // size num_vertices + 1
   std::vector<NodeId> adjacency;       // both directions of every kept edge
+  /// Bit v set iff v kept an edge (neighbors(v) is non-empty); one word per
+  /// 64 vertices, padding bits clear. bfs_dir_opt's bottom-up levels skip
+  /// the clear bits: a vertex with no edge can never be discovered.
+  std::vector<std::uint64_t> has_edges;
 
   [[nodiscard]] NodeId num_vertices() const noexcept {
     return offsets.empty() ? 0 : static_cast<NodeId>(offsets.size() - 1);
@@ -171,6 +176,7 @@ struct Subgraph {
 /// adjacency, in ascending id: every admitted edge {b, v} appends v to b's
 /// list, and b to v's list unless v is usable itself (v's own walk appends
 /// b). Lists of non-usable vertices therefore fill in ascending order too.
+/// The prefix-sum pass between the two walks also fills has_edges.
 /// O(|V| + sum of usable degrees); counts its slot scans in
 /// engine.compact.edge_scans.
 [[nodiscard]] Subgraph compact_dominated(const CsrGraph& g,
@@ -205,8 +211,9 @@ struct Subgraph {
 /// g.degree() and g.num_edges(), which a Subgraph answers from its parent,
 /// so a Subgraph holding exactly the edges some filter admits traverses
 /// with the same level schedule, visit order and parents as the parent
-/// graph through that filter — only the rejected slots go unscanned. See
-/// docs/ENGINE.md.
+/// graph through that filter — only the rejected slots go unscanned, and
+/// bottom-up levels skip the vertices that kept no edge (Subgraph::
+/// has_edges), which would scan nothing there. See docs/ENGINE.md.
 template <class Graph, class Filter = AllEdges>
 void bfs_dir_opt(const Graph& g, NodeId source, Workspace& ws, Filter admit = {},
                  std::uint32_t alpha = 15, std::uint32_t beta = 18) {
@@ -217,6 +224,8 @@ void bfs_dir_opt(const Graph& g, NodeId source, Workspace& ws, Filter admit = {}
   auto& visited = ws.visited_bits(n);
   auto& frontier = ws.frontier_bits(n);
   const std::size_t words = visited.size();
+  constexpr bool kHasEdgeBits = std::is_same_v<Graph, Subgraph>;
+  if constexpr (kHasEdgeBits) BSR_DCHECK(g.has_edges.size() == words);
 
   ws.discover(source, 0);
   visited[source >> 6] |= std::uint64_t{1} << (source & 63);
@@ -246,7 +255,9 @@ void bfs_dir_opt(const Graph& g, NodeId source, Workspace& ws, Filter admit = {}
       }
       for (std::size_t w = 0; w < words; ++w) {
         std::uint64_t todo = ~visited[w];
-        if (w == words - 1 && (n & 63) != 0) {
+        if constexpr (kHasEdgeBits) {
+          todo &= g.has_edges[w];  // its padding bits are clear
+        } else if (w == words - 1 && (n & 63) != 0) {
           todo &= (std::uint64_t{1} << (n & 63)) - 1;  // mask padding bits
         }
         while (todo != 0) {

@@ -75,21 +75,6 @@ struct WindowStats {
   std::uint64_t worst_staleness = 0, worst_p99 = 0;
 };
 
-WindowStats accumulate(const std::vector<SloSample>& samples, double now,
-                       double window) {
-  WindowStats out;
-  for (const SloSample& s : samples) {
-    if (s.time < now - window) continue;
-    out.fresh += s.fresh;
-    out.stale_served += s.stale_served;
-    out.shedded += s.shedded;
-    out.refused += s.refused;
-    out.worst_staleness = std::max(out.worst_staleness, s.staleness);
-    out.worst_p99 = std::max(out.worst_p99, s.p99_ticks);
-  }
-  return out;
-}
-
 /// Burn rate of one objective over one window's aggregates; 0 when the
 /// objective is disabled or the window holds no admitted answers.
 double burn_rate(SloObjective objective, const SloSpec& spec,
@@ -193,28 +178,59 @@ SloMonitor::SloMonitor(const SloSpec& spec) : spec_(spec) {
   }
 }
 
+void SloMonitor::slide(Window& w, double width, std::uint64_t seq,
+                       const SloSample& sample) {
+  w.fresh += sample.fresh;
+  w.stale_served += sample.stale_served;
+  w.shedded += sample.shedded;
+  w.refused += sample.refused;
+  const auto push = [seq](MaxQueue& q, std::uint64_t value) {
+    while (!q.empty() && q.back().second <= value) q.pop_back();
+    q.emplace_back(seq, value);
+  };
+  push(w.staleness, sample.staleness);
+  push(w.p99, sample.p99_ticks);
+  // Times arrive in order, so the left edge only moves right: a sample that
+  // falls out never comes back. The new sample itself always stays.
+  const double edge = sample.time - width;
+  while (w.begin < seq && window_[w.begin - window_begin_].time < edge) {
+    const SloSample& old = window_[w.begin - window_begin_];
+    w.fresh -= old.fresh;
+    w.stale_served -= old.stale_served;
+    w.shedded -= old.shedded;
+    w.refused -= old.refused;
+    ++w.begin;
+  }
+  for (MaxQueue* q : {&w.staleness, &w.p99}) {
+    while (q->front().first < w.begin) q->pop_front();
+  }
+}
+
 void SloMonitor::observe(const SloSample& sample) {
-  if (saw_sample_ && sample.time < last_time_) {
+  // NaN would break the ordering every window edge relies on.
+  if (std::isnan(sample.time) ||
+      (!window_.empty() && sample.time < window_.back().time)) {
     throw std::invalid_argument(
         "SloMonitor::observe: samples must arrive in time order");
   }
-  saw_sample_ = true;
-  last_time_ = sample.time;
+  const std::uint64_t seq = window_begin_ + window_.size();
   window_.push_back(sample);
-  // Prune to the trailing long window (closed on the right edge).
-  std::size_t keep_from = 0;
-  while (keep_from < window_.size() &&
-         window_[keep_from].time < sample.time - spec_.long_window) {
-    ++keep_from;
-  }
-  if (keep_from > 0) {
-    window_.erase(window_.begin(),
-                  window_.begin() + static_cast<std::ptrdiff_t>(keep_from));
-  }
+  slide(short_, spec_.window, seq, sample);
+  slide(long_, spec_.long_window, seq, sample);
+  // The short window is a suffix of the long one, so the long window's left
+  // edge is the oldest sample either still needs.
+  for (; window_begin_ < long_.begin; ++window_begin_) window_.pop_front();
 
-  const WindowStats short_w = accumulate(window_, sample.time, spec_.window);
-  const WindowStats long_w =
-      accumulate(window_, sample.time, spec_.long_window);
+  const auto stats = [](const Window& w) {
+    return WindowStats{w.fresh,
+                       w.stale_served,
+                       w.shedded,
+                       w.refused,
+                       w.staleness.front().second,
+                       w.p99.front().second};
+  };
+  const WindowStats short_w = stats(short_);
+  const WindowStats long_w = stats(long_);
 
   std::uint64_t breach_mask = 0;
   double worst_burn = 0.0;

@@ -20,6 +20,12 @@
 //   p99_max       bound objective — burn = worst windowed p99 ticks / bound.
 //   stale_max     bound objective — burn = worst windowed staleness / bound.
 //
+// Samples arrive in time order, so each window slides: it keeps integer
+// running sums of the tallies and monotone queues for the two maxima, and
+// observe() costs O(1) amortized however many samples a window spans. The
+// aggregates are the same integers a re-scan of the window would give, so
+// no burn rate, and no verdict byte, depends on the bookkeeping.
+//
 // Everything is deterministic: samples come from the journal's packed
 // sim.route_service.batch / batch_cost events (slo_samples_from_journal) or
 // from the live service's per-round stat deltas — identical values either
@@ -31,7 +37,9 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "obs/journal.hpp"
@@ -117,20 +125,37 @@ class SloMonitor {
   /// Same validation as parse_slo_spec; throws std::invalid_argument.
   explicit SloMonitor(const SloSpec& spec);
 
-  /// Feeds one sample. Samples must arrive in non-decreasing time order
-  /// (throws std::invalid_argument otherwise). Emits slo.monitor.* journal
-  /// events and counters on breach/recover transitions.
+  /// Feeds one sample in O(1) amortized time. Samples must arrive in
+  /// non-decreasing time order, and no time may be NaN (throws
+  /// std::invalid_argument otherwise). Emits slo.monitor.* journal events
+  /// and counters on breach/recover transitions.
   void observe(const SloSample& sample);
 
   [[nodiscard]] bool in_breach() const noexcept { return report_.in_breach; }
   [[nodiscard]] const SloReport& report() const noexcept { return report_; }
 
  private:
+  /// Sliding maximum of one sample field: (sequence number, value) pairs
+  /// with strictly decreasing values, so the front is the window's maximum.
+  using MaxQueue = std::deque<std::pair<std::uint64_t, std::uint64_t>>;
+
+  /// One trailing window [now - width, now]. Times arrive in order, so its
+  /// samples are a suffix of the long window's: integer running sums plus
+  /// the two maxima, each sample entering and leaving once.
+  struct Window {
+    std::uint64_t begin = 0;  ///< sequence number of its oldest sample
+    std::uint64_t fresh = 0, stale_served = 0, shedded = 0, refused = 0;
+    MaxQueue staleness, p99;
+  };
+
+  /// Admits sample number `seq`, then evicts what fell out of `width`.
+  void slide(Window& w, double width, std::uint64_t seq, const SloSample& sample);
+
   SloSpec spec_;
-  std::vector<SloSample> window_;  // samples within the trailing long window
+  std::deque<SloSample> window_;  // the long window's samples, newest last
+  std::uint64_t window_begin_ = 0;  // sequence number of window_.front()
+  Window short_, long_;
   SloReport report_;
-  double last_time_ = 0.0;
-  bool saw_sample_ = false;
 };
 
 /// Rebuilds the monitor's input from a recorded journal: every

@@ -124,6 +124,7 @@ void RouteService::materialize_components() {
 void RouteService::build_epoch(double now, std::uint64_t attempt) {
   const NodeId n = graph_->num_vertices();
   usable_broker_count_ = usable_brokers(vertex_up_, usable_mask_);
+  failed_edges_ = failed_edges();
   null_epoch_ = usable_broker_count_ == 0;
   uf_.reset(n);
   comp_.resize(n);
@@ -156,28 +157,26 @@ void RouteService::build_epoch(double now, std::uint64_t attempt) {
     }
 
     // One BFS tree per landmark, sharded over landmarks: each tree is a
-    // fully serial kernel writing a disjoint row, every entry exactly once,
-    // so the arrays are bit-identical at any BSR_THREADS value.
+    // fully serial kernel writing its reached entries into a disjoint row
+    // of sentinels, so the arrays are bit-identical at any BSR_THREADS value.
     const std::size_t num_lm = landmarks_.size();
-    lm_dist_.resize(num_lm * n);
-    lm_parent_.resize(num_lm * n);
+    lm_dist_.assign(num_lm * n, kLmUnreachable);
+    lm_parent_.assign(num_lm * n, kNoNextHop);
     engine::for_each_shard(
         num_lm, [&](std::size_t, std::size_t begin, std::size_t end) {
           engine::Workspace& ws = engine::tls_workspace();
           for (std::size_t li = begin; li < end; ++li) {
             const NodeId root = landmarks_[li];
             engine::bfs_dir_opt(usable, root, ws);
-            const std::size_t row = li * n;
-            for (NodeId v = 0; v < n; ++v) {
-              if (!ws.visited(v)) {
-                lm_dist_[row + v] = kLmUnreachable;
-                lm_parent_[row + v] = kNoNextHop;
-                continue;
-              }
-              lm_dist_[row + v] = static_cast<std::uint16_t>(
+            std::uint16_t* dist = lm_dist_.data() + li * n;
+            NodeId* parent = lm_parent_.data() + li * n;
+            for (const NodeId v : ws.visit_order().subspan(1)) {
+              dist[v] = static_cast<std::uint16_t>(
                   std::min<std::uint32_t>(ws.dist_unchecked(v), kLmUnreachable - 1));
-              lm_parent_[row + v] = v == root ? root : ws.parent(v);
+              parent[v] = ws.parent(v);
             }
+            dist[root] = 0;
+            parent[root] = root;
           }
         });
   }
@@ -195,20 +194,38 @@ void RouteService::build_epoch(double now, std::uint64_t attempt) {
 }
 
 void RouteService::try_patch(double now) {
-  // Heal-only delta: the usable set can only have grown, so uniting every
-  // currently-usable dominated edge on top of the epoch's union-find yields
-  // exactly the current edge set — reachability stays exact, the landmark
-  // bounds stay admissible (paths only got shorter), and old next hops stay
-  // usable. Staged through temporaries + a checkpoint so an injected crash
-  // leaves the serving epoch untouched.
+  // Heal-only delta: the usable edge set can only have grown, so uniting the
+  // new edges on top of the epoch's union-find yields exactly the current
+  // edge set — reachability stays exact, the landmark bounds stay
+  // admissible (paths only got shorter), and old next hops stay usable.
+  // Roots may differ from a fresh build's; comp_ is only compared for
+  // equality. Staged through temporaries + a checkpoint so an injected
+  // crash leaves the serving epoch untouched.
   std::vector<std::uint8_t> new_up;
   std::vector<bool> new_mask;
   const std::size_t new_count = usable_brokers(new_up, new_mask);
+  const std::uint64_t new_failed_edges = failed_edges();
 
   const auto mark = uf_.checkpoint();
   const bool crash = draw_crash(injection_.crash_next_patches);
-  engine::unite_edges(engine::compact_dominated(*graph_, new_mask, faults_), uf_,
-                      engine::AllEdges{});
+  if (new_failed_edges < failed_edges_) {
+    // A link came back (a patch runs on a fresh epoch, so every change since
+    // the snapshot was a heal, and only a link heal lowers the count): its
+    // endpoints need not have changed state, so re-unite all of G_B.
+    engine::unite_edges(engine::compact_dominated(*graph_, new_mask, faults_),
+                        uf_, engine::AllEdges{});
+  } else if (faults_ != nullptr) {  // without a plane nothing comes back
+    // Only vertices came back: every new edge has an endpoint whose up or
+    // usable state changed, so their stars under the filter pair
+    // compact_dominated keeps are the whole delta.
+    const engine::BothFilters<engine::DominatedEdgeFilter, engine::FaultAwareFilter>
+        admit{engine::DominatedEdgeFilter{&new_mask}, engine::FaultAwareFilter{faults_}};
+    for (NodeId v = 0; v < graph_->num_vertices(); ++v) {
+      if (new_up[v] != vertex_up_[v] || new_mask[v] != usable_mask_[v]) {
+        engine::unite_star(*graph_, uf_, v, admit);
+      }
+    }
+  }
   if (crash) {
     uf_.rollback(mark);
     ++stats_.patch_crashes;
@@ -219,6 +236,7 @@ void RouteService::try_patch(double now) {
   vertex_up_ = std::move(new_up);
   usable_mask_ = std::move(new_mask);
   usable_broker_count_ = new_count;
+  failed_edges_ = new_failed_edges;
   materialize_components();
   epoch_truth_version_ = truth_version_;
   ++stats_.patches;

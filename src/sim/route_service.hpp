@@ -20,8 +20,11 @@
 // only); the union-find pass and every landmark BFS then run over that
 // copy with no per-edge filter. Its lists keep the graph's order and the
 // BFS switch heuristic keeps reading the graph's own degrees, so roots,
-// parents and answers are bit-identical to filtering the full graph. The
-// copy is build scratch and is dropped when the build ends.
+// parents and answers are bit-identical to filtering the full graph. Its
+// bottom-up levels skip the vertices that kept no edge, and each tree is
+// copied into a row of sentinels from its visit order, so a landmark costs
+// what it reaches. The copy is build scratch and is dropped when the build
+// ends.
 //
 // The oracle is versioned by **epochs**. The driving loop notifies the
 // service of ground-truth changes (on_fault / on_heal / on_health_view);
@@ -30,10 +33,15 @@
 // diverge:
 //
 //   * Heal-only deltas are patched incrementally: union-find checkpoint,
-//     unite the newly usable edges, re-materialize labels. Additions keep
-//     reachability exact and distance bounds admissible, so the epoch is
-//     re-stamped fresh without a rebuild. A crashed patch rolls back to the
-//     checkpoint and falls through to the rebuild path.
+//     unite the new edges, re-materialize labels. When only vertices came
+//     back, the new edges are the stars of the vertices whose up/usable
+//     state changed since the epoch's snapshot (engine::unite_star, the
+//     degree of what healed); only when a link came back — the fault plane's
+//     failed-link count fell below the snapshot's — is all of G_B compacted
+//     and re-united. Additions keep reachability exact and distance bounds
+//     admissible, so the epoch is re-stamped fresh without a rebuild. A
+//     crashed patch rolls back to the checkpoint and falls through to the
+//     rebuild path.
 //   * Faults cannot be patched into a union-find, so the service enters
 //     explicit degraded mode: it keeps serving the stale epoch, tagging
 //     answers kStaleServed, until the staleness bound (max_stale_events)
@@ -315,6 +323,10 @@ class RouteService {
   /// count.
   std::size_t usable_brokers(std::vector<std::uint8_t>& up,
                              std::vector<bool>& mask) const;
+  /// The fault plane's failed-link count (0 without a plane).
+  [[nodiscard]] std::uint64_t failed_edges() const noexcept {
+    return faults_ != nullptr ? faults_->num_failed_edges() : 0;
+  }
   /// Re-derives comp_ from uf_.
   void materialize_components();
   void build_epoch(double now, std::uint64_t attempt);
@@ -363,7 +375,8 @@ class RouteService {
   bsr::graph::RollbackUnionFind uf_;
   std::vector<bsr::graph::NodeId> comp_;     // materialized uf_ root per vertex
   std::vector<bool> usable_mask_;            // broker && believed && vertex up
-  std::vector<std::uint8_t> vertex_up_;      // fault-plane vertex state at build
+  std::vector<std::uint8_t> vertex_up_;      // vertex states at build/patch
+  std::uint64_t failed_edges_ = 0;           // failed-link count at build/patch
   std::vector<bsr::graph::NodeId> landmarks_;
   std::vector<std::uint16_t> lm_dist_;       // [l * n + v], kLmUnreachable = none
   std::vector<bsr::graph::NodeId> lm_parent_;  // [l * n + v], toward landmark l

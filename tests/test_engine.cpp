@@ -158,15 +158,20 @@ TEST(Engine, DirOptBfsVisitsSameVertexSet) {
   EXPECT_EQ(a, b);
 }
 
-/// Reference compaction: every slot of g through `admit`, in g's order.
+/// Reference compaction: every slot of g through `admit`, in g's order,
+/// with has_edges set for every vertex that kept a slot.
 template <class Filter>
 engine::Subgraph filtered_scan(const CsrGraph& g, Filter admit) {
   engine::Subgraph sub;
   sub.offsets.push_back(0);
+  sub.has_edges.assign((std::size_t{g.num_vertices()} + 63) / 64, 0);
   for (NodeId u = 0; u < g.num_vertices(); ++u) {
     const auto neigh = g.neighbors(u);
     for (std::size_t i = 0; i < neigh.size(); ++i) {
       if (admit(u, i, neigh[i])) sub.adjacency.push_back(neigh[i]);
+    }
+    if (sub.adjacency.size() != sub.offsets.back()) {
+      sub.has_edges[u >> 6] |= std::uint64_t{1} << (u & 63);
     }
     sub.offsets.push_back(sub.adjacency.size());
   }
@@ -178,6 +183,8 @@ TEST(Engine, SubgraphEntryPointBitIdenticalToFilteredTraversal) {
   // the Subgraph entry points must then repeat the filtered kernels exactly:
   // same dist, same parents, same visit order under every switch schedule
   // (default, and alpha/beta forced to 1 and 2^30), same union-find roots.
+  // Every compaction holds edge-less vertices, which the bottom-up levels
+  // skip through has_edges, and one of them is also a source.
   constexpr std::uint32_t kForced[] = {1, 1u << 30};
   for (std::uint64_t seed = 0; seed < 6; ++seed) {
     const CsrGraph g = seed % 2 == 0 ? make_random(150, 0.04, seed)
@@ -198,6 +205,12 @@ TEST(Engine, SubgraphEntryPointBitIdenticalToFilteredTraversal) {
       const engine::Subgraph ref = filtered_scan(g, admit);
       ASSERT_EQ(sub.offsets, ref.offsets);
       ASSERT_EQ(sub.adjacency, ref.adjacency);
+      ASSERT_EQ(sub.has_edges, ref.has_edges);
+      NodeId edgeless = 0;
+      while (edgeless < n && !sub.neighbors(edgeless).empty()) ++edgeless;
+      ASSERT_LT(edgeless, n) << "every compaction should keep an edge-less vertex";
+      std::vector<NodeId> sources{edgeless};
+      for (NodeId s = 0; s < n; s += 17) sources.push_back(s);
 
       engine::Workspace ws_filtered, ws_sub;
       const auto same_traversal = [&](NodeId s) {
@@ -212,7 +225,7 @@ TEST(Engine, SubgraphEntryPointBitIdenticalToFilteredTraversal) {
           }
         }
       };
-      for (NodeId s = 0; s < n; s += 17) {
+      for (const NodeId s : sources) {
         engine::bfs_dir_opt(g, s, ws_filtered, admit);
         engine::bfs_dir_opt(sub, s, ws_sub);
         same_traversal(s);

@@ -505,6 +505,114 @@ TEST(RouteServiceLifecycle, CrashedPatchRollsBackAndFallsToRebuild) {
   EXPECT_TRUE(service.query(1, 6, 10.0).reachable);
 }
 
+std::vector<Flow> all_pairs(NodeId n) {
+  std::vector<Flow> pairs;
+  for (NodeId s = 0; s < n; ++s) {
+    for (NodeId t = 0; t < n; ++t) pairs.push_back({s, t, 1.0});
+  }
+  return pairs;
+}
+
+std::uint64_t compact_scans() {
+  return bsr::obs::snapshot().counter(bsr::obs::Counter::kEngineCompactEdgeScans);
+}
+
+TEST(RouteServicePatch, PatchedEpochsAnswerLikeFreshBuilds) {
+  // A patch unites only what came back: the stars of healed vertices, or
+  // all of G_B once a link heals. Either way every pair's reachability must
+  // equal a service built from scratch on the same fault state.
+  for (std::uint64_t seed = 0; seed < 4; ++seed) {
+    const CsrGraph g = make_connected_random(120, 0.03, 5200 + seed);
+    const NodeId n = g.num_vertices();
+    const BrokerSet brokers = top_degree_brokers(g, 24);
+    const std::vector<Flow> pairs = all_pairs(n);
+    NodeId plain = n;  // a non-broker with a broker neighbour
+    for (NodeId v = 0; v < n && plain == n; ++v) {
+      for (const NodeId u : g.neighbors(v)) {
+        if (!brokers.contains(v) && brokers.contains(u)) plain = v;
+      }
+    }
+    ASSERT_LT(plain, n);
+    const NodeId hub = brokers.members()[0];
+    const NodeId b1 = brokers.members()[3];
+    const NodeId b2 = brokers.members()[7];
+    // A link off the failed group, so healing it lowers the failed count.
+    const NodeId group_center = brokers.members()[2];
+    const NodeId link_end = brokers.members()[1];
+    const auto hops = g.neighbors(link_end);
+    const NodeId link_hop =
+        *std::find_if(hops.begin(), hops.end(),
+                      [&](NodeId v) { return v != group_center; });
+    FaultPlane faults(g);
+    for (const NodeId v : {hub, b1, b2, plain}) faults.fail_vertex(v);
+    faults.fail_edge(link_end, link_hop);
+    faults.fail_group(bsr::graph::incident_group(g, group_center));
+    RouteService service(g, brokers, &faults);
+
+    std::vector<RouteAnswer> got, want;
+    const auto heal_and_compare = [&](double now, const char* state,
+                                      bool link_heal) {
+      const std::uint64_t patches = service.stats().patches;
+      const std::uint64_t scans = compact_scans();
+      service.on_heal(now);
+      ASSERT_EQ(service.stats().patches, patches + 1) << state;
+      if (BSR_STATS_ENABLED) {
+        // The star path never compacts; the link path always does.
+        EXPECT_EQ(compact_scans() > scans, link_heal) << state;
+      }
+      RouteService fresh(g, brokers, &faults);
+      service.serve_batch(pairs, now, got);
+      fresh.serve_batch(pairs, now, want);
+      for (std::size_t i = 0; i < pairs.size(); ++i) {
+        ASSERT_EQ(got[i].status, AnswerStatus::kFresh) << state;
+        ASSERT_EQ(got[i].reachable, want[i].reachable)
+            << state << " pair " << pairs[i].src << "->" << pairs[i].dst;
+      }
+    };
+    faults.heal_vertex(hub);
+    heal_and_compare(1.0, "landmark hub heal", false);
+    faults.heal_vertex(plain);
+    heal_and_compare(2.0, "non-broker heal", false);
+    faults.heal_vertex(b1);  // two vertices behind one notification
+    faults.heal_vertex(b2);
+    heal_and_compare(3.0, "two broker heals", false);
+    faults.heal_edge(link_end, link_hop);
+    heal_and_compare(4.0, "link heal", true);
+    faults.heal_group(bsr::graph::incident_group(g, group_center));
+    heal_and_compare(5.0, "group heal", true);
+    EXPECT_TRUE(faults.pristine());
+    EXPECT_EQ(service.epoch_id(), 1u);  // every heal patched, none rebuilt
+  }
+}
+
+TEST(RouteServicePatch, CrashedStarPatchLeavesEveryAnswer) {
+  const CsrGraph g = make_connected_random(90, 0.04, 5300);
+  const BrokerSet brokers = top_degree_brokers(g, 16);
+  const std::vector<Flow> pairs = all_pairs(g.num_vertices());
+  FaultPlane faults(g);
+  faults.fail_vertex(brokers.members()[0]);
+  faults.fail_vertex(brokers.members()[4]);
+  RebuildInjection injection;
+  injection.crash_next_patches = 1;
+  RouteService service(g, brokers, &faults, RouteServiceConfig{}, injection);
+  std::vector<RouteAnswer> before, after;
+  service.serve_batch(pairs, 0.0, before);
+
+  faults.heal_vertex(brokers.members()[0]);
+  service.on_heal(1.0);
+  EXPECT_EQ(service.stats().patch_crashes, 1u);
+  EXPECT_EQ(service.stats().patches, 0u);
+  service.serve_batch(pairs, 1.0, after);
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    ASSERT_EQ(before[i].status, AnswerStatus::kFresh);
+    ASSERT_EQ(after[i].status, AnswerStatus::kStaleServed);
+    ASSERT_EQ(after[i].reachable, before[i].reachable) << "pair " << i;
+    ASSERT_EQ(after[i].dist_bound, before[i].dist_bound) << "pair " << i;
+    ASSERT_EQ(after[i].next_hop, before[i].next_hop) << "pair " << i;
+    ASSERT_EQ(after[i].epoch, before[i].epoch) << "pair " << i;
+  }
+}
+
 TEST(RouteServiceLifecycle, RebuildCrashesRetryWithBackoffThenSucceed) {
   const CsrGraph g = make_path(8);
   const BrokerSet brokers(8, std::vector<NodeId>{2, 3, 4, 5});

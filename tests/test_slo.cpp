@@ -1,9 +1,12 @@
 // SloMonitor: spec parsing and its guards, multi-window burn-rate gating,
-// breach/recover episode accounting, journal replay equivalence, and the
-// machine-readable verdict JSON.
+// breach/recover episode accounting, the incremental windows against a naive
+// re-scan, journal replay equivalence, and the machine-readable verdict JSON.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <random>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -157,6 +160,171 @@ TEST(SloMonitorGating, RejectsTimeTravel) {
       bsr::obs::parse_slo_spec("fresh_min=0.9,window=1,long_window=2"));
   monitor.observe(sample(5.0, 10, 0));
   EXPECT_THROW(monitor.observe(sample(4.0, 10, 0)), std::invalid_argument);
+  EXPECT_THROW(monitor.observe(sample(std::nan(""), 10, 0)),
+               std::invalid_argument);
+}
+
+// --- differential check against a naive monitor ------------------------------
+
+/// The monitor without running sums: every observe re-scans the samples of
+/// the trailing long window for both windows' aggregates. O(window) per
+/// sample, and the reference the incremental monitor must match bit for bit.
+class NaiveSloMonitor {
+ public:
+  explicit NaiveSloMonitor(const SloSpec& spec)
+      : spec_(spec), report_(SloMonitor(spec).report()) {}
+
+  void observe(const SloSample& s) {
+    window_.push_back(s);
+    while (window_.front().time < s.time - spec_.long_window) {
+      window_.erase(window_.begin());
+    }
+    const Totals short_w = totals(s.time, spec_.window);
+    const Totals long_w = totals(s.time, spec_.long_window);
+    std::uint64_t mask = 0;
+    for (std::size_t i = 0; i < bsr::obs::kNumSloObjectives; ++i) {
+      auto& obj = report_.objectives[i];
+      if (!obj.enabled) continue;
+      const double short_burn = burn(i, short_w);
+      const double long_burn = burn(i, long_w);
+      obj.worst_short_burn = std::max(obj.worst_short_burn, short_burn);
+      obj.worst_long_burn = std::max(obj.worst_long_burn, long_burn);
+      if (short_burn >= spec_.burn_threshold &&
+          long_burn >= spec_.burn_threshold) {
+        mask |= std::uint64_t{1} << i;
+        ++obj.breach_samples;
+        if (obj.first_breach_time < 0.0) obj.first_breach_time = s.time;
+      }
+    }
+    ++report_.samples;
+    if (mask != 0 && !report_.in_breach) {
+      report_.in_breach = true;
+      ++report_.breaches;
+    } else if (mask == 0 && report_.in_breach) {
+      report_.in_breach = false;
+      ++report_.recovers;
+    }
+  }
+
+  [[nodiscard]] const SloReport& report() const { return report_; }
+
+ private:
+  struct Totals {
+    std::uint64_t fresh = 0, stale = 0, shed = 0, refused = 0;
+    std::uint64_t staleness = 0, p99 = 0;
+  };
+
+  Totals totals(double now, double width) const {
+    Totals t;
+    for (const SloSample& s : window_) {
+      if (s.time < now - width) continue;
+      t.fresh += s.fresh;
+      t.stale += s.stale_served;
+      t.shed += s.shedded;
+      t.refused += s.refused;
+      t.staleness = std::max(t.staleness, s.staleness);
+      t.p99 = std::max(t.p99, s.p99_ticks);
+    }
+    return t;
+  }
+
+  double burn(std::size_t objective, const Totals& t) const {
+    switch (static_cast<SloObjective>(objective)) {
+      case SloObjective::kFreshFraction: {
+        const auto denom = static_cast<double>(t.fresh + t.stale + t.refused);
+        if (denom == 0.0) return 0.0;
+        return ((denom - static_cast<double>(t.fresh)) / denom) /
+               (1.0 - spec_.fresh_min);
+      }
+      case SloObjective::kRefusalRate: {
+        const auto all =
+            static_cast<double>(t.fresh + t.stale + t.shed + t.refused);
+        if (all == 0.0) return 0.0;
+        return (static_cast<double>(t.refused) / all) / spec_.refusal_max;
+      }
+      case SloObjective::kP99Ticks:
+        return static_cast<double>(t.p99) / spec_.p99_ticks_max;
+      case SloObjective::kStaleness:
+        return static_cast<double>(t.staleness) / spec_.stale_max;
+      case SloObjective::kCount:
+        break;
+    }
+    return 0.0;
+  }
+
+  SloSpec spec_;
+  std::vector<SloSample> window_;
+  SloReport report_;
+};
+
+void expect_same_report(const SloReport& got, const SloReport& want,
+                        std::size_t step) {
+  ASSERT_EQ(got.samples, want.samples) << "step " << step;
+  ASSERT_EQ(got.breaches, want.breaches) << "step " << step;
+  ASSERT_EQ(got.recovers, want.recovers) << "step " << step;
+  ASSERT_EQ(got.in_breach, want.in_breach) << "step " << step;
+  for (std::size_t i = 0; i < bsr::obs::kNumSloObjectives; ++i) {
+    const auto& a = got.objectives[i];
+    const auto& b = want.objectives[i];
+    ASSERT_EQ(a.name, b.name);
+    ASSERT_EQ(a.enabled, b.enabled);
+    ASSERT_EQ(a.target, b.target);
+    // Exact, not approximate: the burns come from the same integers.
+    ASSERT_EQ(a.worst_short_burn, b.worst_short_burn) << a.name << " step " << step;
+    ASSERT_EQ(a.worst_long_burn, b.worst_long_burn) << a.name << " step " << step;
+    ASSERT_EQ(a.breach_samples, b.breach_samples) << a.name << " step " << step;
+    ASSERT_EQ(a.first_breach_time, b.first_breach_time) << a.name << " step " << step;
+  }
+}
+
+TEST(SloMonitorDifferential, MatchesNaiveRescanOnRandomStreams) {
+  // Times move on a 0.25 grid, so `now - window` lands exactly on earlier
+  // samples (the closed left edge) and equal timestamps repeat; tallies
+  // include all-zero rounds (empty denominators) and staleness/p99 spikes
+  // that must age out of one window while staying in the other.
+  const char* specs[] = {
+      "fresh_min=0.9,refusal_max=0.2,p99_max=40,stale_max=3,window=2,"
+      "long_window=8",
+      "fresh_min=0.5,stale_max=2,window=1.5,long_window=1.5,burn=0.8",
+      "refusal_max=0.05,p99_max=60,window=0.25,long_window=30,burn=2",
+  };
+  for (const char* text : specs) {
+    const SloSpec spec = bsr::obs::parse_slo_spec(text);
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      std::mt19937_64 rng(seed);
+      const auto draw = [&rng](std::uint64_t bound) { return rng() % bound; };
+      SloMonitor monitor(spec);
+      NaiveSloMonitor naive(spec);
+      double t = 0.0;
+      for (std::size_t step = 0; step < 1500; ++step) {
+        const std::uint64_t jump = draw(16);
+        if (jump < 5) {
+          // equal timestamp
+        } else if (jump < 13) {
+          t += 0.25 * static_cast<double>(draw(4) + 1);
+        } else if (jump < 15) {
+          t += spec.window;  // the previous sample sits on the short edge
+        } else {
+          t += spec.long_window;  // ... or on the long edge
+        }
+        SloSample s;
+        s.time = t;
+        if (draw(10) != 0) {
+          s.fresh = draw(100);
+          s.stale_served = draw(4) == 0 ? draw(60) : 0;
+          s.shedded = draw(3) == 0 ? draw(30) : 0;
+          s.refused = draw(5) == 0 ? draw(40) : 0;
+        }
+        s.staleness = draw(6) == 0 ? draw(8) : 0;
+        s.p99_ticks = draw(80);
+        s.max_ticks = s.p99_ticks + draw(20);
+        monitor.observe(s);
+        naive.observe(s);
+        expect_same_report(monitor.report(), naive.report(), step);
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
 }
 
 // --- journal replay ----------------------------------------------------------
