@@ -3,17 +3,23 @@
 // The obs design claim is "cheap enough to leave on": per-edge costs fold
 // into per-call accumulators and flush to the registry once per kernel
 // call (see docs/OBSERVABILITY.md for the placement rules). This bench
-// prices that claim against uninstrumented *twins* of the two hottest paths:
+// prices that claim against uninstrumented *twins* of the hottest paths:
 //   1. fault-filtered BFS: engine::bfs (counted) vs the same template
 //      recompiled with the telemetry compiled out;
 //   2. MaxSG end-to-end: broker::maxsg (counted + span) vs the same source
-//      recompiled with the telemetry compiled out.
+//      recompiled with the telemetry compiled out;
+//   3. the route-service serve phase: sim::RouteService (sketches, and
+//      optionally the per-query tracer) vs the same source recompiled with
+//      the telemetry compiled out.
 // The twins are not hand copies — bare_kernels.cpp recompiles the actual
 // library sources under BSR_OBS_FORCE_OFF (see bare_kernels.hpp), so the
 // baseline is byte-for-byte the same algorithm minus the macros and cannot
 // rot as the library evolves. Outputs are verified bit-identical first —
-// enabling stats must never change a result — and the overhead is reported
-// from min-of-interleaved trials so thermal drift doesn't bias either side.
+// enabling stats must never change a result. The kernel overheads are the
+// min of interleaved trials, so thermal drift doesn't bias either side; the
+// route-service serve phase, whose telemetry costs a few ns per query, is
+// priced by the median ratio of interleaved bare/instrumented pairs with its
+// IQR.
 // In a BSR_STATS=OFF build both sides compile from identical expansions and
 // the overhead is codegen jitter around zero ("stats_enabled" in the JSON
 // says which build produced it).
@@ -62,6 +68,43 @@ struct Overhead {
     return (instrumented_s / bare_s - 1.0) * 100.0;
   }
 };
+
+/// Quantile `q` of `v` by linear interpolation between order statistics.
+double quantile(std::vector<double> v, double q) {
+  std::sort(v.begin(), v.end());
+  const double pos = q * static_cast<double>(v.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, v.size() - 1);
+  return v[lo] + (v[hi] - v[lo]) * (pos - static_cast<double>(lo));
+}
+
+double median(const std::vector<double>& v) { return quantile(v, 0.5); }
+
+/// Per-pair samples of one interleaved bare/instrumented comparison.
+struct PairedOverhead {
+  std::vector<double> ratio;    // instrumented / bare serve time
+  std::vector<double> bare_ns;  // bare serve time per query
+  std::vector<double> cost_ns;  // (instrumented - bare) per query
+
+  [[nodiscard]] double median_pct() const { return (median(ratio) - 1.0) * 100.0; }
+  [[nodiscard]] double iqr_pct() const {
+    return (quantile(ratio, 0.75) - quantile(ratio, 0.25)) * 100.0;
+  }
+};
+
+void print_paired(const char* label, const PairedOverhead& o) {
+  std::cout << label << ", " << o.ratio.size() << " interleaved pairs:\n"
+            << "  bare (telemetry off):    "
+            << bsr::io::format_double(median(o.bare_ns), 2) << " ns/query\n"
+            << "  telemetry cost:          "
+            << bsr::io::format_double(median(o.cost_ns), 2) << " ns/query\n"
+            << "  overhead:                "
+            << bsr::io::format_double(o.median_pct(), 2) << " % median, IQR "
+            << bsr::io::format_double((quantile(o.ratio, 0.25) - 1.0) * 100.0, 2)
+            << " .. "
+            << bsr::io::format_double((quantile(o.ratio, 0.75) - 1.0) * 100.0, 2)
+            << " %\n\n";
+}
 
 void print_overhead(const char* label, const Overhead& o) {
   std::cout << label << ":\n"
@@ -261,63 +304,60 @@ int main() {
   // union-find kernels whose telemetry the comparisons above already price,
   // and their wall time would drown the per-query cost under measurement.
   // kRouteServeReps identical batches per serve point stretch the timed
-  // region so the min converges.
+  // region.
+  //
+  // A min of trials cannot resolve a few ns per query on a shared host, so
+  // the route twins are priced by interleaved pairs instead: each pair runs
+  // one bare and one instrumented lifecycle back to back, the first side
+  // alternating, and contributes one instrumented/bare ratio. Drift and
+  // cache warming hit both halves of a pair alike; the median ratio is the
+  // overhead and its IQR says how well the median is resolved.
   constexpr int kRouteServeReps = 5;
-  const auto route_bare_trial = [&](Overhead& o) {
-    const auto r =
-        bare::route_lifecycle(g, inst_result.brokers, flows, kRouteServeReps);
-    sink += r.digest;
-    o.bare_s = std::min(o.bare_s, r.serve_seconds);
-  };
-  const auto route_inst_trial = [&](Overhead& o) {
-    const auto r =
-        instr::route_lifecycle(g, inst_result.brokers, flows, kRouteServeReps);
-    sink += r.digest;
-    o.instrumented_s = std::min(o.instrumented_s, r.serve_seconds);
-  };
-  constexpr int kRouteTrials = 9;
-  const auto route_interleave = [&](Overhead& o) {
-    for (int t = 0; t < kRouteTrials; ++t) {
-      if (t % 2 == 0) {
-        route_bare_trial(o);
-        route_inst_trial(o);
+  constexpr int kRoutePairs = 24;
+  const double route_queries = static_cast<double>(flows.size()) * 3.0 *
+                               static_cast<double>(kRouteServeReps);
+  const auto route_pairs = [&] {
+    PairedOverhead o;
+    for (int p = 0; p < kRoutePairs; ++p) {
+      double bare_s = 0.0, inst_s = 0.0;
+      const auto bare_side = [&] {
+        const auto r =
+            bare::route_lifecycle(g, inst_result.brokers, flows, kRouteServeReps);
+        sink += r.digest;
+        bare_s = r.serve_seconds;
+      };
+      const auto inst_side = [&] {
+        const auto r =
+            instr::route_lifecycle(g, inst_result.brokers, flows, kRouteServeReps);
+        sink += r.digest;
+        inst_s = r.serve_seconds;
+      };
+      if (p % 2 == 0) {
+        bare_side();
+        inst_side();
       } else {
-        route_inst_trial(o);
-        route_bare_trial(o);
+        inst_side();
+        bare_side();
       }
+      o.ratio.push_back(inst_s / bare_s);
+      o.bare_ns.push_back(bare_s / route_queries * 1e9);
+      o.cost_ns.push_back((inst_s - bare_s) / route_queries * 1e9);
     }
+    return o;
   };
   // Two configurations of the instrumented side against the same bare twin
   // (which compiled everything out via BSR_OBS_FORCE_OFF): the production
   // default (counters + sketches, tracer off) and the worst case with the
   // per-query tracer capturing a full row per answer. The runtime toggle
   // only reaches the instrumented twin — which is exactly the cost priced.
-  Overhead route_base_overhead;
-  route_interleave(route_base_overhead);
-  print_overhead("route-service serve phase (sketches on, tracing off)",
-                 route_base_overhead);
-  Overhead route_overhead;
+  const PairedOverhead route_base_overhead = route_pairs();
+  print_paired("route-service serve phase (sketches on, tracing off)",
+               route_base_overhead);
   bsr::obs::start_query_trace();
-  route_interleave(route_overhead);
+  const PairedOverhead route_overhead = route_pairs();
   bsr::obs::stop_query_trace();
-  print_overhead("route-service serve phase (tracing + sketches on)",
-                 route_overhead);
-  // Absolute per-query telemetry cost: the serve phase times
-  // 3 serve points x kRouteServeReps batches over `flows` queries.
-  const double route_queries = static_cast<double>(flows.size()) * 3.0 *
-                               static_cast<double>(kRouteServeReps);
-  std::cout << "  telemetry cost/query:    "
-            << bsr::io::format_double(
-                   (route_base_overhead.instrumented_s -
-                    route_base_overhead.bare_s) /
-                       route_queries * 1e9,
-                   1)
-            << " ns (default), "
-            << bsr::io::format_double(
-                   (route_overhead.instrumented_s - route_overhead.bare_s) /
-                       route_queries * 1e9,
-                   1)
-            << " ns (traced)\n\n";
+  print_paired("route-service serve phase (tracing + sketches on)",
+               route_overhead);
 
   // Pins the sim.route_service.* counter family plus the per-answer-tag
   // tick/distance sketches with one recorded lifecycle on the library
@@ -338,13 +378,18 @@ int main() {
   });
   bsr::bench::Harness::metric(serve_run, "flows",
                               static_cast<double>(ctx.env.scaled(20'000, 2'000)));
-  bsr::bench::Harness::metric(serve_run, "bare_ms_min",
-                              route_overhead.bare_s * 1e3);
-  bsr::bench::Harness::metric(serve_run, "instrumented_ms_min",
-                              route_overhead.instrumented_s * 1e3);
-  bsr::bench::Harness::metric(serve_run, "overhead_pct", route_overhead.pct());
-  bsr::bench::Harness::metric(serve_run, "base_overhead_pct",
-                              route_base_overhead.pct());
+  bsr::bench::Harness::metric(serve_run, "pairs", kRoutePairs);
+  bsr::bench::Harness::metric(serve_run, "bare_ns_per_query",
+                              median(route_base_overhead.bare_ns));
+  const auto record_paired = [&](const std::string& prefix,
+                                 const PairedOverhead& o) {
+    bsr::bench::Harness::metric(serve_run, prefix + "overhead_pct", o.median_pct());
+    bsr::bench::Harness::metric(serve_run, prefix + "overhead_iqr_pct", o.iqr_pct());
+    bsr::bench::Harness::metric(serve_run, prefix + "cost_ns_per_query",
+                                median(o.cost_ns));
+  };
+  record_paired("", route_overhead);
+  record_paired("base_", route_base_overhead);
 
   // --- SLO monitor (counters only) -------------------------------------------
   // Pins the slo.monitor.* counter family: record the lifecycle's journal,
@@ -431,7 +476,7 @@ int main() {
 
   harness.metric("bfs_overhead_pct", bfs_overhead.pct());
   harness.metric("maxsg_overhead_pct", maxsg_overhead.pct());
-  harness.metric("route_overhead_pct", route_overhead.pct());
+  harness.metric("route_overhead_pct", route_overhead.median_pct());
   harness.metric("trace_spans", static_cast<double>(spans.size()));
   harness.write_json_file("BENCH_obs.json", "BENCH_OBS_JSON");
   return 0;

@@ -146,6 +146,39 @@ def episode_phase_line(suite, path):
     return None
 
 
+def paired_overhead_line(run, path):
+    """Telemetry overhead of a run priced by interleaved bare/instrumented
+    pairs (perf_obs's route twins): the median per-pair overhead with its
+    IQR and per-query cost, sketches only and traced; None for runs without
+    a pair count."""
+    metrics = run.get("metrics", {})
+    if not isinstance(metrics, dict):
+        return None
+    pairs = as_number(metrics.get("pairs"), path, "metric pairs")
+    if pairs is None:
+        return None
+    cells = []
+    for label, prefix in (("sketches only", "base_"), ("traced", "")):
+        median = as_number(metrics.get(prefix + "overhead_pct"), path,
+                           f"metric {prefix}overhead_pct")
+        if median is None:
+            continue
+        cell = f"{label} {median:.1f} %"
+        iqr = as_number(metrics.get(prefix + "overhead_iqr_pct"), path,
+                        f"metric {prefix}overhead_iqr_pct")
+        if iqr is not None:
+            cell += f" (IQR {iqr:.1f} pts)"
+        cost = as_number(metrics.get(prefix + "cost_ns_per_query"), path,
+                         f"metric {prefix}cost_ns_per_query")
+        if cost is not None:
+            cell += f", {cost:.2f} ns/query"
+        cells.append(cell)
+    if not cells:
+        return None
+    return (f"Telemetry overhead of {run.get('name', '?')}, median of "
+            f"{int(pairs)} interleaved pairs: " + "; ".join(cells))
+
+
 def render(suites):
     lines = ["# Bench trend report", ""]
     lines.append("| suite | scale | seed | threads | stats | runs | "
@@ -181,6 +214,11 @@ def render(suites):
         if episode_line is not None:
             lines.append(episode_line)
             lines.append("")
+        for r in runs_of(s):
+            overhead_line = paired_overhead_line(r, path)
+            if overhead_line is not None:
+                lines.append(overhead_line)
+                lines.append("")
         lines.append("| run | reps | wall ms | ms/rep | work units | "
                      "p50 | p90 | p99 | top counters |")
         lines.append("|---|---:|---:|---:|---:|---:|---:|---:|---|")

@@ -410,13 +410,16 @@ class LineCursor {
     rest_.remove_prefix(expected.size());
     return *this;
   }
-  /// A double, or an unsigned integer that must fit T.
+  /// A finite double (JSON has no nan or inf), or an unsigned integer that
+  /// must fit T.
   template <class T = std::uint64_t>
   T number() {
     T value{};
     const char* first = rest_.data();
     const auto [end, ec] = std::from_chars(first, first + rest_.size(), value);
-    if (ec != std::errc{}) fail("bad or out-of-range number");
+    bool ok = ec == std::errc{};
+    if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+    if (!ok) fail("bad or out-of-range number");
     rest_.remove_prefix(static_cast<std::size_t>(end - first));
     return value;
   }

@@ -14,19 +14,25 @@ constexpr std::array<std::string_view, kNumSketches> kSketchNames = {{
 
 std::uint64_t QuantileSketch::quantile(double q) const noexcept {
   if (count_ == 0) return 0;
+  return bucket_lower(quantile_bucket(buckets_, count_, q));
+}
+
+std::size_t QuantileSketch::quantile_bucket(std::span<const std::uint64_t> counts,
+                                            std::uint64_t count,
+                                            double q) noexcept {
   if (q < 0.0) q = 0.0;
   if (q > 1.0) q = 1.0;
   // rank = ceil(q * count), at least 1: the k-th smallest observation.
   std::uint64_t rank = static_cast<std::uint64_t>(
-      q * static_cast<double>(count_));
-  if (static_cast<double>(rank) < q * static_cast<double>(count_)) ++rank;
+      q * static_cast<double>(count));
+  if (static_cast<double>(rank) < q * static_cast<double>(count)) ++rank;
   if (rank < 1) rank = 1;
   std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < kBuckets; ++i) {
-    seen += buckets_[i];
-    if (seen >= rank) return bucket_lower(i);
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    seen += counts[i];
+    if (seen >= rank) return i;
   }
-  return bucket_lower(kBuckets - 1);
+  return counts.size() - 1;
 }
 
 std::uint64_t QuantileSketch::min() const noexcept {

@@ -32,6 +32,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string_view>
 
 #include "obs/stats.hpp"
@@ -83,6 +84,18 @@ class QuantileSketch {
     for (std::size_t i = 0; i < kBuckets; ++i) buckets_[i] += other.buckets_[i];
   }
 
+  /// Adds staged observations: `counts` by bucket index (a prefix of the
+  /// bucket range) and `sum`, their values' total. The same bytes as
+  /// observing each value on its own.
+  void merge_counts(std::span<const std::uint64_t> counts,
+                    std::uint64_t sum) noexcept {
+    for (std::size_t i = 0; i < counts.size(); ++i) {
+      buckets_[i] += counts[i];
+      count_ += counts[i];
+    }
+    sum_ += sum;
+  }
+
   void clear() noexcept { *this = QuantileSketch{}; }
 
   /// Bucket-wise `*this - before`. Exact whenever `before` is an earlier
@@ -106,6 +119,14 @@ class QuantileSketch {
   /// value L satisfies L <= x_q < L + max(1, L >> kSubBits) for the exact
   /// q-quantile x_q.
   [[nodiscard]] std::uint64_t quantile(double q) const noexcept;
+
+  /// The rank rule behind quantile(), over bucket counts held anywhere:
+  /// the index of the bucket holding the ceil(q * count)-th smallest of
+  /// `count` > 0 observations whose bucket_of counts are `counts` (a prefix
+  /// of the bucket range is enough; q clamped to [0, 1]).
+  [[nodiscard]] static std::size_t quantile_bucket(
+      std::span<const std::uint64_t> counts, std::uint64_t count,
+      double q) noexcept;
 
   [[nodiscard]] std::uint64_t p50() const noexcept { return quantile(0.50); }
   [[nodiscard]] std::uint64_t p90() const noexcept { return quantile(0.90); }
@@ -178,6 +199,13 @@ namespace detail {
 /// (journal.hpp rule 3) — worker shards must never call this directly.
 inline void sketch_observe(Sketch s, std::uint64_t v) noexcept {
   detail::sketch_registry()[static_cast<std::size_t>(s)].observe(v);
+}
+
+/// QuantileSketch::merge_counts into the global slot. Single-threaded
+/// control paths only, like sketch_observe.
+inline void sketch_merge_counts(Sketch s, std::span<const std::uint64_t> counts,
+                                std::uint64_t sum) noexcept {
+  detail::sketch_registry()[static_cast<std::size_t>(s)].merge_counts(counts, sum);
 }
 
 /// Read-only view of one global slot (live; same quiescence contract as

@@ -61,7 +61,10 @@ double parse_number(std::string_view key, std::string_view text) {
   double out = 0.0;
   const auto [ptr, ec] =
       std::from_chars(value.data(), value.data() + value.size(), out);
-  if (ec != std::errc{} || ptr != value.data() + value.size()) {
+  // nan and inf parse, but neither is a target or a window: a nan bound
+  // would silently disable its objective.
+  if (ec != std::errc{} || ptr != value.data() + value.size() ||
+      !std::isfinite(out)) {
     bad_spec("malformed number for '" + std::string(key) + "': '" +
              std::string(value) + "'");
   }

@@ -221,8 +221,9 @@ inline void gauge_max(Gauge g, std::uint64_t value) noexcept {
   if (value > slot) slot = value;
 }
 
-inline void observe(Histogram h, std::uint64_t value) noexcept {
-  ++tls_block().histograms[static_cast<std::size_t>(h)][bucket_of(value)];
+/// Records `n` observations of `value`.
+inline void observe(Histogram h, std::uint64_t value, std::uint64_t n = 1) noexcept {
+  tls_block().histograms[static_cast<std::size_t>(h)][bucket_of(value)] += n;
 }
 
 /// Fused update for RollbackUnionFind::find — one TLS access covers the call

@@ -527,6 +527,30 @@ void RouteService::tally(std::span<const Flow> queries,
                          std::span<const RouteAnswer> answers, double now) {
   static_cast<void>(queries);
   static_cast<void>(now);
+  // Distribution plane (BSR_STATS builds). Per answer, tally only stages:
+  // its ticks go into its tag's bucket counts and a bounded distance into
+  // its tag's distance counts, both by QuantileSketch's bucket map, in the
+  // same pass that counts the tags. Once per batch (below) the stages merge
+  // into the registry by integer adds. tally runs on the control thread
+  // after the worker shards join (journal.hpp rule 3), so the stages, the
+  // registry and the trace ring need no locks.
+  //
+  // Staging is one increment per answer and stage; the rest is branches
+  // that are rarely taken once a batch's range is known. A value's sum is
+  // its bucket's lower bound, which the merge multiplies out, plus an excess
+  // stored only for the rare value past the exact buckets.
+#if BSR_STATS_ENABLED
+  using bsr::obs::QuantileSketch;
+  static_assert(QuantileSketch::bucket_of(1 + 2 * 0xffff) < kStageBuckets);
+  const auto stage = [](Stage& st, std::uint64_t v) {
+    const std::size_t b = QuantileSketch::bucket_of(v);
+    ++st.counts[b];
+    if (b >= st.top) st.top = b + 1;
+    if (b >= 2 * QuantileSketch::kSubBuckets) {
+      st.excess += v - QuantileSketch::bucket_lower(b);
+    }
+  };
+#endif
   std::uint64_t fresh = 0, stale = 0, shed = 0, refused = 0;
   for (const RouteAnswer& a : answers) {
     switch (a.status) {
@@ -535,46 +559,17 @@ void RouteService::tally(std::span<const Flow> queries,
       case AnswerStatus::kShedded: ++shed; break;
       case AnswerStatus::kRefused: ++refused; break;
     }
+#if BSR_STATS_ENABLED
+    const auto tag = static_cast<std::size_t>(a.status);
+    stage(tick_stage_[tag], std::uint64_t{1} + a.lookup_ticks + a.stitch_ticks);
+    if (a.reachable && a.dist_bound != bsr::graph::kUnreachable) {
+      // Only evaluated (fresh or stale-served) answers are reachable.
+      BSR_DCHECK(tag < dist_stage_.size());
+      stage(dist_stage_[tag], a.dist_bound);
+    }
+#endif
   }
 #if BSR_STATS_ENABLED
-  // Distribution plane: per-answer-tag tick and distance sketches, the
-  // distance histogram, a batch-local sketch for the batch's own p99/max,
-  // the per-query trace rows, and the packed journal events the SLO monitor
-  // replays offline (subject/correlation layout in journal.hpp). tally runs
-  // on the control thread after the worker shards join (journal.hpp rule 3),
-  // so the global sketch registry and the trace ring need no locks, and both
-  // sketch_observe and the counter TLS fast path are inline — the
-  // per-answer cost is a few integer adds.
-  bsr::obs::QuantileSketch batch_ticks;
-  for (const RouteAnswer& a : answers) {
-    const std::uint64_t ticks =
-        std::uint64_t{1} + a.lookup_ticks + a.stitch_ticks;
-    batch_ticks.observe(ticks);
-    const bool bounded =
-        a.reachable && a.dist_bound != bsr::graph::kUnreachable;
-    switch (a.status) {
-      case AnswerStatus::kFresh:
-        BSR_SKETCH(RouteTicksFresh, ticks);
-        if (bounded) {
-          BSR_SKETCH(RouteDistFresh, a.dist_bound);
-          BSR_HISTO(RouteServiceDistBound, a.dist_bound);
-        }
-        break;
-      case AnswerStatus::kStaleServed:
-        BSR_SKETCH(RouteTicksStale, ticks);
-        if (bounded) {
-          BSR_SKETCH(RouteDistStale, a.dist_bound);
-          BSR_HISTO(RouteServiceDistBound, a.dist_bound);
-        }
-        break;
-      case AnswerStatus::kShedded:
-        BSR_SKETCH(RouteTicksShedded, ticks);
-        break;
-      case AnswerStatus::kRefused:
-        BSR_SKETCH(RouteTicksRefused, ticks);
-        break;
-    }
-  }
   if (bsr::obs::query_trace_enabled()) {
     // One row per answer in query order. The failure-episode correlation is
     // the truth version the epoch lagged behind (0 when served fresh),
@@ -600,8 +595,51 @@ void RouteService::tally(std::span<const Flow> queries,
     }
   }
   if (!answers.empty()) {
-    stats_.last_batch_p99_ticks = batch_ticks.p99();
-    stats_.last_batch_max_ticks = batch_ticks.max();
+    // The merge: each stage adds into its registry sketch and is cleared
+    // over the range the batch occupied. Distance buckets also feed the
+    // dist_bound histogram: a sketch bucket never straddles a power of two,
+    // so sketch bucket b lies in histogram bucket bucket_of(bucket_lower(b)).
+    // The tick stages sum into batch_ticks_, whose p99 and max are the
+    // batch's own by quantile()'s rank rule. Every registry byte, both
+    // fields and the BatchCost event are as if each answer were observed
+    // into a sketch on its own.
+    using bsr::obs::Sketch;
+    const auto merge = [](Stage& st, Sketch slot, auto&& each) {
+      if (st.top == 0) return;  // nothing staged
+      const std::span<std::uint64_t> occupied(st.counts.data(), st.top);
+      std::uint64_t sum = st.excess;
+      for (std::size_t b = 0; b < occupied.size(); ++b) {
+        sum += QuantileSketch::bucket_lower(b) * occupied[b];
+        each(b, occupied[b]);
+      }
+      bsr::obs::sketch_merge_counts(slot, occupied, sum);
+      std::fill(occupied.begin(), occupied.end(), 0);
+      st.excess = 0;
+      st.top = 0;
+    };
+    constexpr std::array<Sketch, 4> kTickSlots = {
+        Sketch::kRouteTicksFresh, Sketch::kRouteTicksStale,
+        Sketch::kRouteTicksShedded, Sketch::kRouteTicksRefused};
+    constexpr std::array<Sketch, 2> kDistSlots = {Sketch::kRouteDistFresh,
+                                                  Sketch::kRouteDistStale};
+    std::size_t top = 0;
+    for (std::size_t tag = 0; tag < tick_stage_.size(); ++tag) {
+      top = std::max(top, tick_stage_[tag].top);
+      merge(tick_stage_[tag], kTickSlots[tag],
+            [this](std::size_t b, std::uint64_t c) { batch_ticks_[b] += c; });
+    }
+    for (std::size_t tag = 0; tag < dist_stage_.size(); ++tag) {
+      merge(dist_stage_[tag], kDistSlots[tag], [](std::size_t b, std::uint64_t c) {
+        if (c == 0) return;
+        bsr::obs::observe(bsr::obs::Histogram::kRouteServiceDistBound,
+                          QuantileSketch::bucket_lower(b), c);
+      });
+    }
+    const std::span<std::uint64_t> occupied(batch_ticks_.data(), top);
+    stats_.last_batch_p99_ticks = QuantileSketch::bucket_lower(
+        QuantileSketch::quantile_bucket(occupied, answers.size(), 0.99));
+    stats_.last_batch_max_ticks = QuantileSketch::bucket_lower(top - 1);
+    std::fill(occupied.begin(), occupied.end(), 0);
     BSR_EVENT(RouteServiceBatch, now, (fresh << 32) | stale,
               (shed << 32) | refused);
     BSR_EVENT(RouteServiceBatchCost, now,

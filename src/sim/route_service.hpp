@@ -65,6 +65,7 @@
 // a batch's bookkeeping after its shards join), never from worker shards.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <span>
@@ -190,7 +191,9 @@ struct RouteServiceStats {
   /// epoch publish and describes the current epoch only).
   std::uint64_t max_stale_served = 0;
   /// Tick-cost summary of the most recent non-empty batch (admit + lookup +
-  /// stitch per query; p99/max as QuantileSketch bucket lower bounds). Only
+  /// stitch per query): exactly QuantileSketch::p99() and max() over the
+  /// batch, read from its staged bucket counts by quantile()'s rank rule
+  /// without building a sketch. An empty batch leaves both unchanged. Only
   /// maintained when BSR_STATS is compiled in; zero otherwise.
   std::uint64_t last_batch_p99_ticks = 0;
   std::uint64_t last_batch_max_ticks = 0;
@@ -398,6 +401,27 @@ class RouteService {
 
   RouteServiceStats stats_;
   std::vector<EpochTransition> transitions_;
+
+  // --- serve-path telemetry staging (tally; BSR_STATS builds only) ---------
+  // Each batch's observations are staged here by QuantileSketch bucket and
+  // merged into the registry once per batch. Every count is zero between
+  // batches and cleared only over the buckets a batch occupied.
+  /// QuantileSketch buckets an answer's 1 + lookup + stitch ticks (at most
+  /// 1 + 2 * 0xffff) or distance bound (at most 2 * 0xfffe) can land in.
+  static constexpr std::size_t kStageBuckets = 416;
+  /// One batch's observations bound for one registry sketch: their counts
+  /// by bucket, one past the highest occupied bucket, and how far the values
+  /// past the exact buckets lie above their buckets' lower bounds in total
+  /// (the rest of their sum follows from the counts).
+  struct Stage {
+    std::array<std::uint64_t, kStageBuckets> counts{};
+    std::size_t top = 0;
+    std::uint64_t excess = 0;
+  };
+  std::array<Stage, 4> tick_stage_{};  // by answer tag (AnswerStatus order)
+  std::array<Stage, 2> dist_stage_{};  // kFresh, kStaleServed
+  /// The batch's tick counts over every tag, for its p99 and max.
+  std::array<std::uint64_t, kStageBuckets> batch_ticks_{};
 };
 
 }  // namespace bsr::sim

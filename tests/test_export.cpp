@@ -205,6 +205,13 @@ TEST(ExportReaders, CorruptInputThrowsNamingTheLine) {
       {"u64 overflow",
        with(journal, "\"subject\": 17", "\"subject\": 18446744073709551616"), 2},
       {"junk after a number", with(journal, "\"t\": 0.5", "\"t\": 1xyz"), 2},
+      {"nan time", with(journal, "\"t\": 0.5", "\"t\": nan"), 2},
+      {"infinite time", with(journal, "\"t\": 2.25", "\"t\": inf"), 3},
+      {"negative infinite time", with(journal, "\"t\": 0.5", "\"t\": -inf"), 2},
+      {"nan qtrace time",
+       kQHeader + with(kQRow, "\"t\": 1.5", "\"t\": nan"), 2, true},
+      {"infinite qtrace time",
+       kQHeader + with(kQRow, "\"t\": 1.5", "\"t\": infinity"), 2, true},
       {"tick over 65535",
        kQHeader + with(kQRow, "\"admit\": 1", "\"admit\": 65536"), 2, true},
       {"u32 overflow",

@@ -1,11 +1,13 @@
 // RouteService: construction guards, oracle correctness against the router,
 // epoch lifecycle (degrade / patch / rebuild / crash / discard / give-up),
 // RetryScheduler backoff semantics, admission shedding, thread-count
-// determinism, query() as a one-flow batch, and the stale-serving
-// monotonicity harness.
+// determinism, query() as a one-flow batch, the batch tick summary and
+// registry writes against per-answer sketch references, and the
+// stale-serving monotonicity harness.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <limits>
 #include <queue>
 #include <sstream>
@@ -19,6 +21,7 @@
 #include "obs/export.hpp"
 #include "obs/journal.hpp"
 #include "obs/qtrace.hpp"
+#include "obs/sketch.hpp"
 #include "obs/stats.hpp"
 #include "sim/demand.hpp"
 #include "sim/route_service.hpp"
@@ -944,6 +947,156 @@ TEST(RouteServiceServePath, QueryMatchesOneFlowBatches) {
     EXPECT_NE(r.journal.find("sim.route_service.patch"), std::string::npos);
     EXPECT_NE(r.qtrace.find("\"tag\": \"shedded\""), std::string::npos);
   }
+}
+
+/// Flows over sampled pairs, each of volume 1, so the token bucket admits a
+/// predictable prefix.
+std::vector<Flow> unit_flows(const CsrGraph& g, std::uint32_t count,
+                             std::uint64_t seed) {
+  bsr::sim::DemandConfig demand;
+  demand.num_flows = count;
+  bsr::graph::Rng rng(seed);
+  std::vector<Flow> flows = bsr::sim::generate_flows(g, demand, rng);
+  for (Flow& f : flows) f.volume = 1.0;
+  return flows;
+}
+
+std::uint64_t answer_ticks(const RouteAnswer& a) {
+  return std::uint64_t{1} + a.lookup_ticks + a.stitch_ticks;
+}
+
+// stats().last_batch_p99_ticks and last_batch_max_ticks summarise each
+// non-empty batch exactly as QuantileSketch::p99() and max() over its
+// answers' 1 + lookup + stitch ticks; an empty batch leaves both alone. The
+// sizes straddle the p99 rank's rounding edges, the schedule serves fresh,
+// partly shed, stale and refused batches, and 80 landmarks push reachable
+// answers past 64 ticks into the non-exact buckets.
+TEST(RouteServiceServePath, BatchTickSummaryMatchesSketchReference) {
+  const CsrGraph g = make_connected_random(400, 0.03, 57);
+  const BrokerSet brokers = top_degree_brokers(g, 100);
+  const std::vector<Flow> flows = unit_flows(g, 4096, 5);
+  FaultPlane faults(g);
+  RouteServiceConfig config;
+  config.num_landmarks = 80;
+  config.max_stale_events = 1;
+  config.admit_rate = 3000.0;  // the 4096-flow batch is partly shed
+  RouteService service(g, brokers, &faults, config);
+  ASSERT_EQ(service.landmarks().size(), 80u);
+
+  std::vector<RouteAnswer> answers;
+  double now = 0.0;
+  std::uint64_t top = 0;
+  std::size_t batches = 0;
+  const auto sweep = [&](AnswerStatus expected) {
+    for (const std::size_t size : {1, 2, 99, 100, 0, 101, 4096, 0}) {
+      SCOPED_TRACE("batch of " + std::to_string(size));
+      now += 10.0;  // refills the bucket
+      const bsr::sim::RouteServiceStats before = service.stats();
+      service.serve_batch({flows.data(), size}, now, answers);
+      const bsr::sim::RouteServiceStats& after = service.stats();
+      if (size == 0 || !BSR_STATS_ENABLED) {
+        EXPECT_EQ(after.last_batch_p99_ticks, before.last_batch_p99_ticks);
+        EXPECT_EQ(after.last_batch_max_ticks, before.last_batch_max_ticks);
+        continue;
+      }
+      EXPECT_EQ(answers.front().status, expected);
+      bsr::obs::QuantileSketch reference;
+      for (const RouteAnswer& a : answers) reference.observe(answer_ticks(a));
+      EXPECT_EQ(after.last_batch_p99_ticks, reference.p99());
+      EXPECT_EQ(after.last_batch_max_ticks, reference.max());
+      top = std::max(top, reference.max());
+      ++batches;
+    }
+  };
+  sweep(AnswerStatus::kFresh);
+  faults.fail_vertex(brokers.members()[0]);
+  service.on_fault(now);
+  sweep(AnswerStatus::kStaleServed);
+  faults.fail_vertex(brokers.members()[1]);
+  service.on_fault(now);
+  sweep(AnswerStatus::kRefused);
+  drain(service);
+  sweep(AnswerStatus::kFresh);
+
+  EXPECT_GT(service.stats().shedded, 0u);
+  if (BSR_STATS_ENABLED) {
+    EXPECT_EQ(batches, 24u);
+    EXPECT_GT(top, 64u) << "no answer reached the non-exact buckets";
+  }
+}
+
+// tally's registry writes: after every batch of a seeded fresh -> fault ->
+// stale -> refused -> rebuild -> shed sequence, the deltas of the six
+// sim.route_service.{ticks,dist}.* sketch slots and of the
+// sim.route_service.dist_bound histogram equal a reference that observes
+// each answer one at a time into fresh QuantileSketches and bucket_of.
+// 80 landmarks put reachable ticks past the exact buckets, where a sketch's
+// sum is more than its buckets' lower bounds.
+TEST(RouteServiceServePath, RegistryDeltasMatchPerAnswerReference) {
+  using bsr::obs::QuantileSketch;
+  using bsr::obs::Sketch;
+  const CsrGraph g = make_connected_random(300, 0.03, 83);
+  const BrokerSet brokers = top_degree_brokers(g, 90);
+  const std::vector<Flow> flows = unit_flows(g, 700, 13);
+  FaultPlane faults(g);
+  RouteServiceConfig config;
+  config.num_landmarks = 80;
+  config.max_stale_events = 1;
+  config.admit_rate = 1000.0;  // the second batch at one instant is shed
+  RouteService service(g, brokers, &faults, config);
+
+  constexpr std::array<Sketch, 6> kSlots = {
+      Sketch::kRouteTicksFresh,   Sketch::kRouteTicksStale,
+      Sketch::kRouteTicksShedded, Sketch::kRouteTicksRefused,
+      Sketch::kRouteDistFresh,    Sketch::kRouteDistStale};
+  constexpr auto kDist =
+      static_cast<std::size_t>(bsr::obs::Histogram::kRouteServiceDistBound);
+  std::vector<RouteAnswer> answers;
+  std::array<std::uint64_t, 4> tags{};
+  std::uint64_t top = 0;
+  const auto batch = [&](double now) {
+    const bsr::obs::SketchSnapshot sketches_before = bsr::obs::snapshot_sketches();
+    const bsr::obs::Snapshot stats_before = bsr::obs::snapshot();
+    service.serve_batch(flows, now, answers);
+    const bsr::obs::SketchSnapshot sketches =
+        bsr::obs::sketch_delta(sketches_before, bsr::obs::snapshot_sketches());
+    const auto histogram =
+        bsr::obs::delta(stats_before, bsr::obs::snapshot()).histograms[kDist];
+
+    std::array<QuantileSketch, 6> reference;
+    std::array<std::uint64_t, bsr::obs::kHistogramBuckets> reference_histogram{};
+    for (const RouteAnswer& a : answers) {
+      const auto tag = static_cast<std::size_t>(a.status);
+      ++tags[tag];
+      top = std::max(top, answer_ticks(a));
+      reference[tag].observe(answer_ticks(a));
+      if (tag < 2 && a.reachable && a.dist_bound != bsr::graph::kUnreachable) {
+        reference[4 + tag].observe(a.dist_bound);
+        ++reference_histogram[bsr::obs::bucket_of(a.dist_bound)];
+      }
+    }
+    if (!BSR_STATS_ENABLED) {
+      reference = {};
+      reference_histogram = {};
+    }
+    for (std::size_t i = 0; i < kSlots.size(); ++i) {
+      SCOPED_TRACE(std::string(bsr::obs::name(kSlots[i])));
+      EXPECT_TRUE(sketches[static_cast<std::size_t>(kSlots[i])] == reference[i]);
+    }
+    EXPECT_EQ(histogram, reference_histogram);
+  };
+  batch(0.0);  // fresh
+  faults.fail_vertex(brokers.members()[0]);
+  service.on_fault(1.0);
+  batch(1.5);  // stale
+  faults.fail_vertex(brokers.members()[1]);
+  service.on_fault(2.0);
+  batch(2.5);  // refused: two events behind a bound of one
+  drain(service);
+  batch(10.0);  // rebuilt, fresh
+  batch(10.0);  // the bucket is spent: mostly shed
+  for (const std::uint64_t n : tags) EXPECT_GT(n, 0u);
+  EXPECT_GT(top, 64u) << "no answer reached the non-exact buckets";
 }
 
 // --- stale-serving monotonicity ----------------------------------------------

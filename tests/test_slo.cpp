@@ -72,6 +72,22 @@ TEST(SloSpecParse, RejectsMalformedInput) {
   EXPECT_THROW(parse("fresh_min=0.9,window=10,long_window=2"),
                std::invalid_argument)
       << "long window shorter than short window";
+  // Non-finite numbers parse as doubles but are never valid: a nan bound
+  // would silently disable its objective.
+  for (const char* spec :
+       {"fresh_min=0.9,p99_max=nan", "fresh_min=nan", "stale_max=inf",
+        "fresh_min=0.9,window=inf", "fresh_min=0.9,burn=inf",
+        "fresh_min=0.9,long_window=-inf"}) {
+    SCOPED_TRACE(spec);
+    try {
+      parse(spec);
+      ADD_FAILURE() << "accepted";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_EQ(std::string(error.what()).rfind("slo spec: malformed number", 0),
+                0u)
+          << error.what();
+    }
+  }
 }
 
 TEST(SloSpecParse, MonitorRejectsInvalidSpecToo) {
