@@ -48,22 +48,24 @@ FaultPlane::FaultPlane(const CsrGraph& g) : graph_(&g) {
   edge_down_.assign(g.num_edges(), 0);
   node_down_.assign(n, 0);
 
-  // Canonical edge ids in (u, v), u < v enumeration order. The mirror slot
-  // (v, u) copies the id assigned when u's adjacency was scanned.
+  // Canonical edge ids in (u, v), u < v enumeration order, each written to
+  // both of its slots at once. Lists are sorted and u ascends, so the
+  // smaller neighbours of v arrive in the order they sit at the front of v's
+  // list: a cursor per vertex (`mirror`) hands out v's next mirror slot, and
+  // by the time the scan reaches u, mirror[u] has passed all of u's smaller
+  // neighbours, whose ids are already in place.
+  std::vector<std::uint64_t> mirror(slot_begin_.begin(), slot_begin_.end() - 1);
   std::uint64_t next = 0;
   for (NodeId u = 0; u < n; ++u) {
     const auto nbrs = g.neighbors(u);
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      const NodeId v = nbrs[i];
-      if (u < v) {
-        edge_id_[slot_begin_[u] + i] = next++;
-      } else {
-        const std::uint64_t mirror = slot_of(v, u);
-        BSR_DCHECK(mirror != kNoSlot);
-        edge_id_[slot_begin_[u] + i] = edge_id_[mirror];
-      }
+    for (std::uint64_t slot = mirror[u]; slot < slot_begin_[u + 1]; ++slot) {
+      const NodeId v = nbrs[slot - slot_begin_[u]];
+      BSR_DCHECK(u < v && g.neighbors(v)[mirror[v] - slot_begin_[v]] == u);
+      edge_id_[slot] = next;
+      edge_id_[mirror[v]++] = next++;
     }
   }
+  BSR_DCHECK(next == g.num_edges());
 }
 
 std::uint64_t FaultPlane::slot_of(NodeId u, NodeId v) const noexcept {

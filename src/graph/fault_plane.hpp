@@ -39,7 +39,7 @@ struct FailureGroup {
                                         std::span<const NodeId> region);
 
 /// Mutable failure overlay bound to one graph. The graph must outlive the
-/// plane. Construction is O(|V| + |E| log d) to index canonical edge ids;
+/// plane. Construction is O(|V| + |E|) to index canonical edge ids;
 /// all per-edge operations afterwards are O(log d) (binary search in the
 /// adjacency of the smaller-id endpoint) and all per-slot queries are O(1).
 class FaultPlane {

@@ -1,5 +1,6 @@
 #include "obs/qtrace.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace bsr::obs {
@@ -45,6 +46,24 @@ void qtrace_record(const QueryTraceRow& row) noexcept {
   slot = row;
   slot.trace_id = t.recorded++;
   if (++t.head == t.rows.size()) t.head = 0;
+}
+
+void qtrace_record_batch(std::span<const QueryTraceRow> rows) noexcept {
+  Tracer& t = tracer();
+  if (!t.enabled) return;
+  const std::size_t capacity = t.rows.size();
+  while (!rows.empty()) {
+    // One run up to the ring's end, then wrap.
+    const std::size_t run = std::min(rows.size(), capacity - t.head);
+    QueryTraceRow* slot = t.rows.data() + t.head;
+    for (std::size_t i = 0; i < run; ++i) {
+      slot[i] = rows[i];
+      slot[i].trace_id = t.recorded++;
+    }
+    t.head += run;
+    if (t.head == capacity) t.head = 0;
+    rows = rows.subspan(run);
+  }
 }
 
 QtraceSnapshot snapshot_query_trace() {

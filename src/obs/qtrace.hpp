@@ -4,10 +4,11 @@
 // epochs turned over. Neither can answer "what happened to *this* query" —
 // which stage cost what, how stale the oracle was when it answered, which
 // epoch served it. The query tracer fills that gap: while the runtime
-// switch is on, RouteService records one fixed-size QueryTraceRow per
+// switch is on, RouteService stages one fixed-size QueryTraceRow per
 // answered query (enqueue -> admit/shed -> oracle lookup -> stitch, with
-// per-stage deterministic tick costs) into one bounded ring, and the
-// tracer gives each row the next trace id.
+// per-stage deterministic tick costs) and hands each batch's rows to one
+// bounded ring in one call, and the tracer gives each row the next trace
+// id.
 //
 // Determinism at any BSR_THREADS value (the property CI `cmp`s) follows
 // from the journal's rule 3 (journal.hpp): rows are recorded only on the
@@ -25,6 +26,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -73,6 +75,11 @@ void stop_query_trace();
 /// Records a copy of `row` under the next trace id (its own trace_id is
 /// ignored). Control thread only. No-op unless tracing.
 void qtrace_record(const QueryTraceRow& row) noexcept;
+
+/// Records copies of `rows` under consecutive trace ids, in order, leaving
+/// the ring exactly as that many qtrace_record calls would (their own
+/// trace_ids are ignored). Control thread only. No-op unless tracing.
+void qtrace_record_batch(std::span<const QueryTraceRow> rows) noexcept;
 
 struct QtraceSnapshot {
   /// Surviving rows in ascending trace-id order (ids are unique).

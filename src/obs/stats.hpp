@@ -31,7 +31,9 @@
 // their block into a retired accumulator, so counts survive thread churn.
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
@@ -169,14 +171,9 @@ inline constexpr std::size_t kHistogramBuckets = 64;
 [[nodiscard]] bool is_work_unit(Counter c) noexcept;
 
 [[nodiscard]] constexpr std::size_t bucket_of(std::uint64_t value) noexcept {
-  std::size_t b = 0;
-  while (value != 0) {
-    value >>= 1;
-    ++b;
-  }
   // 0 for value 0, else 1 + floor(log2(value)); the top bucket absorbs
   // values >= 2^62 so bit 63 can never index past the array.
-  return b < kHistogramBuckets ? b : kHistogramBuckets - 1;
+  return std::min<std::size_t>(std::bit_width(value), kHistogramBuckets - 1);
 }
 
 // --- thread-local accumulation ----------------------------------------------

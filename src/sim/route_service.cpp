@@ -157,10 +157,11 @@ void RouteService::build_epoch(double now, std::uint64_t attempt) {
     }
 
     // One BFS tree per landmark, sharded over landmarks: each tree is a
-    // fully serial kernel writing its reached entries into a disjoint row
+    // fully serial kernel writing its reached entries into a disjoint column
+    // of the vertex-major distances and a disjoint row of the parents, both
     // of sentinels, so the arrays are bit-identical at any BSR_THREADS value.
     const std::size_t num_lm = landmarks_.size();
-    lm_dist_.assign(num_lm * n, kLmUnreachable);
+    lm_dist_.assign(n * num_lm, kLmUnreachable);
     lm_parent_.assign(num_lm * n, kNoNextHop);
     engine::for_each_shard(
         num_lm, [&](std::size_t, std::size_t begin, std::size_t end) {
@@ -168,15 +169,18 @@ void RouteService::build_epoch(double now, std::uint64_t attempt) {
           for (std::size_t li = begin; li < end; ++li) {
             const NodeId root = landmarks_[li];
             engine::bfs_dir_opt(usable, root, ws);
-            std::uint16_t* dist = lm_dist_.data() + li * n;
+            const auto reached = ws.visit_order().subspan(1);
             NodeId* parent = lm_parent_.data() + li * n;
-            for (const NodeId v : ws.visit_order().subspan(1)) {
-              dist[v] = static_cast<std::uint16_t>(
-                  std::min<std::uint32_t>(ws.dist_unchecked(v), kLmUnreachable - 1));
-              parent[v] = ws.parent(v);
-            }
-            dist[root] = 0;
+            for (const NodeId v : reached) parent[v] = ws.parent(v);
             parent[root] = root;
+            // A loop of its own: the strided writes (one line per vertex)
+            // overlap better without the parent row's stream between them.
+            std::uint16_t* dist = lm_dist_.data() + li;  // dist[v * num_lm]
+            for (const NodeId v : reached) {
+              dist[std::size_t{v} * num_lm] = static_cast<std::uint16_t>(
+                  std::min<std::uint32_t>(ws.dist_unchecked(v), kLmUnreachable - 1));
+            }
+            dist[std::size_t{root} * num_lm] = 0;
           }
         });
   }
@@ -405,12 +409,14 @@ inline RouteService::Landmark RouteService::best_landmark(NodeId src,
                                                           NodeId dst) const {
   // Landmark triangle bound: min over trees covering both endpoints. Ties
   // break toward the lowest landmark index, so the sketch is deterministic.
-  const NodeId n = graph_->num_vertices();
-  Landmark best{landmarks_.size(), bsr::graph::kUnreachable};
-  for (std::size_t li = 0; li < landmarks_.size(); ++li) {
-    const std::size_t row = li * n;
-    const std::uint16_t ds = lm_dist_[row + src];
-    const std::uint16_t dt = lm_dist_[row + dst];
+  // Both endpoints' distances are one contiguous row each.
+  const std::size_t num_lm = landmarks_.size();
+  const std::uint16_t* src_row = lm_dist_.data() + std::size_t{src} * num_lm;
+  const std::uint16_t* dst_row = lm_dist_.data() + std::size_t{dst} * num_lm;
+  Landmark best{num_lm, bsr::graph::kUnreachable};
+  for (std::size_t li = 0; li < num_lm; ++li) {
+    const std::uint16_t ds = src_row[li];
+    const std::uint16_t dt = dst_row[li];
     if (ds == kLmUnreachable || dt == kLmUnreachable) continue;
     const std::uint32_t bound =
         static_cast<std::uint32_t>(ds) + static_cast<std::uint32_t>(dt);
@@ -419,39 +425,45 @@ inline RouteService::Landmark RouteService::best_landmark(NodeId src,
   return best;
 }
 
-void RouteService::eval(NodeId src, NodeId dst, RouteAnswer& answer) const {
+RouteService::Landmark RouteService::lookup(NodeId src, NodeId dst,
+                                            RouteAnswer& answer) const {
+  const Landmark complete{landmarks_.size(), bsr::graph::kUnreachable};
   const NodeId n = graph_->num_vertices();
-  BSR_DCHECK(src < n && dst < n);
   if (src >= n || dst >= n) {
     answer.status = AnswerStatus::kRefused;
     answer.reachable = false;
-    return;
+    return complete;
   }
   // Virtual tick model: each exit charges the flat-array loads the lookup
   // performed (liveness pair = 1, component pair = +1, landmark scan = +1
-  // per row) and the stitch charges its parent-chain steps. Pure integer
+  // per landmark) and the stitch charges its parent-chain steps. Pure integer
   // arithmetic on values both the instrumented and the force-off builds
   // compute identically, so the twin comparison is unaffected.
   answer.lookup_ticks = 1;
-  if (vertex_up_[src] == 0 || vertex_up_[dst] == 0) return;  // unreachable
+  if (vertex_up_[src] == 0 || vertex_up_[dst] == 0) return complete;  // unreachable
   if (src == dst) {
     answer.reachable = true;
     answer.dist_bound = 0;
     answer.next_hop = src;
     answer.stitch_ticks = 1;
-    return;
+    return complete;
   }
   answer.lookup_ticks = 2;
-  if (comp_[src] != comp_[dst]) return;
+  if (comp_[src] != comp_[dst]) return complete;
   answer.reachable = true;
 
   const Landmark best = best_landmark(src, dst);
   answer.lookup_ticks = static_cast<std::uint16_t>(
       std::min<std::size_t>(2 + landmarks_.size(), 0xffff));
-  if (best.index == landmarks_.size()) return;  // reachable, but no sketch covers it
-  answer.dist_bound = best.bound;
-  const std::size_t row = best.index * n;
-  if (lm_dist_[row + src] > 0) {
+  // index == size: reachable, but no sketch covers it.
+  if (best.index != landmarks_.size()) answer.dist_bound = best.bound;
+  return best;
+}
+
+void RouteService::stitch(NodeId src, NodeId dst, const Landmark& best,
+                          RouteAnswer& answer) const {
+  const std::size_t row = best.index * graph_->num_vertices();
+  if (lm_dist_[std::size_t{src} * landmarks_.size() + best.index] > 0) {
     answer.next_hop = lm_parent_[row + src];
     answer.stitch_ticks = 1;
   } else {
@@ -509,17 +521,63 @@ void RouteService::serve(std::span<const Flow> queries, double now,
     for (RouteAnswer& a : out) a.status = base;
   }
 
-  engine::for_each_shard(queries.size(),
-                         [&](std::size_t, std::size_t begin, std::size_t end) {
-                           for (std::size_t i = begin; i < end; ++i) {
-                             RouteAnswer& a = out[i];
-                             a.epoch = epoch_id_;
-                             if (a.status == AnswerStatus::kFresh ||
-                                 a.status == AnswerStatus::kStaleServed) {
-                               eval(queries[i].src, queries[i].dst, a);
-                             }
-                           }
-                         });
+  const auto evaluated = [](AnswerStatus status) {
+    return status == AnswerStatus::kFresh || status == AnswerStatus::kStaleServed;
+  };
+  engine::for_each_shard(queries.size(), [&](std::size_t, std::size_t begin,
+                                             std::size_t end) {
+    // Group prefetch, software-pipelined in three stages k flows apart. The
+    // lines a lookup reads are known from a flow's ids alone, so step j
+    // prefetches them for flow j; step j then looks up flow j - k from its
+    // cached lines and prefetches the one parent entry that lookup picked
+    // (known only now); and it stitches flow j - 2k's next hop from that
+    // entry. The misses of k flows overlap at both prefetching stages. Only
+    // flows that will be evaluated are prefetched, which skips shed ones and
+    // every flow of a null epoch (all refused), and an id past the graph
+    // forms no address.
+    // The prefetches stay in this loop's body: GCC finds a helper that only
+    // prefetches free of side effects and deletes the calls to it.
+    constexpr std::size_t k = kPrefetchDistance;
+    const NodeId n = graph_->num_vertices();
+    const std::size_t num_lm = landmarks_.size();
+    // Flow i's pick, from its lookup to its stitch; slot i % 2k is next
+    // written by flow i + 2k's lookup, after flow i's stitch.
+    std::array<Landmark, 2 * k> picks;
+    for (std::size_t j = begin; j < end + 2 * k; ++j) {
+      if (j < end && evaluated(out[j].status)) {
+        const NodeId src = queries[j].src;
+        const NodeId dst = queries[j].dst;
+        if (src < n && dst < n) {
+          __builtin_prefetch(&vertex_up_[src]);
+          __builtin_prefetch(&vertex_up_[dst]);
+          __builtin_prefetch(&comp_[src]);
+          __builtin_prefetch(&comp_[dst]);
+          if (num_lm != 0) {  // else an epoch built with num_landmarks = 0
+            __builtin_prefetch(&lm_dist_[std::size_t{src} * num_lm]);
+            __builtin_prefetch(&lm_dist_[std::size_t{dst} * num_lm]);
+          }
+        }
+      }
+      if (j >= begin + k && j < end + k) {
+        const std::size_t i = j - k;
+        RouteAnswer& a = out[i];
+        a.epoch = epoch_id_;
+        Landmark& pick = picks[i % (2 * k)];
+        pick.index = num_lm;  // nothing to stitch
+        if (evaluated(a.status)) {
+          pick = lookup(queries[i].src, queries[i].dst, a);
+          if (pick.index != num_lm) {
+            __builtin_prefetch(&lm_parent_[pick.index * n + queries[i].src]);
+          }
+        }
+      }
+      if (j >= begin + 2 * k) {
+        const std::size_t i = j - 2 * k;
+        const Landmark& pick = picks[i % (2 * k)];
+        if (pick.index != num_lm) stitch(queries[i].src, queries[i].dst, pick, out[i]);
+      }
+    }
+  });
   tally(queries, out, now);
 }
 
@@ -571,7 +629,9 @@ void RouteService::tally(std::span<const Flow> queries,
   }
 #if BSR_STATS_ENABLED
   if (bsr::obs::query_trace_enabled()) {
-    // One row per answer in query order. The failure-episode correlation is
+    // One row per answer in query order, staged kTraceChunk rows at a time
+    // and handed to the ring one chunk per call (a batch of up to
+    // kTraceChunk flows is one call). The failure-episode correlation is
     // the truth version the epoch lagged behind (0 when served fresh),
     // linking the row to the degrade/rebuild journal chain of the same
     // divergence. Kept out of the sketch loop above: folding it in measured
@@ -581,17 +641,22 @@ void RouteService::tally(std::span<const Flow> queries,
     row.stale_behind = stale_events();
     row.correlation = row.stale_behind == 0 ? 0 : truth_version_;
     row.admit_ticks = 1;
-    for (std::size_t i = 0; i < answers.size(); ++i) {
-      const RouteAnswer& a = answers[i];
-      row.epoch = a.epoch;
-      row.src = static_cast<std::uint32_t>(queries[i].src);
-      row.dst = static_cast<std::uint32_t>(queries[i].dst);
-      row.dist_bound = a.dist_bound;
-      row.lookup_ticks = a.lookup_ticks;
-      row.stitch_ticks = a.stitch_ticks;
-      row.status = static_cast<std::uint8_t>(a.status);
-      row.reachable = a.reachable ? 1 : 0;
-      bsr::obs::qtrace_record(row);
+    trace_rows_.resize(std::min(answers.size(), kTraceChunk));
+    for (std::size_t base = 0; base < answers.size(); base += kTraceChunk) {
+      const std::size_t count = std::min(answers.size() - base, kTraceChunk);
+      for (std::size_t j = 0; j < count; ++j) {
+        const RouteAnswer& a = answers[base + j];
+        row.epoch = a.epoch;
+        row.src = static_cast<std::uint32_t>(queries[base + j].src);
+        row.dst = static_cast<std::uint32_t>(queries[base + j].dst);
+        row.dist_bound = a.dist_bound;
+        row.lookup_ticks = a.lookup_ticks;
+        row.stitch_ticks = a.stitch_ticks;
+        row.status = static_cast<std::uint8_t>(a.status);
+        row.reachable = a.reachable ? 1 : 0;
+        trace_rows_[j] = row;
+      }
+      bsr::obs::qtrace_record_batch({trace_rows_.data(), count});
     }
   }
   if (!answers.empty()) {

@@ -22,9 +22,25 @@
 // BFS switch heuristic keeps reading the graph's own degrees, so roots,
 // parents and answers are bit-identical to filtering the full graph. Its
 // bottom-up levels skip the vertices that kept no edge, and each tree is
-// copied into a row of sentinels from its visit order, so a landmark costs
-// what it reaches. The copy is build scratch and is dropped when the build
-// ends.
+// copied into its column of sentinels from its visit order, so a landmark
+// costs what it reaches. The copy is build scratch and is dropped when the
+// build ends.
+//
+// Layout for the read side. Landmark distances are stored vertex-major: one
+// contiguous, cache-line-aligned row of num_landmarks uint16 per vertex
+// ([v * num_lm + l]), so a query reads src's and dst's distances from two
+// rows (32 bytes each at the default 16 landmarks, one line apiece) instead
+// of one line per landmark and endpoint. Each tree writes its distances
+// straight into its column (a strided write, the layout's one build cost).
+// Parents stay landmark-major ([l * n + v]): a query reads one of them, in
+// the row of the landmark it picked. serve()'s evaluation loop knows every
+// key of its shard up front and runs as a three-stage pipeline,
+// kPrefetchDistance flows apart: it prefetches a flow's liveness bytes,
+// component labels and both distance rows; later looks the flow up from
+// those cached lines and prefetches the one parent entry the pick names;
+// later still stitches the next hop from it. Only the order of memory loads
+// changes; answers are the same at any prefetch distance and any
+// BSR_THREADS.
 //
 // The oracle is versioned by **epochs**. The driving loop notifies the
 // service of ground-truth changes (on_fault / on_heal / on_health_view);
@@ -66,8 +82,11 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <limits>
+#include <new>
 #include <span>
 #include <vector>
 
@@ -76,6 +95,7 @@
 #include "graph/fault_plane.hpp"
 #include "graph/rng.hpp"
 #include "graph/rollback_union_find.hpp"
+#include "obs/qtrace.hpp"
 #include "sim/demand.hpp"
 #include "sim/health.hpp"
 #include "sim/retry_scheduler.hpp"
@@ -112,7 +132,7 @@ struct RouteAnswer {
   std::uint64_t epoch = 0;
   /// Deterministic virtual cost of the oracle lookup / path stitch stages:
   /// functions of the epoch contents and the query alone (component-label
-  /// loads, landmark rows scanned, parent-chain steps), never of wall time,
+  /// loads, landmarks scanned, parent-chain steps), never of wall time,
   /// so they are bit-identical across hosts and thread counts. Computed
   /// unconditionally (answer layout never depends on the stats gate); the
   /// per-query tracer and latency sketches consume them. Zero for queries
@@ -280,9 +300,18 @@ class RouteService {
                                   double now);
 
   /// Answers a batch: admission decided sequentially per flow volume, then
-  /// the evaluation sharded by BSR_THREADS. `out` is resized to match.
+  /// the evaluation sharded by BSR_THREADS. `out` is resized to match. An
+  /// admitted flow with an endpoint id >= the vertex count answers kRefused.
   void serve_batch(std::span<const Flow> queries, double now,
                    std::vector<RouteAnswer>& out);
+
+  /// The distance, in flows, between the stages of each shard's serve loop:
+  /// it prefetches a flow's six lines (two liveness bytes, two component
+  /// labels, two distance rows), looks the flow up this many flows later
+  /// and prefetches the parent entry the lookup picked, and stitches its
+  /// next hop this many flows after that. Far enough apart for the misses
+  /// to overlap, near enough that the lines are still cached when read.
+  static constexpr std::size_t kPrefetchDistance = 12;
 
   /// Full stitched path src..dst through the best landmark of the serving
   /// epoch; empty when unreachable or no landmark covers the pair. The walk
@@ -321,6 +350,40 @@ class RouteService {
   static constexpr std::uint16_t kLmUnreachable =
       std::numeric_limits<std::uint16_t>::max();
 
+  /// Hands out 64-byte-aligned blocks. glibc returns 16-byte-aligned ones,
+  /// where half of the 32-byte distance rows would straddle two lines. Each
+  /// block is an ordinary allocation one line longer, stepped to its first
+  /// line boundary past the block's start, with the block's own address kept
+  /// in the bytes just before it. An aligned operator new would place the
+  /// block by memalign instead, which held 10 MiB more peak RSS on perfbench
+  /// `stress` for the same live data.
+  template <class T>
+  struct CacheLineAllocator {
+    using value_type = T;
+    static constexpr std::size_t kLine = 64;
+    CacheLineAllocator() = default;
+    template <class U>
+    constexpr CacheLineAllocator(const CacheLineAllocator<U>&) noexcept {}
+    [[nodiscard]] T* allocate(std::size_t count) {
+      if (count > (std::numeric_limits<std::size_t>::max() - kLine) / sizeof(T)) {
+        throw std::bad_array_new_length();
+      }
+      auto* block = static_cast<std::byte*>(::operator new(count * sizeof(T) + kLine));
+      // At least 16 bytes on (glibc's alignment), so the address fits before.
+      std::byte* line = block + (kLine - reinterpret_cast<std::uintptr_t>(block) % kLine);
+      std::memcpy(line - sizeof(block), &block, sizeof(block));
+      return reinterpret_cast<T*>(line);
+    }
+    void deallocate(T* p, std::size_t) noexcept {
+      std::byte* block = nullptr;
+      std::memcpy(&block, reinterpret_cast<std::byte*>(p) - sizeof(block), sizeof(block));
+      ::operator delete(block);
+    }
+    friend bool operator==(CacheLineAllocator, CacheLineAllocator) noexcept {
+      return true;
+    }
+  };
+
   /// Snapshots the fault plane's vertex states into `up` and marks the
   /// usable brokers (member, up, believed routable) in `mask`; returns their
   /// count.
@@ -347,9 +410,17 @@ class RouteService {
   };
   [[nodiscard]] Landmark best_landmark(bsr::graph::NodeId src,
                                        bsr::graph::NodeId dst) const;
-  /// Read-side evaluation against the serving epoch; thread-safe const.
-  void eval(bsr::graph::NodeId src, bsr::graph::NodeId dst,
-            RouteAnswer& answer) const;
+  /// Read-side evaluation against the serving epoch, in two steps that the
+  /// serve loop runs kPrefetchDistance flows apart; both thread-safe const.
+  /// lookup fills the answer up to its next hop and returns the landmark to
+  /// stitch through, index == landmarks_.size() when nothing is left to
+  /// stitch (refused, unreachable, src == dst or uncovered).
+  [[nodiscard]] Landmark lookup(bsr::graph::NodeId src, bsr::graph::NodeId dst,
+                                RouteAnswer& answer) const;
+  /// Fills next_hop and stitch_ticks from the tree of `best` (a landmark
+  /// lookup returned for this pair).
+  void stitch(bsr::graph::NodeId src, bsr::graph::NodeId dst, const Landmark& best,
+              RouteAnswer& answer) const;
   [[nodiscard]] AnswerStatus serving_status() const noexcept;
   /// The one serve path behind query() and serve_batch(): admission, the
   /// sharded evaluation into `out` (default answers, one per query), then
@@ -381,7 +452,8 @@ class RouteService {
   std::vector<std::uint8_t> vertex_up_;      // vertex states at build/patch
   std::uint64_t failed_edges_ = 0;           // failed-link count at build/patch
   std::vector<bsr::graph::NodeId> landmarks_;
-  std::vector<std::uint16_t> lm_dist_;       // [l * n + v], kLmUnreachable = none
+  /// [v * num_lm + l], kLmUnreachable = none: one row per vertex.
+  std::vector<std::uint16_t, CacheLineAllocator<std::uint16_t>> lm_dist_;
   std::vector<bsr::graph::NodeId> lm_parent_;  // [l * n + v], toward landmark l
   std::size_t usable_broker_count_ = 0;
 
@@ -422,6 +494,11 @@ class RouteService {
   std::array<Stage, 2> dist_stage_{};  // kFresh, kStaleServed
   /// The batch's tick counts over every tag, for its p99 and max.
   std::array<std::uint64_t, kStageBuckets> batch_ticks_{};
+  /// Query-trace rows staged for one append to the ring, at most
+  /// kTraceChunk (16 KiB) at a time so they stay in L1 however long the
+  /// batch; sized only while the tracer is on.
+  static constexpr std::size_t kTraceChunk = 256;
+  std::vector<bsr::obs::QueryTraceRow> trace_rows_;
 };
 
 }  // namespace bsr::sim

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "broker/dominated.hpp"
 #include "broker/maxsg.hpp"
 #include "graph/engine.hpp"
+#include "graph/graph_builder.hpp"
 #include "test_util.hpp"
 
 namespace bsr::graph {
@@ -14,6 +18,7 @@ using bsr::broker::BrokerSet;
 using bsr::test::make_complete;
 using bsr::test::make_connected_random;
 using bsr::test::make_path;
+using bsr::test::make_random;
 using bsr::test::make_star;
 
 TEST(FaultPlane, StartsPristine) {
@@ -121,6 +126,57 @@ TEST(FaultPlane, MaterializeMatchesEdgeOkQueries) {
     for (NodeId v = u + 1; v < g.num_vertices(); ++v) {
       EXPECT_EQ(rebuilt.has_edge(u, v), plane.edge_ok(u, v))
           << "edge " << u << "-" << v;
+    }
+  }
+}
+
+// Each edge's two slots share one failure id. On random graphs (one with an
+// isolated vertex inside the id range and one at its end) and a complete
+// graph, failing any single edge, named either way round, must fail exactly
+// that edge in both directions for edge_ok and edge_up_at, and drop exactly
+// that edge from materialize().
+TEST(FaultPlane, EachEdgeFailsAloneInBothDirections) {
+  std::vector<CsrGraph> graphs;
+  graphs.push_back(make_complete(9));
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    graphs.push_back(make_random(24, 0.2, seed));
+  }
+  GraphBuilder isolated(18);
+  Rng rng(11);
+  for (NodeId u = 0; u < 17; ++u) {
+    for (NodeId v = u + 1; v < 17; ++v) {
+      if (u != 8 && v != 8 && rng.bernoulli(0.3)) isolated.add_edge(u, v);
+    }
+  }
+  graphs.push_back(isolated.build());
+  ASSERT_EQ(graphs.back().degree(8), 0u);
+  ASSERT_EQ(graphs.back().degree(17), 0u);
+
+  for (const CsrGraph& g : graphs) {
+    const std::vector<Edge> edges = g.edges();
+    for (std::size_t e = 0; e < edges.size(); ++e) {
+      const Edge failed = edges[e];
+      FaultPlane plane(g);
+      ASSERT_TRUE(e % 2 == 0 ? plane.fail_edge(failed.u, failed.v)
+                             : plane.fail_edge(failed.v, failed.u));
+      const auto is_failed = [&](NodeId a, NodeId b) {
+        return std::min(a, b) == failed.u && std::max(a, b) == failed.v;
+      };
+      for (NodeId u = 0; u < g.num_vertices(); ++u) {
+        const auto nbrs = g.neighbors(u);
+        for (std::size_t i = 0; i < nbrs.size(); ++i) {
+          EXPECT_EQ(plane.edge_up_at(u, i), !is_failed(u, nbrs[i]))
+              << u << "-" << nbrs[i] << " with " << failed.u << "-" << failed.v << " down";
+          EXPECT_EQ(plane.edge_ok(u, nbrs[i]), !is_failed(u, nbrs[i]));
+        }
+      }
+      const CsrGraph rebuilt = plane.materialize();
+      EXPECT_EQ(rebuilt.num_edges(), g.num_edges() - 1);
+      for (const Edge& other : edges) {
+        EXPECT_EQ(rebuilt.has_edge(other.u, other.v), !is_failed(other.u, other.v));
+      }
+      ASSERT_TRUE(plane.heal_edge(failed.u, failed.v));
+      EXPECT_TRUE(plane.pristine());
     }
   }
 }

@@ -58,6 +58,30 @@ TEST(ObsRegistry, BucketOfIsPowerOfTwoLog) {
   EXPECT_EQ(bucket_of(~std::uint64_t{0}), kHistogramBuckets - 1);
 }
 
+// bucket_of against the shift loop it replaced, at 0, at every 2^k - 1 and
+// 2^k, and at the top of the range.
+TEST(ObsRegistry, BucketOfMatchesShiftLoop) {
+  const auto shift_loop = [](std::uint64_t value) {
+    std::size_t b = 0;
+    while (value != 0) {
+      value >>= 1;
+      ++b;
+    }
+    return b < kHistogramBuckets ? b : kHistogramBuckets - 1;
+  };
+  std::vector<std::uint64_t> values = {0, 1, std::uint64_t{1} << 62,
+                                       std::uint64_t{1} << 63, ~std::uint64_t{0}};
+  for (int k = 1; k < 64; ++k) {
+    values.push_back((std::uint64_t{1} << k) - 1);
+    values.push_back(std::uint64_t{1} << k);
+  }
+  for (const std::uint64_t v : values) {
+    EXPECT_EQ(bucket_of(v), shift_loop(v)) << v;
+  }
+  static_assert(bucket_of(~std::uint64_t{0}) == kHistogramBuckets - 1);
+  static_assert(bucket_of(0) == 0 && bucket_of(5) == 3);
+}
+
 TEST(ObsRegistry, NamesAreUniqueAndFollowConvention) {
   std::set<std::string_view> seen;
   for (std::size_t i = 0; i < kNumCounters; ++i) {

@@ -8,6 +8,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "broker/broker_set.hpp"
@@ -85,6 +86,61 @@ TEST(Qtrace, FullRingWithoutEvictionKeepsEveryRow) {
     EXPECT_EQ(snap.rows[i].trace_id, i);
     EXPECT_EQ(snap.rows[i].src, i * 3);
   }
+}
+
+// qtrace_record_batch leaves the ring exactly as one qtrace_record per row
+// would: the same ids, payloads, counts and JSONL bytes after every batch.
+// Batches shorter than, as long as and longer than a 7-row ring start at
+// several head offsets, so runs wrap once, wrap twice and evict their own
+// first rows.
+TEST(Qtrace, BatchAppendMatchesOneByOneRecording) {
+  QtraceOptions options;
+  options.capacity = 7;
+  const std::vector<std::size_t> batches = {1, 7, 10, 32, 0, 1, 10, 7, 32, 1};
+  const auto run = [&](bool batched) {
+    bsr::obs::start_query_trace(options);
+    std::vector<std::string> exported;
+    std::vector<QtraceSnapshot> snapshots;
+    std::uint64_t payload = 0;
+    for (const std::size_t size : batches) {
+      std::vector<QueryTraceRow> rows;
+      for (std::size_t i = 0; i < size; ++i) {
+        rows.push_back(row_with_id(payload++));
+        rows.back().trace_id = 5000;  // the tracer assigns ids itself
+      }
+      if (batched) {
+        bsr::obs::qtrace_record_batch(rows);
+      } else {
+        for (const QueryTraceRow& row : rows) bsr::obs::qtrace_record(row);
+      }
+      snapshots.push_back(bsr::obs::snapshot_query_trace());
+      std::ostringstream os;
+      bsr::obs::write_qtrace_jsonl(os, snapshots.back());
+      exported.push_back(os.str());
+    }
+    bsr::obs::stop_query_trace();
+    return std::make_pair(snapshots, exported);
+  };
+  const auto [one_by_one, one_by_one_bytes] = run(false);
+  const auto [batched, batched_bytes] = run(true);
+  ASSERT_EQ(batched.size(), batches.size());
+  for (std::size_t b = 0; b < batches.size(); ++b) {
+    SCOPED_TRACE("after batch " + std::to_string(b));
+    EXPECT_EQ(batched[b].recorded, one_by_one[b].recorded);
+    EXPECT_EQ(batched[b].dropped, one_by_one[b].dropped);
+    ASSERT_EQ(batched[b].rows.size(), one_by_one[b].rows.size());
+    for (std::size_t i = 0; i < batched[b].rows.size(); ++i) {
+      EXPECT_EQ(batched[b].rows[i].trace_id, one_by_one[b].rows[i].trace_id);
+      EXPECT_EQ(batched[b].rows[i].src, one_by_one[b].rows[i].src);
+      EXPECT_EQ(batched[b].rows[i].dst, one_by_one[b].rows[i].dst);
+    }
+    EXPECT_EQ(batched_bytes[b], one_by_one_bytes[b]);
+  }
+  EXPECT_EQ(batched.back().recorded, 101u);
+  EXPECT_EQ(batched.back().rows.front().trace_id, 94u);
+
+  bsr::obs::qtrace_record_batch(std::vector<QueryTraceRow>(3));  // tracing is off
+  EXPECT_EQ(bsr::obs::snapshot_query_trace().recorded, 101u);
 }
 
 TEST(Qtrace, RestartResetsRingsAndIdAllocator) {

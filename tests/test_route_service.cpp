@@ -1,7 +1,8 @@
 // RouteService: construction guards, oracle correctness against the router,
 // epoch lifecycle (degrade / patch / rebuild / crash / discard / give-up),
 // RetryScheduler backoff semantics, admission shedding, thread-count
-// determinism, query() as a one-flow batch, the batch tick summary and
+// determinism, query() as a one-flow batch, batches against per-flow
+// query() at the prefetch window's edges, the batch tick summary and
 // registry writes against per-answer sketch references, and the
 // stale-serving monotonicity harness.
 #include <gtest/gtest.h>
@@ -1097,6 +1098,129 @@ TEST(RouteServiceServePath, RegistryDeltasMatchPerAnswerReference) {
   batch(10.0);  // the bucket is spent: mostly shed
   for (const std::uint64_t n : tags) EXPECT_GT(n, 0u);
   EXPECT_GT(top, 64u) << "no answer reached the non-exact buckets";
+}
+
+// serve()'s evaluation loop prefetches RouteService::kPrefetchDistance = k
+// flows ahead within each shard. Every answer must equal the one per-flow
+// query() calls give on a twin service, whatever the window meets: batches
+// shorter than, equal to and just past k (so shard ends fall inside the
+// window at 4 and 7 threads), out-of-range endpoint ids in the first, middle
+// and last k slots (the prefetch must form no address for them, which
+// _GLIBCXX_ASSERTIONS builds check), shed and stale-served answers, zero to
+// 80 landmarks (rows of 0 to 160 bytes) and a null epoch.
+TEST(RouteServiceServePath, PrefetchWindowEdges) {
+  constexpr std::size_t k = RouteService::kPrefetchDistance;
+  const CsrGraph g = make_connected_random(1500, 0.004, 71);
+  const NodeId n = g.num_vertices();
+  const BrokerSet brokers = top_degree_brokers(g, 100);
+  const BrokerSet no_brokers(n, std::vector<NodeId>{});
+  const std::vector<Flow> pool = unit_flows(g, 65'536, 29);
+  // The loop's stages are k flows apart, so its ramps end at k and 2k.
+  const std::vector<std::size_t> sizes = {0, 1, k - 1, k, k + 1, 2 * k - 1, 2 * k, 2 * k + 1,
+                                          pool.size()};
+
+  // Out-of-range ids at slots 0, k/2 and k-1, around the middle and in the
+  // last k, alternating which endpoint is bad and how far past n it is.
+  const auto with_bad_ids = [&](std::size_t size) {
+    std::vector<Flow> flows(pool.begin(), pool.begin() + static_cast<std::ptrdiff_t>(size));
+    const std::array<NodeId, 3> bad = {n, n + 1, std::numeric_limits<NodeId>::max()};
+    std::vector<std::size_t> slots = {0, k / 2, k - 1, size / 2 - 1, size / 2,
+                                      size / 2 + k / 2, size - k, size - 2, size - 1};
+    std::size_t j = 0;
+    for (const std::size_t i : slots) {
+      if (i >= size) continue;  // unsigned wrap marks a slot the batch lacks
+      (j % 2 == 0 ? flows[i].src : flows[i].dst) = bad[j % bad.size()];
+      ++j;
+    }
+    return flows;
+  };
+
+  struct Config {
+    std::uint32_t num_landmarks;
+    bool null_epoch;
+  };
+  for (const Config c : {Config{0, false}, Config{1, false}, Config{6, false},
+                         Config{16, false}, Config{80, false}, Config{16, true}}) {
+    SCOPED_TRACE("num_landmarks " + std::to_string(c.num_landmarks) +
+                 (c.null_epoch ? ", null epoch" : ""));
+    RouteServiceConfig config;
+    config.num_landmarks = c.num_landmarks;
+    config.admit_rate = 40'000.0;  // the big batch sheds its tail
+    const BrokerSet& members = c.null_epoch ? no_brokers : brokers;
+    for (const int threads : {1, 4, 7}) {
+      SCOPED_TRACE("BSR_THREADS " + std::to_string(threads));
+      bsr::graph::engine::set_num_threads(threads);
+      FaultPlane batch_faults(g);
+      FaultPlane twin_faults(g);
+      RouteService batched(g, members, &batch_faults, config);
+      RouteService twin(g, members, &twin_faults, config);
+      ASSERT_EQ(batched.null_epoch(), c.null_epoch);
+      if (!c.null_epoch) {
+        ASSERT_EQ(batched.landmarks().size(), c.num_landmarks);
+      }
+      // Every landmark as the source (its stitch walks dst's parent chain),
+      // as the destination and as both endpoints, and a pair with src == dst.
+      std::vector<Flow> at_landmarks;
+      for (const NodeId l : batched.landmarks()) {
+        const NodeId v = pool[l].dst;
+        at_landmarks.insert(at_landmarks.end(),
+                            {Flow{l, v, 1.0}, Flow{v, l, 1.0}, Flow{l, l, 1.0}, Flow{v, v, 1.0}});
+      }
+      std::vector<RouteAnswer> answers;
+      std::array<std::uint64_t, 4> tags{};
+      std::uint64_t out_of_range = 0;
+      std::uint64_t walked = 0;  // stitches that walked a parent chain
+      const auto pass = [&](double now) {
+        std::vector<std::vector<Flow>> batches = {at_landmarks};  // before the bucket empties
+        for (const std::size_t size : sizes) batches.push_back(with_bad_ids(size));
+        for (const std::vector<Flow>& flows : batches) {
+          const std::size_t size = flows.size();
+          SCOPED_TRACE("batch of " + std::to_string(size) + " at " +
+                       std::to_string(now));
+          batched.serve_batch(flows, now, answers);
+          ASSERT_EQ(answers.size(), size);
+          for (std::size_t i = 0; i < size; ++i) {
+            const RouteAnswer x = twin.query(flows[i].src, flows[i].dst, now);
+            const RouteAnswer& y = answers[i];
+            ASSERT_EQ(x.status, y.status) << i;
+            ASSERT_EQ(x.reachable, y.reachable) << i;
+            ASSERT_EQ(x.dist_bound, y.dist_bound) << i;
+            ASSERT_EQ(x.next_hop, y.next_hop) << i;
+            ASSERT_EQ(x.epoch, y.epoch) << i;
+            ASSERT_EQ(x.lookup_ticks, y.lookup_ticks) << i;
+            ASSERT_EQ(x.stitch_ticks, y.stitch_ticks) << i;
+            ++tags[static_cast<std::size_t>(y.status)];
+            if (y.stitch_ticks > 1) ++walked;
+            if (flows[i].src >= n || flows[i].dst >= n) {
+              ++out_of_range;
+              if (y.status != AnswerStatus::kShedded) {
+                EXPECT_EQ(y.status, AnswerStatus::kRefused) << i;
+              }
+            }
+          }
+        }
+      };
+      pass(1.0);  // fresh; the big batch's tail is shed
+      pass(1.0);  // the bucket is spent: shed
+      const NodeId victim = brokers.members()[0];
+      batch_faults.fail_vertex(victim);
+      twin_faults.fail_vertex(victim);
+      batched.on_fault(2.0);
+      twin.on_fault(2.0);
+      pass(3.0);  // stale-served
+      EXPECT_GT(out_of_range, 0u);
+      EXPECT_GT(tags[static_cast<std::size_t>(AnswerStatus::kShedded)], 0u);
+      EXPECT_GT(tags[static_cast<std::size_t>(AnswerStatus::kRefused)], 0u);
+      if (!c.null_epoch) {
+        EXPECT_GT(tags[static_cast<std::size_t>(AnswerStatus::kFresh)], 0u);
+        EXPECT_GT(tags[static_cast<std::size_t>(AnswerStatus::kStaleServed)], 0u);
+      }
+      if (!c.null_epoch && c.num_landmarks > 0) {
+        EXPECT_GT(walked, 0u);
+      }
+    }
+  }
+  bsr::graph::engine::set_num_threads(0);
 }
 
 // --- stale-serving monotonicity ----------------------------------------------
