@@ -10,7 +10,8 @@
 // degraded / free-fallback / unreachable) serves each pair under a bounded
 // heal budget, and how much does greedy repair on the damaged graph buy
 // back? Emits BENCH_link_failures.json (override with BENCH_LINK_FAILURES_JSON)
-// in the unified bsr-bench/1 layout.
+// in the unified bsr-bench/1 layout, and exits 1 unless both self-checks
+// (graceful degradation, repair gains at every point) hold.
 #include <algorithm>
 #include <iostream>
 #include <sstream>
@@ -148,5 +149,5 @@ int main() {
   harness.metric("fallback_rose_first", fallback_rose_first ? 1.0 : 0.0);
   harness.metric("repair_always_gains", repair_always_gains ? 1.0 : 0.0);
   harness.write_json_file("BENCH_link_failures.json", "BENCH_LINK_FAILURES_JSON");
-  return 0;
+  return (fallback_rose_first && repair_always_gains) ? 0 : 1;
 }

@@ -39,6 +39,7 @@
 #include "bare_kernels.hpp"
 #include "bench_common.hpp"
 #include "instr_kernels.hpp"
+#include "route_lifecycle.hpp"
 #include "broker/maxsg.hpp"
 #include "broker/robust.hpp"
 #include "graph/engine.hpp"
@@ -359,22 +360,20 @@ int main() {
   print_paired("route-service serve phase (tracing + sketches on)",
                route_overhead);
 
+  // The recorded runs below drive the same lifecycle once more on the
+  // library symbols (token-identical to the instr twin, so the counters
+  // match), with one serve rep per serve point.
+  const auto library_lifecycle = [&] {
+    return bsr::bench::run_route_lifecycle<bsr::sim::RouteService,
+                                           bsr::sim::RouteAnswer>(
+               g, inst_result.brokers, flows)
+        .digest;
+  };
+
   // Pins the sim.route_service.* counter family plus the per-answer-tag
-  // tick/distance sketches with one recorded lifecycle on the library
-  // symbols (token-identical to the instr twin, so the counters match).
+  // tick/distance sketches with one recorded lifecycle.
   auto& serve_run = harness.run("route_service.instrumented", [&] {
-    bsr::graph::FaultPlane serve_faults(g);
-    bsr::sim::RouteService service(g, inst_result.brokers, &serve_faults);
-    std::vector<bsr::sim::RouteAnswer> answers;
-    service.serve_batch(flows, 0.0, answers);  // fresh epoch
-    serve_faults.fail_vertex(inst_result.brokers.members()[0]);
-    service.on_fault(1.0);
-    service.serve_batch(flows, 1.5, answers);  // degraded, stale-served
-    while (service.next_event_time() <= 1e9) {
-      service.advance(service.next_event_time());
-    }
-    service.serve_batch(flows, 20.0, answers);  // rebuilt epoch, fresh again
-    sink += answers.size() + service.epoch_id();
+    sink += library_lifecycle();
   });
   bsr::bench::Harness::metric(serve_run, "flows",
                               static_cast<double>(ctx.env.scaled(20'000, 2'000)));
@@ -399,17 +398,7 @@ int main() {
   // at the rebuilt epoch.
   auto& slo_run = harness.run("slo.instrumented", [&] {
     bsr::obs::start_recording();
-    bsr::graph::FaultPlane slo_faults(g);
-    bsr::sim::RouteService service(g, inst_result.brokers, &slo_faults);
-    std::vector<bsr::sim::RouteAnswer> answers;
-    service.serve_batch(flows, 0.0, answers);
-    slo_faults.fail_vertex(inst_result.brokers.members()[0]);
-    service.on_fault(1.0);
-    service.serve_batch(flows, 1.5, answers);
-    while (service.next_event_time() <= 1e9) {
-      service.advance(service.next_event_time());
-    }
-    service.serve_batch(flows, 20.0, answers);
+    sink += library_lifecycle();
     const bsr::obs::Journal journal = bsr::obs::snapshot_journal();
     bsr::obs::stop_recording();
     const auto samples = bsr::obs::slo_samples_from_journal(journal);
@@ -430,17 +419,7 @@ int main() {
   auto& episode_run = harness.run("episode.instrumented", [&] {
     bsr::obs::start_recording();
     bsr::obs::start_query_trace();
-    bsr::graph::FaultPlane ep_faults(g);
-    bsr::sim::RouteService service(g, inst_result.brokers, &ep_faults);
-    std::vector<bsr::sim::RouteAnswer> answers;
-    service.serve_batch(flows, 0.0, answers);
-    ep_faults.fail_vertex(inst_result.brokers.members()[0]);
-    service.on_fault(1.0);
-    service.serve_batch(flows, 1.5, answers);
-    while (service.next_event_time() <= 1e9) {
-      service.advance(service.next_event_time());
-    }
-    service.serve_batch(flows, 20.0, answers);
+    sink += library_lifecycle();
     const bsr::obs::Journal journal = bsr::obs::snapshot_journal();
     bsr::obs::stop_recording();
     bsr::obs::stop_query_trace();

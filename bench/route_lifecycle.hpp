@@ -1,10 +1,11 @@
-// Shared route-service lifecycle for perf_obs's twin comparison.
+// Shared route-service lifecycle for perf_obs.
 //
 // One function template, instantiated once per twin (bare::BareRouteService
-// and instr::InstrRouteService), so both sides of the overhead measurement
-// run the exact same token stream: fresh serving, a broker fault with
-// degraded (stale) serving, and the rebuilt epoch — the same three-tier
-// lifecycle the recorded route_service.instrumented run pins.
+// and instr::InstrRouteService) and once on the library's RouteService, so
+// both sides of the overhead measurement and perf_obs's recorded runs
+// (route_service, slo and episode) run the exact same token stream: fresh
+// serving, a broker fault with degraded (stale) serving, and the rebuilt
+// epoch.
 //
 // The result separates serve-phase time from the whole lifecycle: the
 // oracle builds inside the constructor and advance() are BFS/union-find

@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <unordered_set>
 
-#include "graph/bfs.hpp"
 #include "graph/sampling.hpp"
 
 namespace bsr::broker {

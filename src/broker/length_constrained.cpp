@@ -5,7 +5,6 @@
 
 #include "broker/dominated.hpp"
 #include "broker/path_length.hpp"
-#include "graph/bfs.hpp"
 #include "graph/engine.hpp"
 #include "graph/sampling.hpp"
 
@@ -77,9 +76,10 @@ LengthRepairResult repair_path_lengths(const CsrGraph& g, const BrokerSet& b,
       }
       if (worst == kUnreachable) continue;
 
-      // Promote alternate interior vertices of the free shortest path so the
-      // whole path becomes dominating.
-      const auto path = bsr::graph::bfs_shortest_path(g, src, worst);
+      // Promote alternate interior vertices of the free shortest path (read
+      // off the free tree already in free_ws) so the whole path becomes
+      // dominating.
+      const auto path = free_ws.path_to(worst);
       for (std::size_t i = 0; i + 1 < path.size() && result.added < options.max_added;
            ++i) {
         if (!result.brokers.dominates_edge(path[i], path[i + 1])) {

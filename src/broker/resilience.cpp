@@ -1,12 +1,14 @@
 #include "broker/resilience.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 
 #include "broker/dominated.hpp"
 #include "graph/check.hpp"
 #include "graph/engine.hpp"
 #include "graph/rollback_union_find.hpp"
+#include "graph/sampling.hpp"
 
 namespace bsr::broker {
 
@@ -28,13 +30,7 @@ BrokerSet fail_brokers(const CsrGraph& g, const BrokerSet& b, std::size_t failur
     // deliberately not consumed — the outcome has no randomness left in it.
     doomed = members;
   } else if (mode == FailureMode::kRandom) {
-    // Partial Fisher-Yates over a copy.
-    std::vector<NodeId> pool = members;
-    for (std::size_t i = 0; i < failures; ++i) {
-      const std::size_t j = i + rng.uniform(pool.size() - i);
-      std::swap(pool[i], pool[j]);
-      doomed.push_back(pool[i]);
-    }
+    doomed = bsr::graph::sample_from(rng, members, failures);
   } else {
     // Adversarial order: highest degree first, ties broken by lowest NodeId
     // so equal-degree brokers die in a deterministic order.
@@ -171,32 +167,6 @@ BrokerSet repair_brokers(const CsrGraph& g, const BrokerSet& survivors,
   return repair_impl(g, survivors, budget, &faults);
 }
 
-ResilienceCurve resilience_curve(const CsrGraph& g, const BrokerSet& b,
-                                 std::span<const FailureGroup> groups,
-                                 std::span<const std::size_t> steps, Rng& rng) {
-  if (b.num_vertices() != g.num_vertices()) {
-    throw std::invalid_argument("resilience_curve: size mismatch");
-  }
-  // Same nested-prefix discipline as link_resilience_curve: one shuffled
-  // outage order shared by every step, so damage only accumulates.
-  std::vector<std::size_t> order(groups.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  for (std::size_t i = order.size(); i > 1; --i) {
-    std::swap(order[i - 1], order[rng.uniform(i)]);
-  }
-
-  ResilienceCurve curve;
-  FaultPlane plane(g);
-  for (const std::size_t step : steps) {
-    const std::size_t failed = std::min(step, groups.size());
-    plane.heal_all();
-    for (std::size_t i = 0; i < failed; ++i) plane.fail_group(groups[order[i]]);
-    curve.failures.push_back(failed);
-    curve.connectivity.push_back(saturated_connectivity(g, b, plane));
-  }
-  return curve;
-}
-
 LinkResilienceCurve link_resilience_curve(const CsrGraph& g, const BrokerSet& b,
                                           std::span<const FailureGroup> groups,
                                           std::span<const std::size_t> steps,
@@ -206,11 +176,9 @@ LinkResilienceCurve link_resilience_curve(const CsrGraph& g, const BrokerSet& b,
   }
   // Deterministic outage order shared by every step: step s fails the
   // prefix of length s, so curves are nested (connectivity non-increasing).
-  std::vector<std::size_t> order(groups.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  for (std::size_t i = order.size(); i > 1; --i) {
-    std::swap(order[i - 1], order[rng.uniform(i)]);
-  }
+  std::vector<NodeId> order(groups.size());
+  std::iota(order.begin(), order.end(), NodeId{0});
+  bsr::graph::shuffle(rng, order);
 
   LinkResilienceCurve curve;
   FaultPlane plane(g);
@@ -232,18 +200,13 @@ LinkResilienceCurve link_resilience_curve(const CsrGraph& g, const BrokerSet& b,
 
 std::vector<FailureGroup> random_link_groups(const CsrGraph& g, std::size_t count,
                                              Rng& rng) {
-  auto edges = g.edges();
-  count = std::min(count, edges.size());
+  const auto edges = g.edges();
+  const auto picks = bsr::graph::sample_distinct(
+      rng, static_cast<NodeId>(edges.size()),
+      static_cast<NodeId>(std::min(count, edges.size())));
   std::vector<FailureGroup> groups;
-  groups.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::size_t j = i + rng.uniform(edges.size() - i);
-    std::swap(edges[i], edges[j]);
-    FailureGroup group;
-    group.center = edges[i].u;
-    group.edges = {edges[i]};
-    groups.push_back(std::move(group));
-  }
+  groups.reserve(picks.size());
+  for (const NodeId i : picks) groups.push_back({edges[i].u, {edges[i]}});
   return groups;
 }
 

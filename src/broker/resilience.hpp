@@ -44,19 +44,10 @@ struct ResilienceCurve {
                                                std::span<const std::size_t> failure_steps,
                                                FailureMode mode, bsr::graph::Rng& rng);
 
-/// Correlated-group resilience sweep: shuffles `groups` deterministically in
-/// `rng`, then for each step s fails the first min(s, |groups|) groups on a
-/// FaultPlane and records the damaged dominated connectivity. The `failures`
-/// axis counts failed *groups*. Nested prefixes, so the curve is
-/// non-increasing — the correlated analogue of the independent
-/// broker-failure sweep above.
-[[nodiscard]] ResilienceCurve resilience_curve(
-    const bsr::graph::CsrGraph& g, const BrokerSet& b,
-    std::span<const bsr::graph::FailureGroup> groups,
-    std::span<const std::size_t> steps, bsr::graph::Rng& rng);
-
 /// Greedy repair: adds up to `budget` replacement brokers (chosen by the
-/// MaxSG criterion over the survivors) and returns the repaired set.
+/// MaxSG criterion over the survivors) and returns the repaired set. Its
+/// members are the survivors in their order, then the recruits in pick
+/// order, so members()[survivors.size()..] are exactly the recruits.
 [[nodiscard]] BrokerSet repair_brokers(const bsr::graph::CsrGraph& g,
                                        const BrokerSet& survivors,
                                        std::uint32_t budget);
@@ -86,6 +77,8 @@ struct LinkResilienceCurve {
 /// `rng`, then for each step s fails the first min(s, |groups|) groups,
 /// records the dominated connectivity of the damaged graph, and repairs the
 /// survivors with `repair_budget` replacements chosen on the damaged graph.
+/// Nested prefixes, so the `connectivity` column is non-increasing — the
+/// correlated analogue of the independent broker-failure sweep above.
 [[nodiscard]] LinkResilienceCurve link_resilience_curve(
     const bsr::graph::CsrGraph& g, const BrokerSet& b,
     std::span<const bsr::graph::FailureGroup> groups,

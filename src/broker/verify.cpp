@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "broker/coverage.hpp"
-#include "graph/bfs.hpp"
 #include "graph/rollback_union_find.hpp"
 
 namespace bsr::broker {

@@ -20,7 +20,8 @@ namespace bsr::graph {
 [[nodiscard]] std::vector<std::uint32_t> bfs_distances(const CsrGraph& g, NodeId source);
 
 /// Shortest path (as a vertex sequence source..target) via BFS parent
-/// pointers; empty if unreachable. O(V + E) per call.
+/// pointers; empty if unreachable. The BFS stops once it reaches the target,
+/// so a near target costs less than O(V + E).
 [[nodiscard]] std::vector<NodeId> bfs_shortest_path(const CsrGraph& g, NodeId source,
                                                     NodeId target);
 

@@ -1,10 +1,13 @@
 // Static-dispatch traversal engine.
 //
-// Every traversal of the library goes through the function templates below,
-// parameterized on a *filter struct*: the predicate body is known at
-// instantiation time and folds into the scan loop, so a dominated-subgraph
-// BFS costs the same as an unfiltered BFS plus two bitmask loads (no
-// indirect call per edge relaxation).
+// Every BFS over a graph's vertices, but for the four searches named below,
+// goes through the function templates here, parameterized on a *filter
+// struct*: the predicate body is known at instantiation time and folds into
+// the scan loop, so a dominated-subgraph BFS costs the same as an unfiltered
+// BFS plus two bitmask loads (no indirect call per edge relaxation).
+// engine::bfs also takes an optional *stop policy* (DepthCap, TargetStop;
+// exhaustive without one): the l-hop sweeps and the router's early exit are
+// rules of the one FIFO loop, not copies of it.
 //
 // Filters implement
 //     bool operator()(NodeId u, std::size_t slot, NodeId v) const
@@ -12,12 +15,26 @@
 // FaultAwareFilter answer link-state queries in O(1) via
 // FaultPlane::edge_up_at(u, slot) instead of an O(log d) edge lookup.
 //
+// Four searches stay outside the engine, each for a reason:
+//   * broker/disjoint.cpp's shortest_avoiding records only parents. Run on
+//     engine::bfs with the target stop, whose workspace also writes
+//     distances, disjoint_dominating_paths measured 1.7-3.5 % slower in
+//     median at scale 0.3 (alternating processes, same paths).
+//   * sim::Router::route_healed searches (vertex, heals used) states, not
+//     vertices: the same vertex is reached again with a different budget.
+//   * topology::valley_free_distances / valley_free_path search (vertex,
+//     phase) states under per-edge policy predicates.
+//   * graph::betweenness's Brandes pivot counts shortest paths, so it must
+//     see every edge into the next level, also into visited vertices; a
+//     filter is only consulted for unvisited ones.
+//
 // Determinism contract (see docs/ENGINE.md): every kernel visits vertices in
 // a fixed order — FIFO queue order for bfs, ascending (u, slot) order for
 // edge scans — so dist arrays, component labels, greedy tie-breaks, and
 // double accumulation orders are pure functions of the input, and invariant
 // under BSR_THREADS (parallel reductions are integer-only and merged in
-// shard order).
+// shard order). A stop policy only cuts the FIFO loop short: discovery
+// order, dist and parents up to the stop are the exhaustive run's.
 #pragma once
 
 #include <algorithm>
@@ -79,22 +96,64 @@ struct BothFilters {
   }
 };
 
+// --- stop policies ---------------------------------------------------------
+
+/// Vertices at dist == max_depth are discovered but not expanded, and their
+/// slots are not counted in engine.bfs.edges_scanned.
+struct DepthCap {
+  std::uint32_t max_depth = 0;
+};
+
+/// Returns as soon as `target` is discovered, at once if it is the source.
+/// engine.bfs.edges_scanned counts only the slots examined, up to and
+/// including the one that reached the target.
+struct TargetStop {
+  NodeId target = 0;
+};
+
 // --- traversal kernels -----------------------------------------------------
 
-/// BFS from `source` over edges admitted by `admit`, writing dist/visit-order
-/// into `ws`: FIFO queue, neighbors scanned in ascending adjacency order.
-template <class Filter>
-void bfs(const CsrGraph& g, NodeId source, Workspace& ws, Filter admit) {
+/// BFS from `source` over edges admitted by `admit`, writing dist, parents
+/// and visit order into `ws`: FIFO queue, neighbors scanned in ascending
+/// adjacency order. An optional stop policy (DepthCap or TargetStop) cuts the
+/// loop short; Workspace::path_to reads a path back out of the tree.
+///
+/// The policy is a pack of at most one argument, not a defaulted parameter:
+/// a fifth parameter, even an empty one, changes GCC's inlining decisions at
+/// exhaustive call sites, and inlined into distance_cdf_from_sources the loop
+/// ran compare_path_lengths 13 % slower (docs/ENGINE.md). The folds below
+/// read that one argument.
+template <class Filter, class... Stop>
+void bfs(const CsrGraph& g, NodeId source, Workspace& ws, Filter admit,
+         Stop... stop) {
+  constexpr bool kDepthCap = (std::is_same_v<Stop, DepthCap> || ...);
+  constexpr bool kTargetStop = (std::is_same_v<Stop, TargetStop> || ...);
+  static_assert(sizeof...(Stop) == 0 ||
+                (sizeof...(Stop) == 1 && (kDepthCap || kTargetStop)));
   BSR_DCHECK(source < g.num_vertices());
   ws.begin(g.num_vertices());
   ws.discover(source, 0);
+  if constexpr (kTargetStop) {
+    if (((source == stop.target) || ...)) goto done;
+  }
   for (std::size_t head = 0; head < ws.frontier_size(); ++head) {
     const NodeId u = ws.frontier_at(head);
     const std::uint32_t du = ws.dist_unchecked(u);
+    if constexpr (kDepthCap) {
+      if (((du >= stop.max_depth) || ...)) continue;
+    }
     const auto neigh = g.neighbors(u);
     for (std::size_t i = 0; i < neigh.size(); ++i) {
       const NodeId v = neigh[i];
-      if (!ws.visited(v) && admit(u, i, v)) ws.discover(v, du + 1, u);
+      if (!ws.visited(v) && admit(u, i, v)) {
+        ws.discover(v, du + 1, u);
+        if constexpr (kTargetStop) {
+          if (((v == stop.target) || ...)) {
+            BSR_STATS_ONLY(ws.stats_edges_scanned += i + 1;)
+            goto done;  // out of both loops, to the one counting epilogue
+          }
+        }
+      }
     }
     // Accumulates into the workspace, not a stack local (a spilled local
     // measured ~1% more wall time), and after the scan rather than before
@@ -104,30 +163,7 @@ void bfs(const CsrGraph& g, NodeId source, Workspace& ws, Filter admit) {
     // (neigh.size()) is still live and pressure is at its lowest.
     BSR_STATS_ONLY(ws.stats_edges_scanned += neigh.size();)
   }
-  BSR_COUNT(EngineBfsRuns);
-  BSR_COUNT_N(EngineBfsEdgesScanned, ws.stats_edges_scanned);
-  BSR_COUNT_N(EngineBfsVerticesVisited, ws.frontier_size());
-}
-
-/// BFS truncated at distance `max_depth` (vertices at dist == max_depth are
-/// discovered but not expanded).
-template <class Filter>
-void bfs_bounded(const CsrGraph& g, NodeId source, std::uint32_t max_depth,
-                 Workspace& ws, Filter admit) {
-  BSR_DCHECK(source < g.num_vertices());
-  ws.begin(g.num_vertices());
-  ws.discover(source, 0);
-  for (std::size_t head = 0; head < ws.frontier_size(); ++head) {
-    const NodeId u = ws.frontier_at(head);
-    const std::uint32_t du = ws.dist_unchecked(u);
-    if (du >= max_depth) continue;
-    const auto neigh = g.neighbors(u);
-    for (std::size_t i = 0; i < neigh.size(); ++i) {
-      const NodeId v = neigh[i];
-      if (!ws.visited(v) && admit(u, i, v)) ws.discover(v, du + 1, u);
-    }
-    BSR_STATS_ONLY(ws.stats_edges_scanned += neigh.size();)
-  }
+[[maybe_unused]] done:
   BSR_COUNT(EngineBfsRuns);
   BSR_COUNT_N(EngineBfsEdgesScanned, ws.stats_edges_scanned);
   BSR_COUNT_N(EngineBfsVerticesVisited, ws.frontier_size());

@@ -122,20 +122,6 @@ Edge Renumbering::map_edge_to_new(Edge e) const {
   return u < v ? Edge{u, v} : Edge{v, u};
 }
 
-Edge Renumbering::map_edge_to_old(Edge e) const {
-  const NodeId u = to_old(e.u);
-  const NodeId v = to_old(e.v);
-  return u < v ? Edge{u, v} : Edge{v, u};
-}
-
-FailureGroup Renumbering::map_group_to_new(const FailureGroup& group) const {
-  FailureGroup out;
-  out.center = to_new(group.center);
-  out.edges.reserve(group.edges.size());
-  for (const Edge& e : group.edges) out.edges.push_back(map_edge_to_new(e));
-  return out;
-}
-
 std::uint64_t total_neighbor_gap(const CsrGraph& g) {
   std::uint64_t total = 0;
   const NodeId n = g.num_vertices();

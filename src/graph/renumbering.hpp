@@ -15,8 +15,9 @@
 // Everything downstream stays in *original* ids: solvers accept an optional
 // Renumbering and iterate candidates in original-id order (so tie-breaks,
 // and therefore results, are bit-identical with and without the pass), and
-// the adapters below map broker sets, failure groups, and edges across the
-// permutation. The identity permutation is a byte-for-byte no-op everywhere.
+// the adapters below map id lists and edges across the permutation
+// (broker::renumber_to_new/_to_old map broker sets). The identity
+// permutation is a byte-for-byte no-op everywhere.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +27,6 @@
 
 #include "graph/check.hpp"
 #include "graph/csr_graph.hpp"
-#include "graph/fault_plane.hpp"
 
 namespace bsr::graph {
 
@@ -96,11 +96,6 @@ class Renumbering {
   /// Maps a canonical edge, re-canonicalizing (the permutation may swap the
   /// endpoint order).
   [[nodiscard]] Edge map_edge_to_new(Edge e) const;
-  [[nodiscard]] Edge map_edge_to_old(Edge e) const;
-
-  /// Maps a correlated failure group so a FaultPlane over the relabeled
-  /// graph can fail exactly the same physical links.
-  [[nodiscard]] FailureGroup map_group_to_new(const FailureGroup& group) const;
 
  private:
   std::vector<NodeId> to_new_;  // to_new_[old_id] = new_id

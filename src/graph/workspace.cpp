@@ -29,6 +29,18 @@ void Workspace::begin(NodeId n) {
   BSR_GAUGE_MAX(EngineWorkspaceHighWater, capacity());
 }
 
+std::vector<NodeId> Workspace::path_to(NodeId v) const {
+  if (!visited(v)) return {};
+  std::vector<NodeId> path(std::size_t{dist_[v]} + 1);
+  for (std::size_t i = path.size() - 1; i > 0; --i) {
+    path[i] = v;
+    v = parent_[v];
+  }
+  BSR_DCHECK(v == queue_.front());  // dist(v) steps lead back to the source
+  path[0] = v;
+  return path;
+}
+
 std::vector<std::uint64_t>& Workspace::visited_bits(NodeId n) {
   visited_bits_.assign((static_cast<std::size_t>(n) + 63) / 64, 0);
   return visited_bits_;

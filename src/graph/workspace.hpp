@@ -87,6 +87,11 @@ class Workspace {
     discover(v, d);
   }
 
+  /// The tree path source..v of the current traversal (dist(v) + 1 vertices,
+  /// read back through the parent chain); empty if v was not reached.
+  /// Requires a traversal that recorded parents, as every engine kernel does.
+  [[nodiscard]] std::vector<NodeId> path_to(NodeId v) const;
+
   /// Vertices of the current traversal in discovery (= BFS) order.
   [[nodiscard]] std::span<const NodeId> visit_order() const noexcept {
     return queue_;

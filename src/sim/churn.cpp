@@ -116,21 +116,17 @@ ChurnResult simulate_churn(const bsr::graph::CsrGraph& g, const BrokerSet& initi
     } else if (next_departure <= next_repair) {
       // One uniformly random broker departs (if any remain).
       if (!current.empty()) {
-#if BSR_STATS_ENABLED
-        // fail_brokers only returns the survivor set; recover the departed
-        // vertex by membership diff — but only while the flight recorder is
-        // actually on, so the copy never taxes an unrecorded run.
-        std::vector<NodeId> prior;
-        if (bsr::obs::recording_enabled()) {
-          prior.assign(current.members().begin(), current.members().end());
-        }
-#endif
-        current = bsr::broker::fail_brokers(g, current, 1,
+        // fail_brokers returns only the survivors; the set it was given is
+        // moved aside (no copy) so the recorder can name the one it lost.
+        const BrokerSet prior = std::move(current);
+        current = bsr::broker::fail_brokers(g, prior, 1,
                                             bsr::broker::FailureMode::kRandom, rng);
         ++result.departures;
 #if BSR_STATS_ENABLED
-        for (const NodeId m : prior) {
-          if (!current.contains(m)) BSR_EVENT(ChurnDeparture, now, m, 0);
+        if (bsr::obs::recording_enabled()) {
+          for (const NodeId m : prior.members()) {
+            if (!current.contains(m)) BSR_EVENT(ChurnDeparture, now, m, 0);
+          }
         }
 #endif
         record(ChurnEvent::Kind::kDeparture);
@@ -138,22 +134,13 @@ ChurnResult simulate_churn(const bsr::graph::CsrGraph& g, const BrokerSet& initi
       next_departure = now + rng.exponential(config.departure_rate);
     } else {
       const std::size_t before = current.size();
-#if BSR_STATS_ENABLED
-      std::vector<NodeId> prior;
-      if (bsr::obs::recording_enabled()) {
-        prior.assign(current.members().begin(), current.members().end());
-      }
-#endif
       current = bsr::broker::repair_brokers(g, current, config.repair_budget, faults);
       ++result.repairs;
       result.replacements_added += current.size() - before;
 #if BSR_STATS_ENABLED
-      if (bsr::obs::recording_enabled() && current.size() > before) {
-        for (const NodeId m : current.members()) {
-          if (std::find(prior.begin(), prior.end(), m) == prior.end()) {
-            BSR_EVENT(ChurnRepair, now, m, 0);
-          }
-        }
+      // repair_brokers keeps the survivors first, so the recruits are the tail.
+      for (const NodeId m : current.members().subspan(before)) {
+        BSR_EVENT(ChurnRepair, now, m, 0);
       }
 #endif
       record(ChurnEvent::Kind::kRepair);

@@ -333,14 +333,15 @@ double lhop_connectivity(const bsr::graph::CsrGraph& g,
       rng, n, static_cast<NodeId>(std::min<std::size_t>(num_sources, n)));
   engine::Workspace& ws = engine::tls_workspace();
   const engine::DominatedEdgeFilter dom{&usable_brokers};
+  const engine::DepthCap cap{l};
   std::uint64_t within = 0;
   for (const NodeId s : sources) {
     if (faults != nullptr) {
       if (!faults->vertex_ok(s)) continue;  // a dark source reaches nothing
-      engine::bfs_bounded(g, s, l, ws,
-                          engine::BothFilters{dom, engine::FaultAwareFilter{faults}});
+      engine::bfs(g, s, ws, engine::BothFilters{dom, engine::FaultAwareFilter{faults}},
+                  cap);
     } else {
-      engine::bfs_bounded(g, s, l, ws, dom);
+      engine::bfs(g, s, ws, dom, cap);
     }
     within += ws.visit_order().size() - 1;  // exclude the source itself
   }

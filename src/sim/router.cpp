@@ -52,32 +52,6 @@ void Router::set_health_view(const HealthView* view) {
   health_view_ = view;
 }
 
-template <class Filter>
-Route Router::route_scan(NodeId src, NodeId dst, Filter admit) {
-  Route route;
-  ws_.begin(graph_->num_vertices());
-  ws_.discover(src, 0, src);
-  for (std::size_t head = 0; head < ws_.frontier_size(); ++head) {
-    const NodeId u = ws_.frontier_at(head);
-    const std::uint32_t du = ws_.dist_unchecked(u);
-    const auto nbrs = graph_->neighbors(u);
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      const NodeId v = nbrs[i];
-      if (ws_.visited(v) || !admit(u, i, v)) continue;
-      ws_.discover(v, du + 1, u);
-      if (v == dst) {
-        route.path.push_back(dst);
-        for (NodeId w = dst; w != src; w = ws_.parent(w)) {
-          route.path.push_back(ws_.parent(w));
-        }
-        std::reverse(route.path.begin(), route.path.end());
-        return route;
-      }
-    }
-  }
-  return route;  // unreachable
-}
-
 Route Router::route_impl(NodeId src, NodeId dst, bool dominated) {
   BSR_DCHECK(src < graph_->num_vertices() && dst < graph_->num_vertices());
   Route route;
@@ -91,18 +65,19 @@ Route Router::route_impl(NodeId src, NodeId dst, bool dominated) {
   // Static four-way dispatch: the filter inlines into the scan loop, so the
   // plain free-route case pays nothing for broker/fault support.
   namespace engine = bsr::graph::engine;
+  const auto scan = [&](auto admit) {
+    engine::bfs(*graph_, src, ws_, admit, engine::TargetStop{dst});
+    return Route{ws_.path_to(dst)};
+  };
   const engine::DominatedEdgeFilter dom{&brokers_->mask()};
   if (dominated) {
     if (faults_ != nullptr) {
-      return route_scan(src, dst,
-                        engine::BothFilters{dom, engine::FaultAwareFilter{faults_}});
+      return scan(engine::BothFilters{dom, engine::FaultAwareFilter{faults_}});
     }
-    return route_scan(src, dst, dom);
+    return scan(dom);
   }
-  if (faults_ != nullptr) {
-    return route_scan(src, dst, engine::FaultAwareFilter{faults_});
-  }
-  return route_scan(src, dst, engine::AllEdges{});
+  if (faults_ != nullptr) return scan(engine::FaultAwareFilter{faults_});
+  return scan(engine::AllEdges{});
 }
 
 Route Router::route_healed(NodeId src, NodeId dst, std::uint32_t max_heals,
@@ -216,8 +191,10 @@ HealthRouteResult Router::route_with_health(NodeId src, NodeId dst) {
   // endpoint, with no fault consultation — the control plane knows only what
   // the view says. The routable bitmap is already broker-AND-healthy, so the
   // plain dominated filter over it is exactly the believed plane.
-  out.route = route_scan(
-      src, dst, bsr::graph::engine::DominatedEdgeFilter{&health_view_->routable});
+  namespace engine = bsr::graph::engine;
+  engine::bfs(*graph_, src, ws_, engine::DominatedEdgeFilter{&health_view_->routable},
+              engine::TargetStop{dst});
+  out.route.path = ws_.path_to(dst);
   if (out.route.reachable()) {
     if (faults_ != nullptr) {
       for (std::size_t i = 0; i + 1 < out.route.path.size(); ++i) {

@@ -130,11 +130,8 @@ class Router {
                                                      bsr::graph::NodeId dst);
 
  private:
+  /// engine::bfs with the target stop on ws_, through one of four filters.
   Route route_impl(bsr::graph::NodeId src, bsr::graph::NodeId dst, bool dominated);
-  /// Early-exit BFS with a static-dispatch edge filter; defined in router.cpp
-  /// (all four instantiations live there).
-  template <class Filter>
-  Route route_scan(bsr::graph::NodeId src, bsr::graph::NodeId dst, Filter admit);
   Route route_healed(bsr::graph::NodeId src, bsr::graph::NodeId dst,
                      std::uint32_t max_heals, std::uint32_t& healed_links);
 

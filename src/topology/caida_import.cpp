@@ -6,7 +6,6 @@
 #include <sstream>
 #include <vector>
 
-#include "graph/bfs.hpp"
 #include "graph/graph_builder.hpp"
 #include "topology/line_reader.hpp"
 

@@ -1,7 +1,5 @@
 #include "topology/relationships.hpp"
 
-#include "graph/bfs.hpp"
-
 #include <algorithm>
 #include <stdexcept>
 

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "broker/dominated.hpp"
 #include "broker/maxsg.hpp"
+#include "obs/journal.hpp"
 #include "test_util.hpp"
 
 namespace bsr::sim {
@@ -115,6 +118,59 @@ TEST(Churn, HorizonShorterThanRepairIntervalNeverRepairs) {
     EXPECT_NE(event.kind, ChurnEvent::Kind::kRepair);
     EXPECT_LE(event.time, config.horizon);
   }
+}
+
+TEST(Churn, RecordedRunJournalsExactlyItsDeparturesAndRecruits) {
+  // Replays the journal onto the initial set: each departure must name a
+  // current member and each repair event a new one, and after every churn
+  // event the replayed set must have the event's size and connectivity.
+  if (!BSR_STATS_ENABLED) GTEST_SKIP() << "built with BSR_STATS=OFF";
+  const CsrGraph g = make_connected_random(80, 0.07, 23);
+  const auto brokers = bsr::broker::maxsg(g, 16).brokers;
+  ChurnConfig config;
+  config.departure_rate = 1.5;
+  config.repair_interval = 4.0;
+  config.repair_budget = 3;
+  config.horizon = 40.0;
+  Rng rng(24);
+  bsr::obs::start_recording();
+  const auto result = simulate_churn(g, brokers, config, rng);
+  const bsr::obs::Journal journal = bsr::obs::snapshot_journal();
+  bsr::obs::stop_recording();
+  ASSERT_EQ(journal.dropped, 0u);
+  ASSERT_GT(result.departures, 0u);
+  ASSERT_GT(result.replacements_added, 0u);
+
+  const bsr::graph::NodeId n = g.num_vertices();
+  std::vector<bool> live(n, false);
+  for (const bsr::graph::NodeId m : brokers.members()) live[m] = true;
+  std::size_t departures = 0, recruits = 0;
+  for (const ChurnEvent& event : result.events) {
+    for (const bsr::obs::EventRecord& r : journal.events) {
+      if (r.time != event.time) continue;
+      if (r.type == bsr::obs::Event::kChurnDeparture) {
+        ASSERT_EQ(event.kind, ChurnEvent::Kind::kDeparture);
+        ASSERT_TRUE(live[r.subject]) << "departed " << r.subject;
+        live[r.subject] = false;
+        ++departures;
+      } else if (r.type == bsr::obs::Event::kChurnRepair) {
+        ASSERT_EQ(event.kind, ChurnEvent::Kind::kRepair);
+        ASSERT_FALSE(live[r.subject]) << "recruited " << r.subject;
+        live[r.subject] = true;
+        ++recruits;
+      }
+    }
+    std::vector<bsr::graph::NodeId> members;
+    for (bsr::graph::NodeId v = 0; v < n; ++v) {
+      if (live[v]) members.push_back(v);
+    }
+    ASSERT_EQ(members.size(), event.brokers_after) << "at t=" << event.time;
+    EXPECT_DOUBLE_EQ(bsr::broker::saturated_connectivity(g, BrokerSet(n, members)),
+                     event.connectivity_after)
+        << "at t=" << event.time;
+  }
+  EXPECT_EQ(departures, result.departures);
+  EXPECT_EQ(recruits, result.replacements_added);
 }
 
 TEST(LinkChurn, RecordsOutagesAndHeals) {

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "broker/maxsg.hpp"
 #include "graph/bfs.hpp"
+#include "graph/engine.hpp"
 #include "graph/fault_plane.hpp"
+#include "graph/sampling.hpp"
 #include "sim/router.hpp"
 #include "test_util.hpp"
 
@@ -328,6 +333,59 @@ TEST(Degradation, RandomFailHealStormMatchesMaterializedTruth) {
       } else {
         EXPECT_EQ(tier, RouteTier::kUnreachable);
       }
+    }
+  }
+}
+
+/// The path s..t read by hand off an exhaustive engine BFS through `admit`.
+template <class Filter>
+std::vector<NodeId> exhaustive_tree_path(const CsrGraph& g, NodeId s, NodeId t,
+                                         Filter admit) {
+  bsr::graph::engine::Workspace ws;
+  bsr::graph::engine::bfs(g, s, ws, admit);
+  if (!ws.visited(t)) return {};
+  std::vector<NodeId> path{t};
+  for (NodeId w = t; w != s; w = ws.parent(w)) path.push_back(ws.parent(w));
+  std::reverse(path.begin(), path.end());
+  return path;
+}
+
+TEST(Degradation, RoutesEqualExhaustiveTreePaths) {
+  // Router routes stop at dst. Each must still be the path the full BFS tree
+  // through the same filter holds: free and dominated routes under a fault
+  // plane (failed links, a failed broker, failed non-brokers), and the
+  // believed route of a stale health view that quarantines a live broker
+  // and still trusts the failed one.
+  namespace engine = bsr::graph::engine;
+  for (std::uint64_t seed = 0; seed < 4; ++seed) {
+    const CsrGraph g = make_connected_random(90, 0.05, seed + 40);
+    const NodeId n = g.num_vertices();
+    const BrokerSet b = bsr::broker::maxsg(g, 12).brokers;
+    FaultPlane plane(g);
+    Rng rng(seed + 50);
+    for (const bsr::graph::Edge& e : g.edges()) {
+      if (rng.bernoulli(0.1)) plane.fail_edge(e.u, e.v);
+    }
+    plane.fail_vertex(b.members()[0]);
+    for (NodeId v = 1; v < n; v += 17) {
+      if (!b.contains(v)) plane.fail_vertex(v);
+    }
+    HealthView view;
+    view.routable = b.mask();
+    view.routable[b.members()[1]] = false;
+    Router router(g, b, &plane);
+    router.set_health_view(&view);
+
+    const engine::DominatedEdgeFilter dom{&b.mask()};
+    const engine::FaultAwareFilter up{&plane};
+    const engine::DominatedEdgeFilter believed{&view.routable};
+    for (const auto& [src, dst] : bsr::graph::sample_pairs(rng, n, 150)) {
+      EXPECT_EQ(router.route_free(src, dst).path,
+                exhaustive_tree_path(g, src, dst, up));
+      EXPECT_EQ(router.route_dominated(src, dst).path,
+                exhaustive_tree_path(g, src, dst, engine::BothFilters{dom, up}));
+      EXPECT_EQ(router.route_with_health(src, dst).route.path,
+                exhaustive_tree_path(g, src, dst, believed));
     }
   }
 }

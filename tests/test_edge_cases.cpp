@@ -47,7 +47,7 @@ TEST(EdgeCases, WorkspaceInterleavesPlainAndFilteredRuns) {
 TEST(EdgeCases, BoundedBfsZeroDepth) {
   const CsrGraph g = make_star(5);
   engine::Workspace ws;
-  engine::bfs_bounded(g, 0, 0, ws, engine::AllEdges{});
+  engine::bfs(g, 0, ws, engine::AllEdges{}, engine::DepthCap{0});
   EXPECT_EQ(ws.dist(0), 0u);
   for (NodeId v = 1; v < 5; ++v) EXPECT_EQ(ws.dist(v), kUnreachable);
 }

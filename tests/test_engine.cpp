@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <vector>
 
 #include "graph/bfs.hpp"
@@ -11,6 +12,7 @@
 #include "graph/fault_plane.hpp"
 #include "graph/rng.hpp"
 #include "graph/rollback_union_find.hpp"
+#include "obs/stats.hpp"
 #include "test_util.hpp"
 
 namespace bsr::graph {
@@ -255,9 +257,173 @@ TEST(Engine, SubgraphEntryPointBitIdenticalToFilteredTraversal) {
 TEST(Engine, BoundedBfsStopsAtDepth) {
   const CsrGraph g = make_path(10);
   engine::Workspace ws;
-  engine::bfs_bounded(g, 0, 3, ws, engine::AllEdges{});
+  engine::bfs(g, 0, ws, engine::AllEdges{}, engine::DepthCap{3});
   EXPECT_EQ(ws.dist(3), 3u);
   EXPECT_EQ(ws.dist(4), kUnreachable);
+}
+
+/// Reference depth-capped FIFO loop, counters included, written out in
+/// full: engine::bfs with DepthCap must match it.
+template <class Filter>
+void reference_bfs_bounded(const CsrGraph& g, NodeId source, std::uint32_t max_depth,
+                           engine::Workspace& ws, Filter admit) {
+  ws.begin(g.num_vertices());
+  ws.discover(source, 0);
+  for (std::size_t head = 0; head < ws.frontier_size(); ++head) {
+    const NodeId u = ws.frontier_at(head);
+    const std::uint32_t du = ws.dist_unchecked(u);
+    if (du >= max_depth) continue;
+    const auto neigh = g.neighbors(u);
+    for (std::size_t i = 0; i < neigh.size(); ++i) {
+      const NodeId v = neigh[i];
+      if (!ws.visited(v) && admit(u, i, v)) ws.discover(v, du + 1, u);
+    }
+    BSR_STATS_ONLY(ws.stats_edges_scanned += neigh.size();)
+  }
+  BSR_COUNT(EngineBfsRuns);
+  BSR_COUNT_N(EngineBfsEdgesScanned, ws.stats_edges_scanned);
+  BSR_COUNT_N(EngineBfsVerticesVisited, ws.frontier_size());
+}
+
+/// The tree path s..t read by hand off the parents of `ws`'s traversal.
+std::vector<NodeId> walk_parents(const engine::Workspace& ws, NodeId s, NodeId t) {
+  if (!ws.visited(t)) return {};
+  std::vector<NodeId> path{t};
+  for (NodeId w = t; w != s; w = ws.parent(w)) path.push_back(ws.parent(w));
+  std::reverse(path.begin(), path.end());
+  return path;
+}
+
+/// Calls check(g, filter) on seeded random graphs, connected or not, for
+/// each filter the engine ships: AllEdges, DominatedEdgeFilter,
+/// FaultAwareFilter (failed links and vertices) and their conjunction.
+template <class Check>
+void for_each_filter(Check check) {
+  for (std::uint64_t seed = 0; seed < 6; ++seed) {
+    const CsrGraph g = seed % 2 == 0 ? make_random(120, 0.04, seed)
+                                     : make_connected_random(120, 0.03, seed);
+    const NodeId n = g.num_vertices();
+    const std::vector<bool> mask = random_mask(n, 0.3, seed + 400);
+    FaultPlane plane(g);
+    Rng rng(seed + 800);
+    for (const Edge& e : g.edges()) {
+      if (rng.bernoulli(0.15)) plane.fail_edge(e.u, e.v);
+    }
+    for (NodeId v = 0; v < n; v += 11) plane.fail_vertex(v);
+    check(g, engine::AllEdges{});
+    check(g, engine::DominatedEdgeFilter{&mask});
+    check(g, engine::FaultAwareFilter{&plane});
+    check(g, engine::BothFilters{engine::DominatedEdgeFilter{&mask},
+                                 engine::FaultAwareFilter{&plane}});
+  }
+}
+
+/// engine.bfs.* movement over one call.
+template <class Run>
+std::array<std::uint64_t, 3> bfs_counter_delta(Run run) {
+  const bsr::obs::Snapshot before = bsr::obs::snapshot();
+  run();
+  const bsr::obs::Snapshot d = bsr::obs::delta(before, bsr::obs::snapshot());
+  return {d.counter(bsr::obs::Counter::kEngineBfsRuns),
+          d.counter(bsr::obs::Counter::kEngineBfsEdgesScanned),
+          d.counter(bsr::obs::Counter::kEngineBfsVerticesVisited)};
+}
+
+TEST(EngineStop, TargetStopIsAPrefixOfTheExhaustiveRun) {
+  // Up to the target, the cut run's visit order, distances and parents are
+  // the exhaustive run's, path_to reads the exhaustive tree's path, and the
+  // counters charge exactly the slots examined: every slot of each vertex
+  // expanded before the target's parent, then the parent's slots up to the
+  // target's. An unreached target runs the whole search.
+  std::size_t reached = 0, unreached = 0;
+  for_each_filter([&](const CsrGraph& g, auto admit) {
+    const NodeId n = g.num_vertices();
+    engine::Workspace full, cut;
+    for (NodeId s = 0; s < n; s += 13) {
+      const auto full_counts = bfs_counter_delta([&] { engine::bfs(g, s, full, admit); });
+      const auto order = full.visit_order();
+      for (NodeId t = 0; t < n; t += 5) {
+        const auto counts = bfs_counter_delta(
+            [&] { engine::bfs(g, s, cut, admit, engine::TargetStop{t}); });
+        EXPECT_EQ(cut.path_to(t), walk_parents(full, s, t));
+        if (!full.visited(t)) {
+          ++unreached;
+          ASSERT_TRUE(std::equal(order.begin(), order.end(),
+                                 cut.visit_order().begin(), cut.visit_order().end()));
+          EXPECT_EQ(counts, full_counts);
+          continue;
+        }
+        ++reached;
+        const auto pos = static_cast<std::size_t>(
+            std::find(order.begin(), order.end(), t) - order.begin());
+        ASSERT_TRUE(std::equal(order.begin(), order.begin() + pos + 1,
+                               cut.visit_order().begin(), cut.visit_order().end()));
+        for (std::size_t j = 0; j <= pos; ++j) {
+          EXPECT_EQ(cut.dist(order[j]), full.dist(order[j]));
+          if (j > 0) {
+            EXPECT_EQ(cut.parent(order[j]), full.parent(order[j]));
+          }
+        }
+        std::uint64_t slots = 0;
+        if (t != s) {
+          const NodeId p = full.parent(t);
+          for (std::size_t j = 0; order[j] != p; ++j) slots += g.degree(order[j]);
+          const auto neigh = g.neighbors(p);
+          slots += static_cast<std::uint64_t>(
+                       std::find(neigh.begin(), neigh.end(), t) - neigh.begin()) +
+                   1;
+        }
+        if (BSR_STATS_ENABLED) {
+          EXPECT_EQ(counts, (std::array<std::uint64_t, 3>{1, slots, pos + 1}));
+        }
+      }
+    }
+  });
+  EXPECT_GT(reached, 0u);
+  EXPECT_GT(unreached, 0u);
+}
+
+TEST(EngineStop, DepthCapMatchesTheBoundedLoop) {
+  for_each_filter([](const CsrGraph& g, auto admit) {
+    const NodeId n = g.num_vertices();
+    engine::Workspace ref, capped;
+    for (NodeId s = 0; s < n; s += 17) {
+      for (const std::uint32_t depth : {0u, 1u, 2u, 3u, 5u, 1000u}) {
+        const auto ref_counts = bfs_counter_delta(
+            [&] { reference_bfs_bounded(g, s, depth, ref, admit); });
+        const auto counts = bfs_counter_delta(
+            [&] { engine::bfs(g, s, capped, admit, engine::DepthCap{depth}); });
+        EXPECT_EQ(counts, ref_counts);
+        const auto order = ref.visit_order();
+        ASSERT_TRUE(std::equal(order.begin(), order.end(),
+                               capped.visit_order().begin(),
+                               capped.visit_order().end()));
+        EXPECT_EQ(dense_dist(capped, n), dense_dist(ref, n));
+        for (const NodeId v : order) {
+          if (v != s) {
+            EXPECT_EQ(capped.parent(v), ref.parent(v));
+          }
+        }
+      }
+    }
+  });
+}
+
+TEST(EngineStop, ExhaustivePathToMatchesParentWalk) {
+  for_each_filter([](const CsrGraph& g, auto admit) {
+    const NodeId n = g.num_vertices();
+    engine::Workspace ws;
+    for (NodeId s = 0; s < n; s += 29) {
+      engine::bfs(g, s, ws, admit);
+      for (NodeId t = 0; t < n; ++t) {
+        const auto path = ws.path_to(t);
+        EXPECT_EQ(path, walk_parents(ws, s, t));
+        if (!path.empty()) {
+          EXPECT_EQ(path.size(), ws.dist(t) + 1);
+        }
+      }
+    }
+  });
 }
 
 TEST(Engine, UniteEdgesMatchesConnectedComponents) {

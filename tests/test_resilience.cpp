@@ -98,15 +98,14 @@ TEST(ResilienceCurve, GroupCurveMatchesManualGroupRemoval) {
   }
   const std::vector<std::size_t> steps{0, 1, 3, 6, 9, 12};
   Rng rng(26);
-  const auto curve = resilience_curve(
-      g, b, std::span<const bsr::graph::FailureGroup>(groups), steps, rng);
-  ASSERT_EQ(curve.connectivity.size(), steps.size());
+  const auto curve = link_resilience_curve(g, b, groups, steps, 0, rng);
+  ASSERT_EQ(curve.points.size(), steps.size());
   for (std::size_t i = 0; i < steps.size(); ++i) {
     const std::size_t failed = std::min(steps[i], groups.size());
-    EXPECT_EQ(curve.failures[i], failed);
+    EXPECT_EQ(curve.points[i].failed_groups, failed);
     bsr::graph::FaultPlane plane(g);
     for (std::size_t j = 0; j < failed; ++j) plane.fail_group(groups[j]);
-    EXPECT_NEAR(curve.connectivity[i], saturated_connectivity(g, b, plane),
+    EXPECT_NEAR(curve.points[i].connectivity, saturated_connectivity(g, b, plane),
                 1e-12)
         << "step " << steps[i];
   }
@@ -121,13 +120,13 @@ TEST(ResilienceCurve, SingleGroupCurveMatchesManualRemoval) {
       bsr::graph::incident_group(g, 7)};
   const std::vector<std::size_t> steps{0, 1};
   Rng rng(28);
-  const auto curve = resilience_curve(
-      g, brokers, std::span<const bsr::graph::FailureGroup>(groups), steps, rng);
-  EXPECT_NEAR(curve.connectivity[0], saturated_connectivity(g, brokers), 1e-12);
+  const auto curve = link_resilience_curve(g, brokers, groups, steps, 0, rng);
+  EXPECT_NEAR(curve.points[0].connectivity, saturated_connectivity(g, brokers),
+              1e-12);
   bsr::graph::FaultPlane plane(g);
   plane.fail_group(groups[0]);
-  EXPECT_NEAR(curve.connectivity[1], saturated_connectivity(g, brokers, plane),
-              1e-12);
+  EXPECT_NEAR(curve.points[1].connectivity,
+              saturated_connectivity(g, brokers, plane), 1e-12);
 }
 
 TEST(ResilienceCurve, GroupCurveNonIncreasingAndDeterministic) {
@@ -139,17 +138,19 @@ TEST(ResilienceCurve, GroupCurveNonIncreasingAndDeterministic) {
   }
   const std::vector<std::size_t> steps{0, 2, 5, 9, 12, 20};
   Rng rng_a(30), rng_b(30);
-  const auto a = resilience_curve(
-      g, brokers, std::span<const bsr::graph::FailureGroup>(groups), steps, rng_a);
-  const auto b = resilience_curve(
-      g, brokers, std::span<const bsr::graph::FailureGroup>(groups), steps, rng_b);
-  EXPECT_EQ(a.connectivity, b.connectivity);  // deterministic in the seed
-  EXPECT_EQ(a.failures, b.failures);
-  for (std::size_t i = 1; i < a.connectivity.size(); ++i) {
-    // Nested prefixes: damage only accumulates.
-    EXPECT_LE(a.connectivity[i], a.connectivity[i - 1] + 1e-12);
+  const auto a = link_resilience_curve(g, brokers, groups, steps, 0, rng_a);
+  const auto b = link_resilience_curve(g, brokers, groups, steps, 0, rng_b);
+  ASSERT_EQ(a.points.size(), b.points.size());
+  for (std::size_t i = 0; i < a.points.size(); ++i) {
+    // Deterministic in the seed.
+    EXPECT_EQ(a.points[i].connectivity, b.points[i].connectivity);
+    EXPECT_EQ(a.points[i].failed_groups, b.points[i].failed_groups);
   }
-  EXPECT_EQ(a.failures.back(), groups.size());  // steps clamp to |groups|
+  for (std::size_t i = 1; i < a.points.size(); ++i) {
+    // Nested prefixes: damage only accumulates.
+    EXPECT_LE(a.points[i].connectivity, a.points[i - 1].connectivity + 1e-12);
+  }
+  EXPECT_EQ(a.points.back().failed_groups, groups.size());  // clamps to |groups|
 }
 
 TEST(ResilienceCurve, GroupCurveSizeMismatchThrows) {
@@ -158,11 +159,8 @@ TEST(ResilienceCurve, GroupCurveSizeMismatchThrows) {
       bsr::graph::incident_group(g, 0)};
   const std::vector<std::size_t> steps{0, 1};
   Rng rng(31);
-  EXPECT_THROW(
-      (void)resilience_curve(g, BrokerSet(7),
-                             std::span<const bsr::graph::FailureGroup>(groups),
-                             steps, rng),
-      std::invalid_argument);
+  EXPECT_THROW((void)link_resilience_curve(g, BrokerSet(7), groups, steps, 0, rng),
+               std::invalid_argument);
 }
 
 TEST(Repair, SizeMismatchThrows) {
