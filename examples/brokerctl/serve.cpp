@@ -22,6 +22,15 @@ int cmd_serve(int argc, char** argv) {
       argc, argv, 2,
       {"queries", "churn", "slo", "slo-out", "qtrace-out", "episodes-out"});
   if (args.operands.size() != 2) return usage();
+  const std::string slo_spec = args.value("slo");
+  if (args.has("slo-out") && slo_spec.empty()) {
+    throw UsageError("--slo-out needs --slo <spec>");
+  }
+  // A bad spec fails before the topology loads or any output file opens.
+  std::optional<bsr::obs::SloMonitor> monitor;
+  if (!slo_spec.empty()) {
+    monitor.emplace(bsr::obs::parse_slo_spec(slo_spec));
+  }
   const auto env = bsr::io::experiment_env();
   const auto topo = bsr::topology::load_topology_file(args.operands[0]);
   const auto k = parse_u32("k", args.operands[1]);
@@ -29,10 +38,6 @@ int cmd_serve(int argc, char** argv) {
       args.has("queries") ? parse_u32("queries", args.value("queries")) : 100'000;
   const std::uint32_t churn_events =
       args.has("churn") ? parse_u32("churn", args.value("churn")) : 8;
-  const std::string slo_spec = args.value("slo");
-  if (args.has("slo-out") && slo_spec.empty()) {
-    throw UsageError("--slo-out needs --slo <spec>");
-  }
   OutputFiles files("serve");
   std::ostream* slo_file = files.open(args.value("slo-out"));
   std::ostream* qtrace_file = files.open(args.value("qtrace-out"));
@@ -49,10 +54,6 @@ int cmd_serve(int argc, char** argv) {
   if (episodes_file != nullptr && !bsr::obs::recording_enabled()) {
     std::cerr << "serve: --episodes-out without `brokerctl record` — the "
                  "journal is empty, so the episode report will be too\n";
-  }
-  std::optional<bsr::obs::SloMonitor> monitor;
-  if (!slo_spec.empty()) {
-    monitor.emplace(bsr::obs::parse_slo_spec(slo_spec));
   }
   if (want_qtrace) bsr::obs::start_query_trace();
 

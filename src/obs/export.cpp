@@ -1,13 +1,18 @@
 #include "obs/export.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <istream>
+#include <memory>
 #include <ostream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <vector>
 
@@ -15,41 +20,109 @@ namespace bsr::obs {
 
 namespace {
 
-/// Shortest round-trip decimal for a double — the only formatting whose
-/// bytes are a pure function of the value, which the byte-identity contract
-/// (same seed, any BSR_THREADS) depends on. Locale-independent by
-/// construction, unlike ostream's `<<`.
-void put_double(std::ostream& os, double value) {
-  char buf[32];
-  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), value);
-  os.write(buf, ptr - buf);
-  static_cast<void>(ec);  // shortest form always fits in 32 chars
-}
+/// The one output buffer behind every artifact writer. Parts are appended
+/// to a fixed chunk: strings by memcpy, integers and doubles by
+/// std::to_chars (doubles in shortest round-trip form, the only formatting
+/// whose bytes are a pure function of the value), and a full chunk reaches
+/// the stream in one write(). So an artifact of any size costs one chunk of
+/// memory, and its bytes ignore the stream's locale. Nothing is written from
+/// the destructor: each writer calls flush() before it returns, and a stream
+/// that rejected a write is already failed when the caller checks it.
+class ChunkWriter {
+ public:
+  explicit ChunkWriter(std::ostream& os)
+      : os_(os), buf_(std::make_unique_for_overwrite<char[]>(kChunk)) {}
 
-void json_histogram(std::ostream& os, const Snapshot& snap, Histogram h) {
+  /// Appends each part in order: a bool as true/false, a char as itself,
+  /// other arithmetic types as decimal numbers, anything else as the string
+  /// it converts to.
+  template <class... Parts>
+  void put(const Parts&... parts) {
+    (put_one(parts), ...);
+  }
+
+  /// Hands the buffered bytes to the stream.
+  void flush() {
+    os_.write(buf_.get(), static_cast<std::streamsize>(used_));
+    used_ = 0;
+  }
+
+ private:
+  static constexpr std::size_t kChunk = 64 * 1024;
+  /// Room to_chars needs for any number put() formats; a shortest-form
+  /// double takes at most 24 chars.
+  static constexpr std::size_t kMaxNumber = 32;
+
+  template <class T>
+  void put_one(const T& part) {
+    if constexpr (std::is_same_v<T, bool>) {
+      put_text(part ? std::string_view("true") : std::string_view("false"));
+    } else if constexpr (std::is_same_v<T, char>) {
+      put_text(std::string_view(&part, 1));
+    } else if constexpr (std::is_same_v<T, double>) {
+      // Neighbouring records often share a timestamp, and finding a shortest
+      // form costs more than copying one, so the last double's text is kept.
+      const auto bits = std::bit_cast<std::uint64_t>(part);
+      if (last_double_len_ == 0 || bits != last_double_bits_) {
+        last_double_len_ = static_cast<std::size_t>(
+            std::to_chars(last_double_, last_double_ + kMaxNumber, part).ptr -
+            last_double_);
+        last_double_bits_ = bits;
+      }
+      put_text(std::string_view(last_double_, last_double_len_));
+    } else if constexpr (std::is_arithmetic_v<T>) {
+      if (kChunk - used_ < kMaxNumber) flush();
+      char* const at = buf_.get() + used_;
+      used_ += static_cast<std::size_t>(
+          std::to_chars(at, at + kMaxNumber, part).ptr - at);
+    } else if constexpr (std::is_array_v<T>) {
+      // A string literal: its length is known without a strlen.
+      put_text(std::string_view(part, std::extent_v<T> - 1));
+    } else {
+      put_text(part);
+    }
+  }
+
+  void put_text(std::string_view text) {
+    if (text.size() > kChunk - used_) {
+      flush();
+      if (text.size() > kChunk) {
+        os_.write(text.data(), static_cast<std::streamsize>(text.size()));
+        return;
+      }
+    }
+    std::memcpy(buf_.get() + used_, text.data(), text.size());
+    used_ += text.size();
+  }
+
+  std::ostream& os_;
+  std::unique_ptr<char[]> buf_;
+  std::size_t used_ = 0;
+  char last_double_[kMaxNumber] = {};
+  std::size_t last_double_len_ = 0;  // 0 until the first double
+  std::uint64_t last_double_bits_ = 0;
+};
+
+void json_histogram(ChunkWriter& out, const Snapshot& snap, Histogram h) {
   const auto& buckets = snap.histograms[static_cast<std::size_t>(h)];
-  os << "{\"total\": " << snap.histogram_total(h) << ", \"buckets\": [";
+  out.put("{\"total\": ", snap.histogram_total(h), ", \"buckets\": [");
   bool first = true;
   for (std::size_t b = 0; b < kHistogramBuckets; ++b) {
     if (buckets[b] == 0) continue;
-    if (!first) os << ", ";
-    os << "[" << b << ", " << buckets[b] << "]";
+    out.put(first ? "[" : ", [", b, ", ", buckets[b], "]");
     first = false;
   }
-  os << "]}";
+  out.put("]}");
 }
 
 /// The one Chrome trace_event emitter: it owns the file framing, separators,
 /// integral-microsecond timestamps and each event shape's fixed fields. The
-/// writers pick a shape, add "args" and end() the event.
+/// writers pick a shape, add "args", end() the event, and finish() the file.
 class TraceEmitter {
  public:
-  explicit TraceEmitter(std::ostream& os) : os_(os) {
-    os_ << "{\"traceEvents\": [";
+  explicit TraceEmitter(std::ostream& os) : out_(os) {
+    out_.put("{\"traceEvents\": [");
   }
-  TraceEmitter(const TraceEmitter&) = delete;  // the destructor closes the file
-  TraceEmitter& operator=(const TraceEmitter&) = delete;
-  ~TraceEmitter() { os_ << "\n], \"displayTimeUnit\": \"ms\"}\n"; }
 
   /// Simulated time -> microseconds, rounded so Perfetto gets monotone
   /// integral timestamps.
@@ -58,57 +131,64 @@ class TraceEmitter {
 
   TraceEmitter& complete(std::string_view name, int tid, std::int64_t ts,
                          std::int64_t dur) {
-    open(name) << "\"ph\": \"X\", \"pid\": 1, \"tid\": " << tid
-               << ", \"ts\": " << ts << ", \"dur\": " << dur;
+    open(name);
+    out_.put("\"ph\": \"X\", \"pid\": 1, \"tid\": ", tid, ", \"ts\": ", ts,
+             ", \"dur\": ", dur);
     return *this;
   }
   TraceEmitter& instant(std::string_view name, std::int64_t ts) {
-    open(name) << "\"ph\": \"i\", \"s\": \"t\", \"pid\": 1, \"tid\": 1, \"ts\": "
-               << ts;
+    open(name);
+    out_.put("\"ph\": \"i\", \"s\": \"t\", \"pid\": 1, \"tid\": 1, \"ts\": ",
+             ts);
     return *this;
   }
   TraceEmitter& counter(std::string_view name, std::int64_t ts) {
-    open(name) << "\"ph\": \"C\", \"pid\": 1, \"ts\": " << ts;
+    open(name);
+    out_.put("\"ph\": \"C\", \"pid\": 1, \"ts\": ", ts);
     return *this;
   }
   TraceEmitter& thread_name(int tid, std::string_view label) {
-    open("thread_name") << "\"ph\": \"M\", \"pid\": 1, \"tid\": " << tid;
+    open("thread_name");
+    out_.put("\"ph\": \"M\", \"pid\": 1, \"tid\": ", tid);
     return arg("name", label);
   }
   /// Flow start ('s') or finish ('f', bound to the enclosing slice).
   TraceEmitter& flow(char ph, std::uint64_t id, int tid, std::int64_t ts) {
-    open("episode") << "\"cat\": \"episode\", \"ph\": \"" << ph << "\", "
-                    << (ph == 'f' ? "\"bp\": \"e\", " : "") << "\"id\": " << id
-                    << ", \"pid\": 1, \"tid\": " << tid << ", \"ts\": " << ts;
+    open("episode");
+    out_.put("\"cat\": \"episode\", \"ph\": \"", ph, "\", ",
+             ph == 'f' ? "\"bp\": \"e\", " : "", "\"id\": ", id,
+             ", \"pid\": 1, \"tid\": ", tid, ", \"ts\": ", ts);
     return *this;
   }
   /// One "args" entry: strings quoted, bools as true/false, integers decimal.
   template <class T>
   TraceEmitter& arg(std::string_view key, const T& value) {
-    os_ << (in_args_ ? ", \"" : ", \"args\": {\"") << key << "\": ";
+    out_.put(in_args_ ? ", \"" : ", \"args\": {\"", key, "\": ");
     in_args_ = true;
-    if constexpr (std::is_same_v<T, bool>) {
-      os_ << (value ? "true" : "false");
-    } else if constexpr (std::is_convertible_v<T, std::string_view>) {
-      os_ << '"' << value << '"';
+    if constexpr (std::is_convertible_v<T, std::string_view>) {
+      out_.put('"', value, '"');
     } else {
-      os_ << value;
+      out_.put(value);
     }
     return *this;
   }
   void end() {
-    os_ << (in_args_ ? "}}" : "}");
+    out_.put(in_args_ ? "}}" : "}");
     in_args_ = false;
+  }
+  /// Closes the file and hands its last chunk to the stream.
+  void finish() {
+    out_.put("\n], \"displayTimeUnit\": \"ms\"}\n");
+    out_.flush();
   }
 
  private:
-  std::ostream& open(std::string_view name) {
-    os_ << (first_ ? "\n" : ",\n") << "  {\"name\": \"" << name << "\", ";
+  void open(std::string_view name) {
+    out_.put(first_ ? "\n" : ",\n", "  {\"name\": \"", name, "\", ");
     first_ = false;
-    return os_;
   }
 
-  std::ostream& os_;
+  ChunkWriter out_;
   bool first_ = true;
   bool in_args_ = false;
 };
@@ -116,25 +196,27 @@ class TraceEmitter {
 }  // namespace
 
 void write_json(std::ostream& os, const Snapshot& snap) {
-  os << "{\n  \"obs_schema_version\": " << kSchemaVersion
-     << ",\n  \"stats_enabled\": " << (snap.enabled ? "true" : "false")
-     << ",\n  \"work_units\": " << work_units(snap) << ",\n  \"counters\": {";
+  ChunkWriter out(os);
+  out.put("{\n  \"obs_schema_version\": ", kSchemaVersion,
+          ",\n  \"stats_enabled\": ", snap.enabled,
+          ",\n  \"work_units\": ", work_units(snap), ",\n  \"counters\": {");
   for (std::size_t i = 0; i < kNumCounters; ++i) {
-    os << (i == 0 ? "\n" : ",\n") << "    \"" << name(static_cast<Counter>(i))
-       << "\": " << snap.counters[i];
+    out.put(i == 0 ? "\n" : ",\n", "    \"", name(static_cast<Counter>(i)),
+            "\": ", snap.counters[i]);
   }
-  os << "\n  },\n  \"gauges\": {";
+  out.put("\n  },\n  \"gauges\": {");
   for (std::size_t i = 0; i < kNumGauges; ++i) {
-    os << (i == 0 ? "\n" : ",\n") << "    \"" << name(static_cast<Gauge>(i))
-       << "\": " << snap.gauges[i];
+    out.put(i == 0 ? "\n" : ",\n", "    \"", name(static_cast<Gauge>(i)),
+            "\": ", snap.gauges[i]);
   }
-  os << "\n  },\n  \"histograms\": {";
+  out.put("\n  },\n  \"histograms\": {");
   for (std::size_t i = 0; i < kNumHistograms; ++i) {
-    os << (i == 0 ? "\n" : ",\n") << "    \"" << name(static_cast<Histogram>(i))
-       << "\": ";
-    json_histogram(os, snap, static_cast<Histogram>(i));
+    out.put(i == 0 ? "\n" : ",\n", "    \"", name(static_cast<Histogram>(i)),
+            "\": ");
+    json_histogram(out, snap, static_cast<Histogram>(i));
   }
-  os << "\n  }\n}\n";
+  out.put("\n  }\n}\n");
+  out.flush();
 }
 
 void dump_pretty(std::ostream& os, const Snapshot& snap) {
@@ -196,34 +278,34 @@ void write_chrome_trace(std::ostream& os, std::span<const SpanRecord> spans) {
     }
     trace.end();
   }
+  trace.finish();
 }
 
 void write_events_jsonl(std::ostream& os, const Journal& journal) {
-  os << "{\"schema\": \"" << kEventSchema
-     << "\", \"events\": " << journal.events.size()
-     << ", \"dropped\": " << journal.dropped << "}\n";
+  ChunkWriter out(os);
+  out.put("{\"schema\": \"", kEventSchema, "\", \"events\": ",
+          journal.events.size(), ", \"dropped\": ", journal.dropped, "}\n");
   for (const EventRecord& rec : journal.events) {
-    os << "{\"t\": ";
-    put_double(os, rec.time);
-    os << ", \"type\": \"" << name(rec.type) << "\", \"subject\": "
-       << rec.subject << ", \"corr\": " << rec.correlation << "}\n";
+    out.put("{\"t\": ", rec.time, ", \"type\": \"", name(rec.type),
+            "\", \"subject\": ", rec.subject, ", \"corr\": ", rec.correlation,
+            "}\n");
   }
+  out.flush();
 }
 
 void write_series_csv(std::ostream& os, std::span<const SeriesRow> rows) {
-  os << "round,t_begin,t_end";
+  ChunkWriter out(os);
+  out.put("round,t_begin,t_end");
   for (std::size_t i = 0; i < kNumCounters; ++i) {
-    os << "," << name(static_cast<Counter>(i));
+    out.put(",", name(static_cast<Counter>(i)));
   }
-  os << "\n";
+  out.put("\n");
   for (const SeriesRow& row : rows) {
-    os << row.round << ",";
-    put_double(os, row.t_begin);
-    os << ",";
-    put_double(os, row.t_end);
-    for (std::size_t i = 0; i < kNumCounters; ++i) os << "," << row.deltas[i];
-    os << "\n";
+    out.put(row.round, ",", row.t_begin, ",", row.t_end);
+    for (const std::uint64_t delta : row.deltas) out.put(",", delta);
+    out.put("\n");
   }
+  out.flush();
 }
 
 namespace {
@@ -241,86 +323,73 @@ std::string_view answer_tag(std::uint8_t status) {
 }  // namespace
 
 void write_qtrace_jsonl(std::ostream& os, const QtraceSnapshot& snap) {
-  os << "{\"schema\": \"" << kQtraceSchema
-     << "\", \"rows\": " << snap.rows.size()
-     << ", \"dropped\": " << snap.dropped << "}\n";
+  ChunkWriter out(os);
+  out.put("{\"schema\": \"", kQtraceSchema, "\", \"rows\": ", snap.rows.size(),
+          ", \"dropped\": ", snap.dropped, "}\n");
   for (const QueryTraceRow& row : snap.rows) {
-    os << "{\"id\": " << row.trace_id << ", \"t\": ";
-    put_double(os, row.time);
-    os << ", \"epoch\": " << row.epoch << ", \"corr\": " << row.correlation
-       << ", \"src\": " << row.src << ", \"dst\": " << row.dst
-       << ", \"tag\": \"" << answer_tag(row.status)
-       << "\", \"reachable\": " << (row.reachable ? "true" : "false")
-       << ", \"dist\": " << row.dist_bound << ", \"stale\": "
-       << row.stale_behind << ", \"ticks\": {\"admit\": " << row.admit_ticks
-       << ", \"lookup\": " << row.lookup_ticks
-       << ", \"stitch\": " << row.stitch_ticks << "}}\n";
+    out.put("{\"id\": ", row.trace_id, ", \"t\": ", row.time,
+            ", \"epoch\": ", row.epoch, ", \"corr\": ", row.correlation,
+            ", \"src\": ", row.src, ", \"dst\": ", row.dst, ", \"tag\": \"",
+            answer_tag(row.status), "\", \"reachable\": ", row.reachable != 0,
+            ", \"dist\": ", row.dist_bound, ", \"stale\": ", row.stale_behind,
+            ", \"ticks\": {\"admit\": ", row.admit_ticks,
+            ", \"lookup\": ", row.lookup_ticks,
+            ", \"stitch\": ", row.stitch_ticks, "}}\n");
   }
+  out.flush();
 }
 
 void write_slo_json(std::ostream& os, const SloReport& report) {
-  os << "{\n  \"slo_schema\": \"" << kSloSchema << "\",\n  \"ok\": "
-     << (report.ok() ? "true" : "false")
-     << ",\n  \"in_breach\": " << (report.in_breach ? "true" : "false")
-     << ",\n  \"samples\": " << report.samples
-     << ",\n  \"breaches\": " << report.breaches
-     << ",\n  \"recovers\": " << report.recovers << ",\n  \"spec\": {";
-  os << "\"window\": ";
-  put_double(os, report.spec.window);
-  os << ", \"long_window\": ";
-  put_double(os, report.spec.long_window);
-  os << ", \"burn_threshold\": ";
-  put_double(os, report.spec.burn_threshold);
-  os << "},\n  \"objectives\": [";
+  ChunkWriter out(os);
+  out.put("{\n  \"slo_schema\": \"", kSloSchema, "\",\n  \"ok\": ", report.ok(),
+          ",\n  \"in_breach\": ", report.in_breach,
+          ",\n  \"samples\": ", report.samples,
+          ",\n  \"breaches\": ", report.breaches,
+          ",\n  \"recovers\": ", report.recovers,
+          ",\n  \"spec\": {\"window\": ", report.spec.window,
+          ", \"long_window\": ", report.spec.long_window,
+          ", \"burn_threshold\": ", report.spec.burn_threshold,
+          "},\n  \"objectives\": [");
   bool first = true;
   for (const SloObjectiveReport& obj : report.objectives) {
     if (!obj.enabled) continue;
-    os << (first ? "\n" : ",\n");
+    out.put(first ? "\n" : ",\n", "    {\"name\": \"", obj.name,
+            "\", \"target\": ", obj.target,
+            ", \"worst_short_burn\": ", obj.worst_short_burn,
+            ", \"worst_long_burn\": ", obj.worst_long_burn,
+            ", \"breach_samples\": ", obj.breach_samples,
+            ", \"first_breach_t\": ", obj.first_breach_time, "}");
     first = false;
-    os << "    {\"name\": \"" << obj.name << "\", \"target\": ";
-    put_double(os, obj.target);
-    os << ", \"worst_short_burn\": ";
-    put_double(os, obj.worst_short_burn);
-    os << ", \"worst_long_burn\": ";
-    put_double(os, obj.worst_long_burn);
-    os << ", \"breach_samples\": " << obj.breach_samples
-       << ", \"first_breach_t\": ";
-    put_double(os, obj.first_breach_time);
-    os << "}";
   }
-  os << "\n  ]\n}\n";
+  out.put("\n  ]\n}\n");
+  out.flush();
 }
 
 void write_episodes_jsonl(std::ostream& os, const EpisodeReport& report) {
-  os << "{\"schema\": \"" << kEpisodeSchema
-     << "\", \"episodes\": " << report.episodes.size()
-     << ", \"journal_dropped\": " << report.journal_dropped
-     << ", \"qtrace_dropped\": " << report.qtrace_dropped
-     << ", \"malformed\": " << report.malformed
-     << ", \"unattributed\": " << report.unattributed << "}\n";
+  ChunkWriter out(os);
+  out.put("{\"schema\": \"", kEpisodeSchema,
+          "\", \"episodes\": ", report.episodes.size(),
+          ", \"journal_dropped\": ", report.journal_dropped,
+          ", \"qtrace_dropped\": ", report.qtrace_dropped,
+          ", \"malformed\": ", report.malformed,
+          ", \"unattributed\": ", report.unattributed, "}\n");
   for (const Episode& ep : report.episodes) {
-    os << "{\"kind\": \"" << to_string(ep.kind) << "\", \"id\": " << ep.id
-       << ", \"subject\": " << ep.subject << ", \"open\": ";
-    put_double(os, ep.open_time);
-    os << ", \"close\": ";
-    put_double(os, ep.close_time);
-    os << ", \"closed\": " << (ep.closed ? "true" : "false")
-       << ", \"truncated\": " << (ep.truncated ? "true" : "false")
-       << ", \"exposure\": ";
-    put_double(os, ep.span());
-    os << ", \"phases\": {";
+    out.put("{\"kind\": \"", to_string(ep.kind), "\", \"id\": ", ep.id,
+            ", \"subject\": ", ep.subject, ", \"open\": ", ep.open_time,
+            ", \"close\": ", ep.close_time, ", \"closed\": ", ep.closed,
+            ", \"truncated\": ", ep.truncated, ", \"exposure\": ", ep.span(),
+            ", \"phases\": {");
     for (std::size_t p = 0; p < kNumEpisodePhases; ++p) {
-      os << (p == 0 ? "" : ", ") << "\""
-         << to_string(static_cast<EpisodePhase>(p)) << "\": ";
-      put_double(os, ep.phases[p]);
+      out.put(p == 0 ? "\"" : ", \"", to_string(static_cast<EpisodePhase>(p)),
+              "\": ", ep.phases[p]);
     }
-    os << "}, \"attempts\": " << ep.attempts
-       << ", \"failures\": " << ep.failures
-       << ", \"gave_up\": " << (ep.gave_up ? "true" : "false")
-       << ", \"stale_served\": " << ep.stale_served
-       << ", \"shedded\": " << ep.shedded << ", \"refused\": " << ep.refused
-       << "}\n";
+    out.put("}, \"attempts\": ", ep.attempts, ", \"failures\": ", ep.failures,
+            ", \"gave_up\": ", ep.gave_up,
+            ", \"stale_served\": ", ep.stale_served,
+            ", \"shedded\": ", ep.shedded, ", \"refused\": ", ep.refused,
+            "}\n");
   }
+  out.flush();
 }
 
 void write_episode_chrome_trace(std::ostream& os, const EpisodeReport& report) {
@@ -365,6 +434,7 @@ void write_episode_chrome_trace(std::ostream& os, const EpisodeReport& report) {
       trace.flow('f', flow_id, 2, ts).end();
     }
   }
+  trace.finish();
 }
 
 void write_journal_chrome_trace(std::ostream& os, const Journal& journal,
@@ -389,6 +459,7 @@ void write_journal_chrome_trace(std::ostream& os, const Journal& journal,
           .end();
     }
   }
+  trace.finish();
 }
 
 namespace {

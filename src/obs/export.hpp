@@ -31,7 +31,19 @@
 // read_events_jsonl and read_qtrace_jsonl parse their writers' output back.
 //
 // obs sits below every other library, so formatting here is hand-rolled
-// rather than borrowed from bsr_io.
+// rather than borrowed from bsr_io. Every writer except dump_pretty (a
+// human table, streamed with <<) formats into one private 64 KiB chunk:
+// strings are copied in, integers and doubles go through std::to_chars
+// (doubles in shortest round-trip form), and each full chunk reaches the
+// stream in one write(). So:
+//   * memory is one chunk per call, whatever the artifact's size — no
+//     writer builds a whole artifact in a string;
+//   * the bytes ignore the stream's locale (a digit-grouping numpunct
+//     imbued in the stream changes nothing);
+//   * each writer hands its last chunk to the stream before it returns, and
+//     nothing is written from a destructor, so a stream that rejected a
+//     write is already failed (badbit) when the caller checks it. The
+//     writers themselves never throw on a failed stream.
 #pragma once
 
 #include <iosfwd>

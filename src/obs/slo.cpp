@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 
@@ -17,30 +18,52 @@ constexpr std::array<std::string_view, kNumSloObjectives> kObjectiveNames = {
   throw std::invalid_argument("slo spec: " + what);
 }
 
+/// One spec key: the field it sets and its documented range. The ranges keep
+/// every burn rate finite: a fresh_min of 1 (or a zero bound) would divide by
+/// a zero error budget.
+struct SpecKey {
+  std::string_view name;
+  double SloSpec::*field;
+  bool objective;  ///< a target, off in an SloSpec while negative
+  bool (*in_range)(double);
+  std::string_view range;
+};
+
+constexpr SpecKey kSpecKeys[] = {
+    {"fresh_min", &SloSpec::fresh_min, true,
+     [](double v) { return v > 0.0 && v < 1.0; }, "in (0, 1)"},
+    {"refusal_max", &SloSpec::refusal_max, true,
+     [](double v) { return v > 0.0 && v <= 1.0; }, "in (0, 1]"},
+    {"p99_max", &SloSpec::p99_ticks_max, true,
+     [](double v) { return v >= 1.0; }, ">= 1"},
+    {"stale_max", &SloSpec::stale_max, true,
+     [](double v) { return v >= 1.0; }, ">= 1"},
+    {"window", &SloSpec::window, false,
+     [](double v) { return v > 0.0; }, "> 0"},
+    {"long_window", &SloSpec::long_window, false,
+     [](double v) { return v > 0.0; }, "> 0"},
+    {"burn", &SloSpec::burn_threshold, false,
+     [](double v) { return v > 0.0; }, "> 0"},
+};
+
+void check_range(const SpecKey& key, double value) {
+  if (!key.in_range(value)) {
+    bad_spec(std::string(key.name) + " must be " + std::string(key.range));
+  }
+}
+
 void validate_spec(const SloSpec& spec) {
-  if (!(spec.window > 0.0)) bad_spec("window must be > 0");
+  bool any_objective = false;
+  for (const SpecKey& key : kSpecKeys) {
+    const double value = spec.*key.field;
+    if (key.objective && !(value >= 0.0)) continue;  // objective off
+    any_objective = any_objective || key.objective;
+    check_range(key, value);
+  }
   if (!(spec.long_window >= spec.window)) {
     bad_spec("long_window must be >= window");
   }
-  if (!(spec.burn_threshold > 0.0)) bad_spec("burn must be > 0");
-  // Range checks keep every burn rate finite: a fresh_min of 1 (or a zero
-  // bound) would divide by a zero error budget.
-  if (spec.fresh_min >= 0.0 &&
-      !(spec.fresh_min > 0.0 && spec.fresh_min < 1.0)) {
-    bad_spec("fresh_min must be in (0, 1)");
-  }
-  if (spec.refusal_max >= 0.0 &&
-      !(spec.refusal_max > 0.0 && spec.refusal_max <= 1.0)) {
-    bad_spec("refusal_max must be in (0, 1]");
-  }
-  if (spec.p99_ticks_max >= 0.0 && !(spec.p99_ticks_max >= 1.0)) {
-    bad_spec("p99_max must be >= 1");
-  }
-  if (spec.stale_max >= 0.0 && !(spec.stale_max >= 1.0)) {
-    bad_spec("stale_max must be >= 1");
-  }
-  if (spec.fresh_min < 0.0 && spec.refusal_max < 0.0 &&
-      spec.p99_ticks_max < 0.0 && spec.stale_max < 0.0) {
+  if (!any_objective) {
     bad_spec("no objective enabled (set at least one of fresh_min, "
              "refusal_max, p99_max, stale_max)");
   }
@@ -135,6 +158,7 @@ std::string_view name(SloObjective o) noexcept {
 
 SloSpec parse_slo_spec(std::string_view text) {
   SloSpec spec;
+  bool seen[std::size(kSpecKeys)] = {};
   std::size_t pos = 0;
   while (pos <= text.size()) {
     std::size_t end = text.find_first_of(",;", pos);
@@ -146,25 +170,21 @@ SloSpec parse_slo_spec(std::string_view text) {
     if (eq == std::string_view::npos) {
       bad_spec("expected key=value, got '" + std::string(token) + "'");
     }
-    const std::string_view key = trimmed(token.substr(0, eq));
-    const double value = parse_number(key, token.substr(eq + 1));
-    if (key == "fresh_min") {
-      spec.fresh_min = value;
-    } else if (key == "refusal_max") {
-      spec.refusal_max = value;
-    } else if (key == "p99_max") {
-      spec.p99_ticks_max = value;
-    } else if (key == "stale_max") {
-      spec.stale_max = value;
-    } else if (key == "window") {
-      spec.window = value;
-    } else if (key == "long_window") {
-      spec.long_window = value;
-    } else if (key == "burn") {
-      spec.burn_threshold = value;
-    } else {
-      bad_spec("unknown key '" + std::string(key) + "'");
+    const std::string_view name = trimmed(token.substr(0, eq));
+    const auto key =
+        std::find_if(std::begin(kSpecKeys), std::end(kSpecKeys),
+                     [&](const SpecKey& k) { return k.name == name; });
+    if (key == std::end(kSpecKeys)) {
+      bad_spec("unknown key '" + std::string(name) + "'");
     }
+    bool& named = seen[key - std::begin(kSpecKeys)];
+    if (named) bad_spec("key '" + std::string(name) + "' given twice");
+    named = true;
+    // A named key is checked on its own: a negative target is out of range
+    // here, not "off" (leaving the key out turns its objective off).
+    const double value = parse_number(name, token.substr(eq + 1));
+    check_range(*key, value);
+    spec.*key->field = value;
   }
   validate_spec(spec);
   return spec;

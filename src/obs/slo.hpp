@@ -53,9 +53,9 @@ inline constexpr std::string_view kSloSchema = "bsr-slo/1";
 /// Declarative objectives. Negative target = objective disabled; a spec
 /// with every objective disabled is invalid (parse_slo_spec throws).
 struct SloSpec {
-  double window = 5.0;        ///< short (paging) window, simulated time
-  double long_window = 30.0;  ///< long (filtering) window, simulated time
-  double burn_threshold = 1.0;///< breach when BOTH windows burn >= this
+  double window = 5.0;        ///< short (paging) window, simulated time, > 0
+  double long_window = 30.0;  ///< long (filtering) window, >= window
+  double burn_threshold = 1.0;///< breach when BOTH windows burn >= this, > 0
   double fresh_min = -1.0;    ///< min fresh fraction, in (0, 1)
   double refusal_max = -1.0;  ///< max refused fraction, in (0, 1]
   double p99_ticks_max = -1.0;///< max windowed p99 query ticks, >= 1
@@ -64,10 +64,13 @@ struct SloSpec {
 
 /// Parses "key=value[,key=value...]" (',' or ';' separated; spaces allowed
 /// around tokens). Keys: fresh_min, refusal_max, p99_max, stale_max,
-/// window, long_window, burn. Throws std::invalid_argument on unknown keys,
-/// malformed numbers, out-of-range targets (see SloSpec field docs — the
-/// ranges keep every burn rate finite), long_window < window, or a spec
-/// that enables no objective at all.
+/// window, long_window, burn (burn_threshold). A key left out keeps its
+/// SloSpec default, so an objective left out is off. Every key named must
+/// hold a finite value in its range (see the SloSpec field docs; the ranges
+/// keep every burn rate finite): a negative target is an error, not "off".
+/// Throws std::invalid_argument naming the key on an unknown key, a key
+/// given twice, a malformed or out-of-range value; and on long_window <
+/// window or a spec that enables no objective at all.
 [[nodiscard]] SloSpec parse_slo_spec(std::string_view text);
 
 /// One evaluation sample: the answer-tag tallies and deterministic tick

@@ -1,18 +1,25 @@
-// Tests for the artifact readers and the Chrome-trace writers in
-// obs/export: write -> read -> write round trips over seeded random journals
-// and query traces, a table of corrupt inputs that must each be rejected
-// with their line named, and golden bytes for every trace writer.
+// Tests for the artifact writers and readers in obs/export: every writer
+// against its `<<` reference byte for byte over seeded random and edge-value
+// inputs (outputs past several chunks included), under a grouping locale and
+// into a stream that rejects writes; write -> read -> write round trips over
+// seeded random journals and query traces; a table of corrupt inputs that
+// must each be rejected with their line named; and golden bytes for every
+// trace writer.
 #include "obs/export.hpp"
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <limits>
+#include <locale>
 #include <sstream>
 #include <stdexcept>
+#include <streambuf>
 #include <string>
 #include <vector>
 
 #include "graph/rng.hpp"
+#include "reference_export.hpp"
 
 namespace bsr::obs {
 namespace {
@@ -28,14 +35,15 @@ std::uint64_t pick_u64(bsr::graph::Rng& rng, std::uint64_t max) {
 }
 
 double pick_time(bsr::graph::Rng& rng) {
-  const double edges[] = {0.0, 0.1, 1e-300, 1e300, 1.0 / 3.0, 2.5};
-  return rng.bernoulli(0.5) ? edges[rng.uniform(6)] : rng.uniform01() * 1e4;
+  const double edges[] = {0.0, -0.0, 0.1, 1e-300, 1e300, 1.0 / 3.0, 2.5, -1.0};
+  return rng.bernoulli(0.5) ? edges[rng.uniform(8)] : rng.uniform01() * 1e4;
 }
 
-Journal random_journal(std::uint64_t seed) {
+Journal random_journal(std::uint64_t seed, std::size_t extra = 64,
+                       std::size_t min_extra = 0) {
   bsr::graph::Rng rng(seed);
   Journal journal;
-  const std::size_t n = kNumEvents + rng.uniform(64);
+  const std::size_t n = kNumEvents + min_extra + rng.uniform(extra);
   for (std::size_t i = 0; i < n; ++i) {
     EventRecord rec;
     rec.time = pick_time(rng);
@@ -51,12 +59,14 @@ Journal random_journal(std::uint64_t seed) {
   return journal;
 }
 
-QtraceSnapshot random_qtrace(std::uint64_t seed) {
+constexpr std::uint64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
+
+QtraceSnapshot random_qtrace(std::uint64_t seed, std::size_t extra = 64,
+                             std::size_t min_extra = 0) {
   bsr::graph::Rng rng(seed);
-  constexpr std::uint64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
   constexpr std::uint64_t kMaxU16 = std::numeric_limits<std::uint16_t>::max();
   QtraceSnapshot snap;
-  const std::size_t n = 8 + rng.uniform(64);
+  const std::size_t n = 8 + min_extra + rng.uniform(extra);
   for (std::size_t i = 0; i < n; ++i) {
     QueryTraceRow row;
     row.trace_id = pick_u64(rng, kMaxU64);
@@ -137,6 +147,309 @@ TEST(ExportReaders, QtraceRoundTripsFieldForFieldAndByteForByte) {
       EXPECT_EQ(b.stitch_ticks, a.stitch_ticks);
       EXPECT_EQ(b.status, a.status);
       EXPECT_EQ(b.reachable, a.reachable);
+    }
+  }
+}
+
+// --- every writer against its reference -------------------------------------
+// The writers share one chunked to_chars buffer; tests/reference_export.hpp
+// keeps the per-part `<<` writers they replaced. Both must agree byte for
+// byte on default-locale streams, whatever the input.
+
+/// A time the episode trace writer can turn into microseconds and subtract
+/// without overflowing int64 (1e300 would).
+double pick_trace_time(bsr::graph::Rng& rng) {
+  const double edges[] = {0.0, -0.0, 0.1, 1e-300, 1.0 / 3.0, 2.5, -1.0};
+  return rng.bernoulli(0.5) ? edges[rng.uniform(7)] : rng.uniform01() * 1e4;
+}
+
+Snapshot random_snapshot(bsr::graph::Rng& rng) {
+  Snapshot snap;
+  snap.enabled = rng.bernoulli(0.8);
+  for (std::uint64_t& c : snap.counters) c = pick_u64(rng, kMaxU64);
+  for (std::uint64_t& g : snap.gauges) g = pick_u64(rng, kMaxU64);
+  for (auto& buckets : snap.histograms) {
+    for (std::uint64_t& b : buckets) {
+      b = rng.bernoulli(0.7) ? 0 : pick_u64(rng, kMaxU64);
+    }
+  }
+  return snap;
+}
+
+/// Span names: short ones, one that fills most of a chunk and one longer
+/// than a chunk.
+const char* pick_span_name(bsr::graph::Rng& rng) {
+  static const std::string kMost(40'000, 'm');
+  static const std::string kLong(150'000, 'l');
+  const char* names[] = {"select", "bfs", "", kMost.c_str(), kLong.c_str()};
+  return names[rng.bernoulli(0.9) ? rng.uniform(3) : 3 + rng.uniform(2)];
+}
+
+std::vector<SpanRecord> random_spans(bsr::graph::Rng& rng, std::size_t n) {
+  std::vector<SpanRecord> spans(n);
+  for (SpanRecord& span : spans) {
+    span.name = pick_span_name(rng);
+    span.start_ns = pick_u64(rng, kMaxU64);
+    span.duration_ns = pick_u64(rng, kMaxU64);
+    span.work_units = pick_u64(rng, kMaxU64);
+    for (std::size_t c = 0; c < kNumCounters; ++c) {
+      if (rng.bernoulli(0.1)) {
+        span.counter_deltas.emplace_back(static_cast<Counter>(c),
+                                         pick_u64(rng, kMaxU64));
+      }
+    }
+  }
+  return spans;
+}
+
+/// Mostly zero deltas, so the journal trace writer's counter tracks vary.
+std::vector<SeriesRow> random_series(bsr::graph::Rng& rng, std::size_t n) {
+  std::vector<SeriesRow> rows(n);
+  for (SeriesRow& row : rows) {
+    row.round = pick_u64(rng, kMaxU64);
+    row.t_begin = pick_time(rng);
+    row.t_end = pick_time(rng);
+    for (std::uint64_t& d : row.deltas) {
+      d = rng.bernoulli(0.8) ? 0 : pick_u64(rng, kMaxU64);
+    }
+  }
+  return rows;
+}
+
+/// Trace-safe open, close and slice times; the phase totals, which only the
+/// JSONL writer prints, take every edge value. Most episodes last under 10
+/// time units, which keeps the health x serve flow arrows few.
+EpisodeReport random_episodes(bsr::graph::Rng& rng, std::size_t n) {
+  EpisodeReport report;
+  report.journal_dropped = pick_u64(rng, kMaxU64);
+  report.qtrace_dropped = pick_u64(rng, kMaxU64);
+  report.malformed = pick_u64(rng, kMaxU64);
+  report.unattributed = pick_u64(rng, kMaxU64);
+  for (std::size_t i = 0; i < n; ++i) {
+    Episode& ep = report.episodes.emplace_back();
+    ep.kind = rng.bernoulli(0.5) ? EpisodeKind::kHealth : EpisodeKind::kServe;
+    ep.id = pick_u64(rng, kMaxU64);
+    ep.subject = pick_u64(rng, kMaxU64);
+    ep.open_time = pick_trace_time(rng);
+    ep.close_time = rng.bernoulli(0.1) ? pick_trace_time(rng)
+                                       : ep.open_time + rng.uniform01() * 10;
+    ep.closed = rng.bernoulli(0.5);
+    ep.truncated = rng.bernoulli(0.5);
+    ep.gave_up = rng.bernoulli(0.5);
+    for (double& phase : ep.phases) phase = pick_time(rng);
+    for (std::uint64_t s = rng.uniform(4); s > 0; --s) {
+      const auto phase =
+          static_cast<EpisodePhase>(rng.uniform(kNumEpisodePhases));
+      ep.slices.push_back({phase, pick_trace_time(rng), pick_trace_time(rng)});
+    }
+    ep.attempts = static_cast<std::uint32_t>(pick_u64(rng, kMaxU32));
+    ep.failures = static_cast<std::uint32_t>(pick_u64(rng, kMaxU32));
+    ep.stale_served = pick_u64(rng, kMaxU64);
+    ep.shedded = pick_u64(rng, kMaxU64);
+    ep.refused = pick_u64(rng, kMaxU64);
+  }
+  return report;
+}
+
+/// Disabled objectives and never-breached ones (first_breach_t = -1) mixed
+/// in.
+SloReport random_slo(bsr::graph::Rng& rng) {
+  SloReport report;
+  report.spec.window = pick_time(rng);
+  report.spec.long_window = pick_time(rng);
+  report.spec.burn_threshold = pick_time(rng);
+  report.samples = pick_u64(rng, kMaxU64);
+  report.breaches = pick_u64(rng, kMaxU64);
+  report.recovers = pick_u64(rng, kMaxU64);
+  report.in_breach = rng.bernoulli(0.5);
+  for (std::size_t i = 0; i < kNumSloObjectives; ++i) {
+    SloObjectiveReport& obj = report.objectives[i];
+    obj.name = name(static_cast<SloObjective>(i));
+    obj.enabled = rng.bernoulli(0.6);
+    obj.target = obj.enabled ? pick_time(rng) : -1.0;
+    obj.worst_short_burn = pick_time(rng);
+    obj.worst_long_burn = pick_time(rng);
+    obj.breach_samples = pick_u64(rng, kMaxU64);
+    obj.first_breach_time = rng.bernoulli(0.5) ? -1.0 : pick_time(rng);
+  }
+  return report;
+}
+
+/// One input per writer, drawn from one seed. At scale 1 every record count
+/// may be zero; a larger scale puts at least `scale` times the scale-1
+/// maximum in each. The qtrace tags run past 3, which prints "unknown".
+struct Artifacts {
+  Snapshot snap;
+  std::vector<SpanRecord> spans;
+  Journal journal;
+  std::vector<SeriesRow> series;
+  QtraceSnapshot qtrace;
+  EpisodeReport episodes;
+  SloReport slo;
+};
+
+Artifacts random_artifacts(std::uint64_t seed, std::size_t scale = 1) {
+  bsr::graph::Rng rng(seed * 7919);
+  const std::size_t min = scale == 1 ? 0 : scale;
+  const auto count = [&](std::size_t max) {
+    return max * min + rng.uniform(max * scale + 1);
+  };
+  Artifacts a;
+  a.snap = random_snapshot(rng);
+  a.spans = random_spans(rng, count(8));
+  a.journal = random_journal(seed, 64 * scale, 64 * min);
+  a.series = random_series(rng, count(8));
+  a.qtrace = random_qtrace(seed, 64 * scale, 64 * min);
+  for (QueryTraceRow& row : a.qtrace.rows) {
+    if (rng.bernoulli(0.1)) {
+      row.status = static_cast<std::uint8_t>(4 + rng.uniform(252));
+    }
+  }
+  a.episodes = random_episodes(rng, count(8));
+  a.slo = random_slo(rng);
+  return a;
+}
+
+struct WriterPair {
+  const char* name;
+  std::function<void(std::ostream&, const Artifacts&)> library, reference;
+};
+
+/// Every artifact writer beside its reference twin.
+const std::vector<WriterPair>& writer_pairs() {
+  namespace ref = bsr::test::reference;
+  using A = Artifacts;
+  static const std::vector<WriterPair> pairs = {
+      {"write_json",  //
+       [](std::ostream& os, const A& a) { write_json(os, a.snap); },
+       [](std::ostream& os, const A& a) { ref::write_json(os, a.snap); }},
+      {"write_chrome_trace",
+       [](std::ostream& os, const A& a) { write_chrome_trace(os, a.spans); },
+       [](std::ostream& os, const A& a) {
+         ref::write_chrome_trace(os, a.spans);
+       }},
+      {"write_events_jsonl",
+       [](std::ostream& os, const A& a) { write_events_jsonl(os, a.journal); },
+       [](std::ostream& os, const A& a) {
+         ref::write_events_jsonl(os, a.journal);
+       }},
+      {"write_series_csv",
+       [](std::ostream& os, const A& a) { write_series_csv(os, a.series); },
+       [](std::ostream& os, const A& a) {
+         ref::write_series_csv(os, a.series);
+       }},
+      {"write_journal_chrome_trace",
+       [](std::ostream& os, const A& a) {
+         write_journal_chrome_trace(os, a.journal, a.series);
+       },
+       [](std::ostream& os, const A& a) {
+         ref::write_journal_chrome_trace(os, a.journal, a.series);
+       }},
+      {"write_qtrace_jsonl",
+       [](std::ostream& os, const A& a) { write_qtrace_jsonl(os, a.qtrace); },
+       [](std::ostream& os, const A& a) {
+         ref::write_qtrace_jsonl(os, a.qtrace);
+       }},
+      {"write_episodes_jsonl",
+       [](std::ostream& os, const A& a) {
+         write_episodes_jsonl(os, a.episodes);
+       },
+       [](std::ostream& os, const A& a) {
+         ref::write_episodes_jsonl(os, a.episodes);
+       }},
+      {"write_episode_chrome_trace",
+       [](std::ostream& os, const A& a) {
+         write_episode_chrome_trace(os, a.episodes);
+       },
+       [](std::ostream& os, const A& a) {
+         ref::write_episode_chrome_trace(os, a.episodes);
+       }},
+      {"write_slo_json",
+       [](std::ostream& os, const A& a) { write_slo_json(os, a.slo); },
+       [](std::ostream& os, const A& a) { ref::write_slo_json(os, a.slo); }},
+  };
+  return pairs;
+}
+
+TEST(ExportReference, EveryWriterMatchesOnRandomInputs) {
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    SCOPED_TRACE(seed);
+    const Artifacts a = random_artifacts(seed);
+    for (const WriterPair& w : writer_pairs()) {
+      SCOPED_TRACE(w.name);
+      EXPECT_EQ(written(a, w.library), written(a, w.reference));
+    }
+  }
+}
+
+TEST(ExportReference, EveryWriterMatchesOnEmptyInputs) {
+  const Artifacts a;
+  for (const WriterPair& w : writer_pairs()) {
+    SCOPED_TRACE(w.name);
+    EXPECT_EQ(written(a, w.library), written(a, w.reference));
+  }
+}
+
+TEST(ExportReference, OutputsPastSeveralChunksMatch) {
+  // Well past the writers' 64 KiB chunk, with sizes that differ per seed so
+  // the boundaries fall inside different numbers and names.
+  constexpr std::size_t kSeveralChunks = 4 * 64 * 1024;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    SCOPED_TRACE(seed);
+    const Artifacts a = random_artifacts(seed, 100);
+    for (const WriterPair& w : writer_pairs()) {
+      SCOPED_TRACE(w.name);
+      const std::string bytes = written(a, w.library);
+      EXPECT_EQ(bytes, written(a, w.reference));
+      // The snapshot and the SLO verdict have a fixed number of fields.
+      if (std::string_view(w.name) != "write_json" &&
+          std::string_view(w.name) != "write_slo_json") {
+        EXPECT_GT(bytes.size(), kSeveralChunks);
+      }
+    }
+  }
+}
+
+/// Groups digits in threes with ',' and uses ',' as the decimal point.
+struct GroupingPunct : std::numpunct<char> {
+  char do_thousands_sep() const override { return ','; }
+  std::string do_grouping() const override { return "\3"; }
+  char do_decimal_point() const override { return ','; }
+};
+
+TEST(ExportLocale, GroupingLocaleLeavesEveryWriterInCLocaleBytes) {
+  const std::locale grouping(std::locale::classic(), new GroupingPunct);
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    SCOPED_TRACE(seed);
+    const Artifacts a = random_artifacts(seed);
+    for (const WriterPair& w : writer_pairs()) {
+      SCOPED_TRACE(w.name);
+      std::ostringstream os;
+      os.imbue(grouping);
+      w.library(os, a);
+      EXPECT_EQ(os.str(), written(a, w.reference));
+    }
+  }
+}
+
+/// A stream buffer that accepts no byte.
+struct RejectingBuf : std::streambuf {
+  int_type overflow(int_type) override { return traits_type::eof(); }
+  std::streamsize xsputn(const char*, std::streamsize) override { return 0; }
+};
+
+TEST(ExportFailure, RejectedWritesLeaveTheStreamFailed) {
+  // Small outputs fail at the writer's final flush, large ones at an earlier
+  // chunk; either way the writer returns and the stream reports it.
+  for (const std::size_t scale : {std::size_t{1}, std::size_t{100}}) {
+    SCOPED_TRACE(scale);
+    const Artifacts a = random_artifacts(1, scale);
+    for (const WriterPair& w : writer_pairs()) {
+      SCOPED_TRACE(w.name);
+      RejectingBuf buf;
+      std::ostream os(&buf);
+      EXPECT_NO_THROW(w.library(os, a));
+      EXPECT_TRUE(os.bad());
     }
   }
 }

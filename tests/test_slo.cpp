@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <initializer_list>
 #include <random>
 #include <sstream>
 #include <stdexcept>
@@ -86,6 +87,35 @@ TEST(SloSpecParse, RejectsMalformedInput) {
       EXPECT_EQ(std::string(error.what()).rfind("slo spec: malformed number", 0),
                 0u)
           << error.what();
+    }
+  }
+  // A key the spec names must hold a value in its range (a negative target
+  // is not "off"), and no key may be given twice; the error names the key.
+  struct Bad {
+    const char* spec;
+    const char* message;
+  };
+  for (const Bad& bad : std::initializer_list<Bad>{
+           {"fresh_min=0.9,stale_max=-3", "stale_max must be >= 1"},
+           {"fresh_min=-1", "fresh_min must be in (0, 1)"},
+           {"fresh_min=0.9,refusal_max=-0.5", "refusal_max must be in (0, 1]"},
+           {"fresh_min=0.9,refusal_max=0", "refusal_max must be in (0, 1]"},
+           {"stale_max=8,p99_max=-1", "p99_max must be >= 1"},
+           {"stale_max=8,p99_max=0.5", "p99_max must be >= 1"},
+           {"fresh_min=0.9,window=-2", "window must be > 0"},
+           {"fresh_min=0.9,long_window=0", "long_window must be > 0"},
+           {"fresh_min=0.9,burn=-1", "burn must be > 0"},
+           {"fresh_min=0.9,fresh_min=0.5", "key 'fresh_min' given twice"},
+           {"fresh_min=0.9, window=2; window=2", "key 'window' given twice"},
+           {"stale_max=4,stale_max=-1", "key 'stale_max' given twice"},
+       }) {
+    SCOPED_TRACE(bad.spec);
+    try {
+      parse(bad.spec);
+      ADD_FAILURE() << "accepted";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_EQ(std::string(error.what()),
+                std::string("slo spec: ") + bad.message);
     }
   }
 }
