@@ -21,11 +21,11 @@
 // Everything else the kernels touch is either macro-free inline code
 // (identical tokens in both TUs, so shared instantiations are benign) or
 // out-of-line library code (connected_components, coverage, the rollback
-// union-find) that both the bare and instrumented paths call identically, so
-// its cost cancels out of the overhead delta.
+// union-find, the route service's compaction and lane sweep) that both the
+// bare and instrumented paths call identically, so its cost cancels out of
+// the overhead delta.
 #define BSR_OBS_FORCE_OFF 1
 #define bfs bare_bfs
-#define bfs_dir_opt bare_bfs_dir_opt
 #define unite_star bare_unite_star
 #define unite_edges bare_unite_edges
 #define maxsg bare_maxsg
@@ -36,7 +36,6 @@
 #include "broker/maxsg.cpp"
 #include "sim/route_service.cpp"
 #undef bfs
-#undef bfs_dir_opt
 #undef unite_star
 #undef unite_edges
 #undef maxsg

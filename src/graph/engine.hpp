@@ -30,10 +30,10 @@
 //
 // Determinism contract (see docs/ENGINE.md): every kernel visits vertices in
 // a fixed order — FIFO queue order for bfs, ascending (u, slot) order for
-// edge scans — so dist arrays, component labels, greedy tie-breaks, and
-// double accumulation orders are pure functions of the input, and invariant
-// under BSR_THREADS (parallel reductions are integer-only and merged in
-// shard order). A stop policy only cuts the FIFO loop short: discovery
+// edge scans, ascending id in each lane_sweep level — so dist arrays,
+// parents, component labels, greedy tie-breaks, and double accumulation
+// orders are pure functions of the input, and invariant under BSR_THREADS
+// (parallel reductions are integer-only and merged in shard order). A stop policy only cuts the FIFO loop short: discovery
 // order, dist and parents up to the stop are the exhaustive run's.
 #pragma once
 
@@ -42,6 +42,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -171,17 +172,14 @@ void bfs(const CsrGraph& g, NodeId source, Workspace& ws, Filter admit,
 
 /// Compacted CSR of a subgraph of a CsrGraph: the same vertex ids, only
 /// the admitted edges, each list in the parent graph's (ascending) order.
-/// Built by compact_dominated; bfs_dir_opt and unite_edges traverse it like
-/// a CsrGraph, with no per-edge filter. degree() and num_edges() report the
-/// *parent's* structure: they feed bfs_dir_opt's switch heuristic, which
-/// must see the same integers as a filtered traversal of the parent.
+/// Built by compact_dominated; lane_sweep and unite_edges traverse it like
+/// a CsrGraph, with no per-edge filter.
 struct Subgraph {
-  const CsrGraph* graph = nullptr;     // the parent; must outlive this
   std::vector<std::uint64_t> offsets;  // size num_vertices + 1
   std::vector<NodeId> adjacency;       // both directions of every kept edge
   /// Bit v set iff v kept an edge (neighbors(v) is non-empty); one word per
-  /// 64 vertices, padding bits clear. bfs_dir_opt's bottom-up levels skip
-  /// the clear bits: a vertex with no edge can never be discovered.
+  /// 64 vertices, padding bits clear. lane_sweep's bottom-up levels walk
+  /// only the set bits: a vertex with no edge can never be discovered.
   std::vector<std::uint64_t> has_edges;
 
   [[nodiscard]] NodeId num_vertices() const noexcept {
@@ -191,15 +189,6 @@ struct Subgraph {
   [[nodiscard]] std::span<const NodeId> neighbors(NodeId v) const noexcept {
     BSR_DCHECK(v < num_vertices());
     return {adjacency.data() + offsets[v], adjacency.data() + offsets[v + 1]};
-  }
-
-  /// Structural degree of v in the parent graph, not neighbors(v).size().
-  [[nodiscard]] std::uint32_t degree(NodeId v) const noexcept {
-    return graph->degree(v);
-  }
-  /// Undirected edge count of the parent graph.
-  [[nodiscard]] std::uint64_t num_edges() const noexcept {
-    return graph->num_edges();
   }
 };
 
@@ -218,6 +207,40 @@ struct Subgraph {
 [[nodiscard]] Subgraph compact_dominated(const CsrGraph& g,
                                          const std::vector<bool>& usable,
                                          const FaultPlane* faults);
+
+// --- multi-source lane sweep -----------------------------------------------
+
+/// Trees one lane sweep builds at once: one bit of a uint16 mask each.
+inline constexpr std::size_t kLanes = 16;
+/// lane_sweep's distance where a lane never arrives; reached distances are
+/// clamped one below it.
+inline constexpr std::uint16_t kLaneUnreached = 0xffff;
+/// lane_sweep's parent where a lane never arrives.
+inline constexpr NodeId kLaneNoParent = std::numeric_limits<NodeId>::max();
+
+/// One BFS tree per root over `g`, up to kLanes trees per level-synchronous
+/// sweep (MS-BFS, Then et al., PVLDB 2014): a vertex's scan of its list
+/// serves every lane at once, and more than kLanes roots run as several
+/// sweeps of up to kLanes lanes. Writes both tables whole, sentinels
+/// included, so the caller fills nothing first:
+///   * dist[v * roots.size() + l]: exact hops from roots[l] to v, clamped at
+///     kLaneUnreached - 1, or kLaneUnreached where lane l never arrives;
+///   * parent[l * n + v]: v's parent in the tree of roots[l] — the root for
+///     itself, kLaneNoParent where lane l never arrives.
+/// The parent is canonical: **the lowest-id neighbour one level closer to
+/// the root**. Top-down levels walk an ascending frontier, and bottom-up
+/// levels walk has_edges in ascending id, each vertex scanning its
+/// (ascending) list in order until every lane of the level has seen it;
+/// both take the first hit, so the direction each level runs in, chosen
+/// inside from the frontier's slots against the unexplored slots, changes
+/// the speed and never the tables. Serial, so the tables cannot depend on
+/// BSR_THREADS. Its lane masks and frontier bitsets are per-thread scratch
+/// that grows to the largest graph swept and is kept, so repeated sweeps
+/// allocate nothing. Counts one engine.bfs.runs per lane, one
+/// engine.bfs.vertices_visited per (vertex, lane) it reaches, every slot a
+/// level reads in engine.bfs.edges_scanned, and its bottom-up levels.
+void lane_sweep(const Subgraph& g, std::span<const NodeId> roots,
+                std::span<std::uint16_t> dist, std::span<NodeId> parent);
 
 /// Direction-optimizing BFS (top-down <-> bottom-up switching).
 ///
@@ -242,16 +265,8 @@ struct Subgraph {
 /// *within a level* may differ (bottom-up levels discover in ascending
 /// vertex order) and parents are level-equivalent rather than identical, so
 /// callers comparing against bfs() must compare distance-derived outputs.
-///
-/// `g` is a CsrGraph or a compacted Subgraph of one. The switch reads only
-/// g.degree() and g.num_edges(), which a Subgraph answers from its parent,
-/// so a Subgraph holding exactly the edges some filter admits traverses
-/// with the same level schedule, visit order and parents as the parent
-/// graph through that filter — only the rejected slots go unscanned, and
-/// bottom-up levels skip the vertices that kept no edge (Subgraph::
-/// has_edges), which would scan nothing there. See docs/ENGINE.md.
-template <class Graph, class Filter = AllEdges>
-void bfs_dir_opt(const Graph& g, NodeId source, Workspace& ws, Filter admit = {},
+template <class Filter = AllEdges>
+void bfs_dir_opt(const CsrGraph& g, NodeId source, Workspace& ws, Filter admit = {},
                  std::uint32_t alpha = 15, std::uint32_t beta = 18) {
   BSR_DCHECK(source < g.num_vertices());
   BSR_DCHECK(alpha > 0 && beta > 0);
@@ -260,8 +275,6 @@ void bfs_dir_opt(const Graph& g, NodeId source, Workspace& ws, Filter admit = {}
   auto& visited = ws.visited_bits(n);
   auto& frontier = ws.frontier_bits(n);
   const std::size_t words = visited.size();
-  constexpr bool kHasEdgeBits = std::is_same_v<Graph, Subgraph>;
-  if constexpr (kHasEdgeBits) BSR_DCHECK(g.has_edges.size() == words);
 
   ws.discover(source, 0);
   visited[source >> 6] |= std::uint64_t{1} << (source & 63);
@@ -291,9 +304,7 @@ void bfs_dir_opt(const Graph& g, NodeId source, Workspace& ws, Filter admit = {}
       }
       for (std::size_t w = 0; w < words; ++w) {
         std::uint64_t todo = ~visited[w];
-        if constexpr (kHasEdgeBits) {
-          todo &= g.has_edges[w];  // its padding bits are clear
-        } else if (w == words - 1 && (n & 63) != 0) {
+        if (w == words - 1 && (n & 63) != 0) {
           todo &= (std::uint64_t{1} << (n & 63)) - 1;  // mask padding bits
         }
         while (todo != 0) {

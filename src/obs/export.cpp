@@ -20,6 +20,11 @@ namespace bsr::obs {
 
 namespace {
 
+/// Largest |time|, in seconds, the readers accept and the trace writers
+/// keep: its microseconds stay below 2^62, so a trace timestamp and the
+/// difference of two always fit int64_t.
+constexpr double kMaxSeconds = 4e12;
+
 /// The one output buffer behind every artifact writer. Parts are appended
 /// to a fixed chunk: strings by memcpy, integers and doubles by
 /// std::to_chars (doubles in shortest round-trip form, the only formatting
@@ -125,8 +130,12 @@ class TraceEmitter {
   }
 
   /// Simulated time -> microseconds, rounded so Perfetto gets monotone
-  /// integral timestamps.
-  static std::int64_t us(double t) { return std::llround(t * 1e6); }
+  /// integral timestamps. Clamped to +-kMaxSeconds (NaN reads 0), so no
+  /// result, nor the difference of two, can overflow.
+  static std::int64_t us(double t) {
+    if (std::isnan(t)) return 0;
+    return std::llround(std::clamp(t, -kMaxSeconds, kMaxSeconds) * 1e6);
+  }
   static std::int64_t us_from_ns(std::uint64_t ns) { return ns / 1000; }
 
   TraceEmitter& complete(std::string_view name, int tid, std::int64_t ts,
@@ -494,6 +503,12 @@ class LineCursor {
     rest_.remove_prefix(static_cast<std::size_t>(end - first));
     return value;
   }
+  /// A time in seconds: a finite double within +-kMaxSeconds.
+  double time() {
+    const double t = number<double>();
+    if (std::fabs(t) > kMaxSeconds) fail("time out of range");
+    return t;
+  }
   /// A quoted name (opening quote already consumed), as its index in `names`.
   std::size_t name(std::span<const std::string_view> names) {
     const std::string_view text = rest_.substr(0, rest_.find('"'));
@@ -557,7 +572,7 @@ Journal read_events_jsonl(std::istream& is) {
   Journal journal;
   journal.dropped = read_jsonl(is, kEventSchema, "events", [&](LineCursor& in) {
     EventRecord& rec = journal.events.emplace_back();
-    rec.time = in.lit("{\"t\": ").number<double>();
+    rec.time = in.lit("{\"t\": ").time();
     rec.type = static_cast<Event>(in.lit(", \"type\": \"").name(kEventNames));
     rec.subject = in.lit(", \"subject\": ").number();
     rec.correlation = in.lit(", \"corr\": ").number();
@@ -573,7 +588,7 @@ QtraceSnapshot read_qtrace_jsonl(std::istream& is) {
   snap.dropped = read_jsonl(is, kQtraceSchema, "rows", [&](LineCursor& in) {
     QueryTraceRow& row = snap.rows.emplace_back();
     row.trace_id = in.lit("{\"id\": ").number();
-    row.time = in.lit(", \"t\": ").number<double>();
+    row.time = in.lit(", \"t\": ").time();
     row.epoch = in.lit(", \"epoch\": ").number();
     row.correlation = in.lit(", \"corr\": ").number();
     row.src = in.lit(", \"src\": ").number<std::uint32_t>();

@@ -20,6 +20,8 @@ namespace {
 constexpr double kNever = std::numeric_limits<double>::infinity();
 }  // namespace
 
+static_assert(kNoNextHop == engine::kLaneNoParent);
+
 const char* to_string(AnswerStatus status) noexcept {
   switch (status) {
     case AnswerStatus::kFresh: return "fresh";
@@ -133,14 +135,10 @@ void RouteService::build_epoch(double now, std::uint64_t attempt) {
     lm_dist_.clear();
     lm_parent_.clear();
   } else {
-    // Compaction -> unite -> landmark BFS. The compacted G_B is build
-    // scratch: its lists keep g's order, so the unite sequence (hence every
-    // root) and each BFS (hence every parent) match the filtered scans of g
-    // they replace, over only the usable slots.
+    // Compaction -> lane sweep -> components read off the lanes. The
+    // compacted G_B is build scratch, dropped when the build ends.
     const engine::Subgraph usable =
         engine::compact_dominated(*graph_, usable_mask_, faults_);
-    engine::unite_edges(usable, uf_, engine::AllEdges{});
-    materialize_components();
 
     // Landmarks: the top-degree usable brokers (ties by ascending id), the
     // hubs most shortest dominated paths already route through.
@@ -156,33 +154,47 @@ void RouteService::build_epoch(double now, std::uint64_t attempt) {
       landmarks_.resize(config_.num_landmarks);
     }
 
-    // One BFS tree per landmark, sharded over landmarks: each tree is a
-    // fully serial kernel writing its reached entries into a disjoint column
-    // of the vertex-major distances and a disjoint row of the parents, both
-    // of sentinels, so the arrays are bit-identical at any BSR_THREADS value.
+    // Every landmark tree in sweeps of up to 16 lanes, each writing its
+    // entries, sentinels included, straight into both tables: nothing fills
+    // them first, and a same-size rebuild reuses their storage.
     const std::size_t num_lm = landmarks_.size();
-    lm_dist_.assign(n * num_lm, kLmUnreachable);
-    lm_parent_.assign(num_lm * n, kNoNextHop);
-    engine::for_each_shard(
-        num_lm, [&](std::size_t, std::size_t begin, std::size_t end) {
-          engine::Workspace& ws = engine::tls_workspace();
-          for (std::size_t li = begin; li < end; ++li) {
-            const NodeId root = landmarks_[li];
-            engine::bfs_dir_opt(usable, root, ws);
-            const auto reached = ws.visit_order().subspan(1);
-            NodeId* parent = lm_parent_.data() + li * n;
-            for (const NodeId v : reached) parent[v] = ws.parent(v);
-            parent[root] = root;
-            // A loop of its own: the strided writes (one line per vertex)
-            // overlap better without the parent row's stream between them.
-            std::uint16_t* dist = lm_dist_.data() + li;  // dist[v * num_lm]
-            for (const NodeId v : reached) {
-              dist[std::size_t{v} * num_lm] = static_cast<std::uint16_t>(
-                  std::min<std::uint32_t>(ws.dist_unchecked(v), kLmUnreachable - 1));
-            }
-            dist[std::size_t{root} * num_lm] = 0;
-          }
-        });
+    lm_dist_.resize(n * num_lm);
+    lm_parent_.resize(num_lm * n);
+    engine::lane_sweep(usable, landmarks_, lm_dist_, lm_parent_);
+
+    // Components from the lanes. A lane reaches exactly its landmark's
+    // component, so a vertex some lane reached joins the lowest such landmark
+    // (the first finite entry of its row), which stays that component's
+    // root: its first unite is a tie between singletons and every later one
+    // adds a singleton to it. Only the vertices no landmark reaches unite
+    // their compacted edges; their labels are read back once all are in.
+    BSR_STATS_ONLY(std::uint64_t scans = 0; std::uint64_t admitted = 0;)
+    for (NodeId v = 0; v < n; ++v) {
+      const std::uint16_t* row = lm_dist_.data() + std::size_t{v} * num_lm;
+      const std::size_t li = static_cast<std::size_t>(
+          std::find_if(row, row + num_lm,
+                       [](std::uint16_t d) { return d != kLmUnreachable; }) -
+          row);
+      if (li != num_lm) {
+        uf_.unite(landmarks_[li], v);
+        comp_[v] = landmarks_[li];
+        continue;
+      }
+      comp_[v] = kNoNextHop;
+      const auto neigh = usable.neighbors(v);
+      BSR_STATS_ONLY(scans += neigh.size();)
+      for (const NodeId u : neigh) {
+        if (v < u) {
+          BSR_STATS_ONLY(++admitted;)
+          uf_.unite(v, u);
+        }
+      }
+    }
+    BSR_COUNT_N(EngineUniteEdgeScans, scans);
+    BSR_COUNT_N(EngineUniteAdmitted, admitted);
+    for (NodeId v = 0; v < n; ++v) {
+      if (comp_[v] == kNoNextHop) comp_[v] = uf_.find(v);
+    }
   }
 
   ++epoch_id_;

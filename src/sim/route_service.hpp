@@ -8,39 +8,40 @@
 //   * Exact reachability from a RollbackUnionFind over the usable dominated
 //     edges, materialized into a per-vertex component label (two loads and a
 //     compare per query).
-//   * A landmark/hub sketch: BFS trees (engine::bfs_dir_opt, sharded over
-//     landmarks by BSR_THREADS) rooted at the top-degree usable brokers.
-//     dist(s, t) is upper-bounded by min_l d(l, s) + d(l, t), and the BFS
-//     parent arrays give an O(1) next hop toward the stitch landmark plus
-//     full path recovery (stitch_path) without touching the graph.
+//   * A landmark/hub sketch: BFS trees rooted at the top-degree usable
+//     brokers. dist(s, t) is upper-bounded by min_l d(l, s) + d(l, t), and
+//     the trees' parent arrays give an O(1) next hop toward the stitch
+//     landmark plus full path recovery (stitch_path) without touching the
+//     graph.
 //
-// An epoch build is compaction -> unite -> landmark BFS. The usable G_B is
-// first copied out of the graph into a compacted CSR
+// An epoch build is compaction -> lane sweep -> components. The usable G_B
+// is first copied out of the graph into a compacted CSR
 // (engine::compact_dominated, a walk over the usable brokers' adjacency
-// only); the union-find pass and every landmark BFS then run over that
-// copy with no per-edge filter. Its lists keep the graph's order and the
-// BFS switch heuristic keeps reading the graph's own degrees, so roots,
-// parents and answers are bit-identical to filtering the full graph. Its
-// bottom-up levels skip the vertices that kept no edge, and each tree is
-// copied into its column of sentinels from its visit order, so a landmark
-// costs what it reaches. The copy is build scratch and is dropped when the
-// build ends.
+// only; build scratch, dropped when the build ends). engine::lane_sweep
+// then builds every landmark tree at once, up to 16 per level-synchronous
+// pass, writing both oracle tables whole, sentinels included. A tree's
+// parent is canonical: the lowest-id neighbour one level closer to its
+// landmark, whichever direction the sweep ran a level in, so next hops
+// depend only on G_B and the landmark set. The sweep is serial, so the
+// tables cannot depend on BSR_THREADS. Components are read off the lanes:
+// a lane reaches exactly its landmark's component, so each vertex some
+// lane reached joins the lowest such landmark, and only the vertices no
+// landmark reaches unite their own compacted edges.
 //
 // Layout for the read side. Landmark distances are stored vertex-major: one
 // contiguous, cache-line-aligned row of num_landmarks uint16 per vertex
 // ([v * num_lm + l]), so a query reads src's and dst's distances from two
 // rows (32 bytes each at the default 16 landmarks, one line apiece) instead
-// of one line per landmark and endpoint. Each tree writes its distances
-// straight into its column (a strided write, the layout's one build cost).
-// Parents stay landmark-major ([l * n + v]): a query reads one of them, in
-// the row of the landmark it picked. serve()'s evaluation loop knows every
-// key of its shard up front and runs as a three-stage pipeline,
-// kPrefetchDistance flows apart: it prefetches a flow's liveness bytes,
-// component labels and both distance rows; later looks the flow up from
-// those cached lines and prefetches the one parent entry the pick names;
-// later still stitches the next hop from it. Only the order of memory loads
-// changes; answers are the same at any prefetch distance and any
-// BSR_THREADS.
+// of one line per landmark and endpoint. The sweep writes a vertex's row
+// as its lanes reach it. Parents stay landmark-major ([l * n + v]): a query
+// reads one of them, in the row of the landmark it picked. serve()'s
+// evaluation loop knows every key of its shard up front and runs as a
+// three-stage pipeline, kPrefetchDistance flows apart: it prefetches a
+// flow's liveness bytes, component labels and both distance rows; later
+// looks the flow up from those cached lines and prefetches the one parent
+// entry the pick names; later still stitches the next hop from it. Only the
+// order of memory loads changes; answers are the same at any prefetch
+// distance and any BSR_THREADS.
 //
 // The oracle is versioned by **epochs**. The driving loop notifies the
 // service of ground-truth changes (on_fault / on_heal / on_health_view);
@@ -92,6 +93,7 @@
 
 #include "broker/broker_set.hpp"
 #include "graph/csr_graph.hpp"
+#include "graph/engine.hpp"
 #include "graph/fault_plane.hpp"
 #include "graph/rng.hpp"
 #include "graph/rollback_union_find.hpp"
@@ -125,7 +127,11 @@ struct RouteAnswer {
   /// Landmark triangle upper bound on the dominated distance;
   /// graph::kUnreachable when unreachable or no landmark covers the pair.
   std::uint32_t dist_bound = bsr::graph::kUnreachable;
-  /// First hop from src along a usable dominated path (kNoNextHop if none).
+  /// First hop from src along a usable dominated path (kNoNextHop if none):
+  /// src's parent in the tree of the landmark the bound picked, or, when src
+  /// is that landmark, the vertex after it on dst's parent chain. A tree's
+  /// parent of v is the lowest-id neighbour of v one level closer to its
+  /// landmark, so the hop is a function of the epoch's G_B and landmark set.
   bsr::graph::NodeId next_hop = kNoNextHop;
   /// Epoch that served the answer (0 = no epoch built yet; the constructor
   /// always publishes epoch 1, so served answers carry ids >= 1).
@@ -347,8 +353,7 @@ class RouteService {
 
  private:
   /// Sentinel in the uint16 landmark distance plane.
-  static constexpr std::uint16_t kLmUnreachable =
-      std::numeric_limits<std::uint16_t>::max();
+  static constexpr std::uint16_t kLmUnreachable = bsr::graph::engine::kLaneUnreached;
 
   /// Hands out 64-byte-aligned blocks. glibc returns 16-byte-aligned ones,
   /// where half of the 32-byte distance rows would straddle two lines. Each
@@ -393,7 +398,7 @@ class RouteService {
   [[nodiscard]] std::uint64_t failed_edges() const noexcept {
     return faults_ != nullptr ? faults_->num_failed_edges() : 0;
   }
-  /// Re-derives comp_ from uf_.
+  /// Re-derives comp_ from uf_ (after a heal patch).
   void materialize_components();
   void build_epoch(double now, std::uint64_t attempt);
   void try_patch(double now);

@@ -64,7 +64,12 @@ class TraceEmitter {
   TraceEmitter& operator=(const TraceEmitter&) = delete;
   ~TraceEmitter() { os_ << "\n], \"displayTimeUnit\": \"ms\"}\n"; }
 
-  static std::int64_t us(double t) { return std::llround(t * 1e6); }
+  // Times past +-4e12 s clamp there and NaN reads 0, as in the library,
+  // so any two timestamps subtract without overflow.
+  static std::int64_t us(double t) {
+    if (std::isnan(t)) return 0;
+    return std::llround(std::clamp(t, -4e12, 4e12) * 1e6);
+  }
   static std::int64_t us_from_ns(std::uint64_t ns) { return ns / 1000; }
 
   TraceEmitter& complete(std::string_view name, int tid, std::int64_t ts,

@@ -180,78 +180,199 @@ engine::Subgraph filtered_scan(const CsrGraph& g, Filter admit) {
   return sub;
 }
 
+/// One compaction under test: the graph, the filter it keeps exactly, and
+/// what compact_dominated made of it.
+template <class Filter>
+struct Compaction {
+  const CsrGraph* g;
+  Filter admit;
+  engine::Subgraph sub;
+};
+
+/// The compactions the Subgraph and lane-sweep tests share, one per fault
+/// state: a dominated mask alone; ~10 % of the links and every 13th vertex
+/// down, with and without the mask; and the vertices alone down (no link
+/// failed, so compact_dominated skips its link lookups), with and without
+/// the mask. Calls `visit` with each Compaction; the planes and masks live
+/// for the duration of the call.
+template <class Visit>
+void for_each_compaction(const CsrGraph& g, std::uint64_t seed, Visit&& visit) {
+  const NodeId n = g.num_vertices();
+  const std::vector<bool> mask = random_mask(n, 0.2, seed + 300);
+  const std::vector<bool> everyone(n, true);
+  FaultPlane plane(g);
+  FaultPlane vertices_only(g);
+  Rng rng(seed + 700);
+  for (const Edge& e : g.edges()) {
+    if (rng.bernoulli(0.1)) plane.fail_edge(e.u, e.v);
+  }
+  for (NodeId v = 0; v < n; v += 13) {
+    plane.fail_vertex(v);
+    vertices_only.fail_vertex(v);
+  }
+  const auto compaction = [&](auto admit, const std::vector<bool>& usable,
+                              const FaultPlane* faults) {
+    visit(Compaction<decltype(admit)>{&g, admit,
+                                      engine::compact_dominated(g, usable, faults)});
+  };
+  using engine::BothFilters;
+  using engine::DominatedEdgeFilter;
+  using engine::FaultAwareFilter;
+  compaction(DominatedEdgeFilter{&mask}, mask, nullptr);
+  compaction(FaultAwareFilter{&plane}, everyone, &plane);
+  compaction(BothFilters{DominatedEdgeFilter{&mask}, FaultAwareFilter{&plane}},
+             mask, &plane);
+  compaction(FaultAwareFilter{&vertices_only}, everyone, &vertices_only);
+  compaction(BothFilters{DominatedEdgeFilter{&mask}, FaultAwareFilter{&vertices_only}},
+             mask, &vertices_only);
+}
+
+/// The first vertex without a compacted edge; n if every vertex kept one.
+NodeId first_edgeless(const engine::Subgraph& sub) {
+  NodeId v = 0;
+  while (v < sub.num_vertices() && !sub.neighbors(v).empty()) ++v;
+  return v;
+}
+
 TEST(Engine, SubgraphEntryPointBitIdenticalToFilteredTraversal) {
-  // compact_dominated must reproduce a full filtered scan slot for slot, and
-  // the Subgraph entry points must then repeat the filtered kernels exactly:
-  // same dist, same parents, same visit order under every switch schedule
-  // (default, and alpha/beta forced to 1 and 2^30), same union-find roots.
-  // Every compaction holds edge-less vertices, which the bottom-up levels
-  // skip through has_edges, and one of them is also a source.
-  constexpr std::uint32_t kForced[] = {1, 1u << 30};
+  // compact_dominated must reproduce a full filtered scan slot for slot
+  // (offsets, adjacency and has_edges), and unite_edges over the Subgraph
+  // must repeat the filtered pass's union-find roots. Every compaction holds
+  // edge-less vertices.
   for (std::uint64_t seed = 0; seed < 6; ++seed) {
     const CsrGraph g = seed % 2 == 0 ? make_random(150, 0.04, seed)
                                      : make_connected_random(150, 0.04, seed);
     const NodeId n = g.num_vertices();
-    const std::vector<bool> mask = random_mask(n, 0.2, seed + 300);
-    const std::vector<bool> everyone(n, true);
-    FaultPlane plane(g);
-    Rng rng(seed + 700);
-    for (const Edge& e : g.edges()) {
-      if (rng.bernoulli(0.1)) plane.fail_edge(e.u, e.v);
-    }
-    for (NodeId v = 0; v < n; v += 13) plane.fail_vertex(v);
+    for_each_compaction(g, seed, [&](const auto& c) {
+      const engine::Subgraph ref = filtered_scan(g, c.admit);
+      ASSERT_EQ(c.sub.offsets, ref.offsets);
+      ASSERT_EQ(c.sub.adjacency, ref.adjacency);
+      ASSERT_EQ(c.sub.has_edges, ref.has_edges);
+      ASSERT_LT(first_edgeless(c.sub), n)
+          << "every compaction should keep an edge-less vertex";
 
-    const auto check = [&](auto admit, const std::vector<bool>& usable,
-                           const FaultPlane* faults) {
-      const engine::Subgraph sub = engine::compact_dominated(g, usable, faults);
-      const engine::Subgraph ref = filtered_scan(g, admit);
-      ASSERT_EQ(sub.offsets, ref.offsets);
-      ASSERT_EQ(sub.adjacency, ref.adjacency);
-      ASSERT_EQ(sub.has_edges, ref.has_edges);
-      NodeId edgeless = 0;
-      while (edgeless < n && !sub.neighbors(edgeless).empty()) ++edgeless;
-      ASSERT_LT(edgeless, n) << "every compaction should keep an edge-less vertex";
-      std::vector<NodeId> sources{edgeless};
-      for (NodeId s = 0; s < n; s += 17) sources.push_back(s);
+      RollbackUnionFind uf_filtered(n), uf_sub(n);
+      engine::unite_edges(g, uf_filtered, c.admit);
+      engine::unite_edges(c.sub, uf_sub, engine::AllEdges{});
+      for (NodeId v = 0; v < n; ++v) EXPECT_EQ(uf_sub.find(v), uf_filtered.find(v));
+    });
+  }
+}
 
-      engine::Workspace ws_filtered, ws_sub;
-      const auto same_traversal = [&](NodeId s) {
-        ASSERT_EQ(dense_dist(ws_sub, n), dense_dist(ws_filtered, n));
-        const auto order = ws_filtered.visit_order();
-        ASSERT_TRUE(std::equal(order.begin(), order.end(),
-                               ws_sub.visit_order().begin(),
-                               ws_sub.visit_order().end()));
-        for (const NodeId v : order) {
-          if (v != s) {
-            EXPECT_EQ(ws_sub.parent(v), ws_filtered.parent(v));
-          }
-        }
-      };
-      for (const NodeId s : sources) {
-        engine::bfs_dir_opt(g, s, ws_filtered, admit);
-        engine::bfs_dir_opt(sub, s, ws_sub);
-        same_traversal(s);
-        for (const std::uint32_t alpha : kForced) {
-          for (const std::uint32_t beta : kForced) {
-            engine::bfs_dir_opt(g, s, ws_filtered, admit, alpha, beta);
-            engine::bfs_dir_opt(sub, s, ws_sub, engine::AllEdges{}, alpha,
-                                beta);
-            same_traversal(s);
+/// Checks lane_sweep over c.sub from `roots` against an independent
+/// reference over the parent graph: per root, distances from a FIFO
+/// engine::bfs through c.admit, and as parent the lowest-id admitted
+/// neighbour one level closer. Both tables start out filled with a value the
+/// sweep never writes, so every entry, sentinels included, must be written.
+/// Returns the levels the sweep ran, one per distance of each 16-lane
+/// group's deepest tree plus the level that finds nothing.
+template <class Filter>
+std::uint64_t expect_lane_sweep_matches_reference(const Compaction<Filter>& c,
+                                                  const std::vector<NodeId>& roots) {
+  const CsrGraph& g = *c.g;
+  const NodeId n = g.num_vertices();
+  const std::size_t k = roots.size();
+  constexpr std::uint16_t kDistJunk = 0x5a5a;
+  constexpr NodeId kParentJunk = 0x5a5a5a5a;
+  std::vector<std::uint16_t> dist(std::size_t{n} * k, kDistJunk);
+  std::vector<NodeId> parent(k * n, kParentJunk);
+  engine::lane_sweep(c.sub, roots, dist, parent);
+
+  engine::Workspace ws;
+  std::vector<std::uint32_t> group_depth((k + engine::kLanes - 1) / engine::kLanes, 0);
+  for (std::size_t l = 0; l < k; ++l) {
+    const NodeId root = roots[l];
+    engine::bfs(g, root, ws, c.admit);
+    for (NodeId v = 0; v < n; ++v) {
+      std::uint16_t want_dist = engine::kLaneUnreached;
+      NodeId want_parent = engine::kLaneNoParent;
+      if (ws.visited(v)) {
+        want_dist = static_cast<std::uint16_t>(
+            std::min<std::uint32_t>(ws.dist(v), engine::kLaneUnreached - 1));
+        group_depth[l / engine::kLanes] =
+            std::max(group_depth[l / engine::kLanes], ws.dist(v));
+        if (v == root) {
+          want_parent = root;
+        } else {
+          const auto neigh = g.neighbors(v);
+          for (std::size_t i = 0; i < neigh.size(); ++i) {
+            const NodeId u = neigh[i];
+            if (c.admit(v, i, u) && ws.dist(u) + 1 == ws.dist(v)) {
+              want_parent = std::min(want_parent, u);
+            }
           }
         }
       }
-
-      RollbackUnionFind uf_filtered(n), uf_sub(n);
-      engine::unite_edges(g, uf_filtered, admit);
-      engine::unite_edges(sub, uf_sub, engine::AllEdges{});
-      for (NodeId v = 0; v < n; ++v) EXPECT_EQ(uf_sub.find(v), uf_filtered.find(v));
-    };
-    check(engine::DominatedEdgeFilter{&mask}, mask, nullptr);
-    check(engine::FaultAwareFilter{&plane}, everyone, &plane);
-    check(engine::BothFilters{engine::DominatedEdgeFilter{&mask},
-                              engine::FaultAwareFilter{&plane}},
-          mask, &plane);
+      EXPECT_EQ(dist[std::size_t{v} * k + l], want_dist)
+          << "root " << root << " (lane " << l << " of " << k << "), vertex " << v;
+      EXPECT_EQ(parent[l * n + v], want_parent)
+          << "root " << root << " (lane " << l << " of " << k << "), vertex " << v;
+    }
   }
+  std::uint64_t levels = 0;
+  for (const std::uint32_t depth : group_depth) levels += depth + 1;
+  return levels;
+}
+
+TEST(Engine, LaneSweepMatchesPerRootBfsReference) {
+  // The compactions above (edge-less vertices; link and vertex faults;
+  // vertices alone down) and deep sparse graphs, from 1, 16 and more than
+  // 16 roots. Every root set holds an edge-less root, and the unconnected
+  // graphs and fault states put roots in different components. The sweeps
+  // share the thread's scratch over graphs of two sizes.
+  std::uint64_t levels = 0;
+  const bsr::obs::Snapshot before = bsr::obs::snapshot();
+  const auto check = [&](const auto& c, std::uint64_t seed) {
+    const NodeId n = c.g->num_vertices();
+    const NodeId edgeless = first_edgeless(c.sub);
+    ASSERT_LT(edgeless, n);
+    std::vector<NodeId> many{edgeless};
+    for (NodeId v = static_cast<NodeId>(seed % 3); v < n; v += 4) many.push_back(v);
+    ASSERT_GT(many.size(), engine::kLanes);
+    const std::vector<NodeId> sixteen(many.begin(), many.begin() + engine::kLanes);
+    levels += expect_lane_sweep_matches_reference(c, many);
+    levels += expect_lane_sweep_matches_reference(c, sixteen);
+    levels += expect_lane_sweep_matches_reference(c, {edgeless});
+    levels += expect_lane_sweep_matches_reference(c, {many[1]});
+  };
+  for (std::uint64_t seed = 0; seed < 6; ++seed) {
+    const CsrGraph g = seed % 2 == 0 ? make_random(150, 0.04, seed)
+                                     : make_connected_random(150, 0.04, seed);
+    for_each_compaction(g, seed, [&](const auto& c) { check(c, seed); });
+    // Sparse and connected: G_B five to nine levels deep.
+    const CsrGraph deep = make_connected_random(200, seed % 2 == 0 ? 0.015 : 0.03,
+                                                seed + 4100);
+    for_each_compaction(deep, seed, [&](const auto& c) { check(c, seed); });
+  }
+  const bsr::obs::Snapshot d = bsr::obs::delta(before, bsr::obs::snapshot());
+  const std::uint64_t bottom_up = d.counter(bsr::obs::Counter::kEngineBfsBottomUpLevels);
+  if (BSR_STATS_ENABLED) {
+    EXPECT_GT(bottom_up, 0u) << "no level ran bottom-up";
+    EXPECT_GT(levels, bottom_up) << "no level ran top-down";
+  }
+}
+
+TEST(Engine, LaneSweepClampsDistancesBelowTheSentinel) {
+  // A path longer than the uint16 plane: distances past kLaneUnreached - 1
+  // clamp there, the lane keeps going, and parents stay exact.
+  const NodeId n = engine::kLaneUnreached + 5;
+  const CsrGraph g = make_path(n);
+  const std::vector<bool> everyone(n, true);
+  const engine::Subgraph sub = engine::compact_dominated(g, everyone, nullptr);
+  const std::vector<NodeId> roots{0, n - 1, 7};
+  std::vector<std::uint16_t> dist(std::size_t{n} * roots.size());
+  std::vector<NodeId> parent(roots.size() * n);
+  engine::lane_sweep(sub, roots, dist, parent);
+  EXPECT_EQ(dist[std::size_t{n - 1} * 3 + 0], engine::kLaneUnreached - 1);
+  EXPECT_EQ(dist[std::size_t{engine::kLaneUnreached - 2} * 3 + 0],
+            engine::kLaneUnreached - 2);
+  EXPECT_EQ(dist[0 * 3 + 1], engine::kLaneUnreached - 1);
+  EXPECT_EQ(dist[std::size_t{7} * 3 + 2], 0);
+  EXPECT_EQ(parent[0 * std::size_t{n} + n - 1], n - 2);
+  EXPECT_EQ(parent[1 * std::size_t{n} + 0], 1u);
+  EXPECT_EQ(parent[2 * std::size_t{n} + 7], 7u);
+  EXPECT_EQ(parent[2 * std::size_t{n} + 0], 1u);
+  EXPECT_EQ(parent[2 * std::size_t{n} + 8], 7u);
 }
 
 TEST(Engine, BoundedBfsStopsAtDepth) {

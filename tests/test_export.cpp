@@ -39,6 +39,12 @@ double pick_time(bsr::graph::Rng& rng) {
   return rng.bernoulli(0.5) ? edges[rng.uniform(8)] : rng.uniform01() * 1e4;
 }
 
+/// A record time the readers accept: at most 4e12 s either side of zero.
+double pick_record_time(bsr::graph::Rng& rng) {
+  const double edges[] = {0.0, -0.0, 0.1, 1e-300, 4e12, -4e12, 1.0 / 3.0, 2.5, -1.0};
+  return rng.bernoulli(0.5) ? edges[rng.uniform(9)] : rng.uniform01() * 1e4;
+}
+
 Journal random_journal(std::uint64_t seed, std::size_t extra = 64,
                        std::size_t min_extra = 0) {
   bsr::graph::Rng rng(seed);
@@ -46,7 +52,7 @@ Journal random_journal(std::uint64_t seed, std::size_t extra = 64,
   const std::size_t n = kNumEvents + min_extra + rng.uniform(extra);
   for (std::size_t i = 0; i < n; ++i) {
     EventRecord rec;
-    rec.time = pick_time(rng);
+    rec.time = pick_record_time(rng);
     // The first kNumEvents records cover every event type.
     rec.type = static_cast<Event>(i < kNumEvents ? i : rng.uniform(kNumEvents));
     rec.subject = pick_u64(rng, kMaxU64);
@@ -70,7 +76,7 @@ QtraceSnapshot random_qtrace(std::uint64_t seed, std::size_t extra = 64,
   for (std::size_t i = 0; i < n; ++i) {
     QueryTraceRow row;
     row.trace_id = pick_u64(rng, kMaxU64);
-    row.time = pick_time(rng);
+    row.time = pick_record_time(rng);
     row.epoch = pick_u64(rng, kMaxU64);
     row.correlation = pick_u64(rng, kMaxU64);
     row.src = static_cast<std::uint32_t>(pick_u64(rng, kMaxU32));
@@ -521,10 +527,15 @@ TEST(ExportReaders, CorruptInputThrowsNamingTheLine) {
       {"nan time", with(journal, "\"t\": 0.5", "\"t\": nan"), 2},
       {"infinite time", with(journal, "\"t\": 2.25", "\"t\": inf"), 3},
       {"negative infinite time", with(journal, "\"t\": 0.5", "\"t\": -inf"), 2},
+      {"time past the trace range", with(journal, "\"t\": 0.5", "\"t\": 1e300"), 2},
+      {"negative time past the trace range",
+       with(journal, "\"t\": 2.25", "\"t\": -4.5e12"), 3},
       {"nan qtrace time",
        kQHeader + with(kQRow, "\"t\": 1.5", "\"t\": nan"), 2, true},
       {"infinite qtrace time",
        kQHeader + with(kQRow, "\"t\": 1.5", "\"t\": infinity"), 2, true},
+      {"qtrace time past the trace range",
+       kQHeader + with(kQRow, "\"t\": 1.5", "\"t\": 1e13"), 2, true},
       {"tick over 65535",
        kQHeader + with(kQRow, "\"admit\": 1", "\"admit\": 65536"), 2, true},
       {"u32 overflow",
@@ -661,6 +672,25 @@ TEST(ExportTraceGolden, JournalTrace) {
   EXPECT_EQ(empty.str(),
       "{\"traceEvents\": [\n"
       "], \"displayTimeUnit\": \"ms\"}\n");
+}
+
+TEST(ExportTraceGolden, EpisodeTraceClampsTimesPastTheRange) {
+  // Times the readers reject can still reach the writer from memory: they
+  // clamp to +-4e12 s (NaN to 0) before any microsecond arithmetic, so a
+  // duration spanning the whole range still fits int64_t.
+  EpisodeReport report;
+  Episode& ep = report.episodes.emplace_back();
+  ep.kind = EpisodeKind::kServe;
+  ep.open_time = -1e300;
+  ep.close_time = 1e300;
+  ep.slices = {{EpisodePhase::kReact, std::nan(""), 5e12}};
+  std::ostringstream os;
+  write_episode_chrome_trace(os, report);
+  const std::string trace = os.str();
+  EXPECT_NE(trace.find("\"ts\": -4000000000000000000, \"dur\": 8000000000000000000"),
+            std::string::npos) << trace;
+  EXPECT_NE(trace.find("\"ts\": 0, \"dur\": 4000000000000000000"), std::string::npos)
+      << trace;
 }
 
 TEST(ExportTraceGolden, EpisodeTrace) {

@@ -214,13 +214,16 @@ TEST(RouteServiceOracle, StitchedPathsAreValidDominatedPaths) {
 }
 
 /// The oracle's answer for every pair, rebuilt from scratch: landmarks are
-/// the top-degree usable brokers, each tree a bfs_dir_opt over the full
-/// graph through the composed dominated x fault filter, and each answer the
-/// lowest-index landmark minimizing d(l, s) + d(l, t).
+/// the top-degree usable brokers, each tree's distances a FIFO BFS over the
+/// full graph through the composed dominated x fault filter, each parent the
+/// lowest-id admitted neighbour one level closer to the landmark, and each
+/// answer the lowest-index landmark minimizing d(l, s) + d(l, t). Adds the
+/// reachable pairs (s != t) no landmark covers to `uncovered`.
 void expect_matches_reference(RouteService& service, const CsrGraph& g,
                               const BrokerSet& brokers, const FaultPlane& faults,
                               const std::vector<bool>& believed,
-                              std::uint32_t num_landmarks, const char* state) {
+                              std::uint32_t num_landmarks, const char* state,
+                              std::size_t& uncovered) {
   namespace engine = bsr::graph::engine;
   const NodeId n = g.num_vertices();
   std::vector<bool> usable(n, false);
@@ -243,12 +246,21 @@ void expect_matches_reference(RouteService& service, const CsrGraph& g,
   std::vector<std::vector<NodeId>> parent(landmarks.size());
   engine::Workspace ws;
   for (std::size_t l = 0; l < landmarks.size(); ++l) {
-    engine::bfs_dir_opt(g, landmarks[l], ws, admit);
+    engine::bfs(g, landmarks[l], ws, admit);
     dist[l].assign(n, bsr::graph::kUnreachable);
     parent[l].assign(n, bsr::sim::kNoNextHop);
+    for (const NodeId v : ws.visit_order()) dist[l][v] = ws.dist(v);
     for (const NodeId v : ws.visit_order()) {
-      dist[l][v] = ws.dist(v);
-      parent[l][v] = v == landmarks[l] ? v : ws.parent(v);
+      if (v == landmarks[l]) {
+        parent[l][v] = v;
+        continue;
+      }
+      const auto neigh = g.neighbors(v);
+      for (std::size_t i = 0; i < neigh.size(); ++i) {
+        if (admit(v, i, neigh[i]) && dist[l][neigh[i]] + 1 == dist[l][v]) {
+          parent[l][v] = std::min(parent[l][v], neigh[i]);
+        }
+      }
     }
   }
 
@@ -287,6 +299,8 @@ void expect_matches_reference(RouteService& service, const CsrGraph& g,
             want_hop = t;
             while (parent[best][want_hop] != s) want_hop = parent[best][want_hop];
           }
+        } else {
+          ++uncovered;
         }
       }
       const RouteAnswer& a = answers[std::size_t{s} * n + t];
@@ -300,63 +314,89 @@ void expect_matches_reference(RouteService& service, const CsrGraph& g,
 
 TEST(RouteServiceOracle, FreshBuildsMatchFilteredBfsReference) {
   // Pins every pair's dist_bound and next_hop — not just reachability — to
-  // per-landmark bfs_dir_opt trees over the full graph, for fresh builds
-  // under several fault states. The sparse graph and broker share give G_B
-  // enough depth that a moved top-down/bottom-up switch changes parents.
-  for (std::uint64_t seed = 0; seed < 4; ++seed) {
-    const CsrGraph g = make_connected_random(200, 0.015, 4100 + seed);
-    const BrokerSet brokers = top_degree_brokers(g, 40);
-    const std::vector<bool> everyone(g.num_vertices(), true);
-    RouteServiceConfig config;
-    config.num_landmarks = 6;
+  // per-landmark filtered BFS trees over the full graph whose parents follow
+  // the canonical rule (lowest-id neighbour one level closer), for fresh
+  // builds under several fault states. The sparse graph and broker share
+  // give G_B enough depth that a parent left to whichever direction a level
+  // ran in would move next hops. Six landmarks leave reachable pairs in
+  // components without one, twenty take two lane sweeps, and with none
+  // every component unites its own edges.
+  for (const std::uint32_t num_landmarks : {6u, 20u, 0u}) {
+    SCOPED_TRACE("num_landmarks " + std::to_string(num_landmarks));
+    std::size_t uncovered = 0;
+    for (std::uint64_t seed = 0; seed < 4; ++seed) {
+      const CsrGraph g = make_connected_random(200, 0.015, 4100 + seed);
+      const BrokerSet brokers = top_degree_brokers(g, 40);
+      const std::vector<bool> everyone(g.num_vertices(), true);
+      RouteServiceConfig config;
+      config.num_landmarks = num_landmarks;
 
-    FaultPlane faults(g);
-    {
-      RouteService service(g, brokers, &faults, config);
-      expect_matches_reference(service, g, brokers, faults, everyone, 6,
-                               "pristine");
+      FaultPlane faults(g);
+      const auto check = [&](RouteService& service, const std::vector<bool>& believed,
+                             const char* state) {
+        expect_matches_reference(service, g, brokers, faults, believed, num_landmarks,
+                                 state, uncovered);
+      };
+      {
+        RouteService service(g, brokers, &faults, config);
+        check(service, everyone, "pristine");
+      }
+      const NodeId top = brokers.members()[0];  // a landmark under any state
+      const NodeId second = brokers.members()[1];
+      faults.fail_vertex(top);
+      {
+        RouteService service(g, brokers, &faults, config);
+        check(service, everyone, "failed landmark");
+      }
+      faults.heal_vertex(top);
+      const NodeId hop = g.neighbors(second)[0];
+      faults.fail_edge(second, hop);
+      {
+        RouteService service(g, brokers, &faults, config);
+        check(service, everyone, "failed link");
+      }
+      // Overlapping: the failed link's endpoint goes down too, a second
+      // layer lands on the same link, and a correlated group cuts the top
+      // broker's links.
+      faults.fail_vertex(second);
+      faults.fail_edge(second, hop);
+      faults.fail_group(bsr::graph::incident_group(g, top));
+      {
+        RouteService service(g, brokers, &faults, config);
+        check(service, everyone, "overlapping failures");
+      }
+      faults.heal_all();
+      // The lowest-degree broker and a neighbour outside the broker set,
+      // cut off from the rest: a component of G_B that holds no landmark.
+      const NodeId island = brokers.members().back();
+      const auto mates = g.neighbors(island);
+      const auto mate = std::find_if(mates.begin(), mates.end(),
+                                     [&](NodeId u) { return !brokers.contains(u); });
+      ASSERT_NE(mate, mates.end());
+      for (const NodeId v : {island, *mate}) {
+        for (const NodeId u : g.neighbors(v)) {
+          if (u != island && u != *mate) faults.fail_edge(v, u);
+        }
+      }
+      {
+        RouteService service(g, brokers, &faults, config);
+        check(service, everyone, "islanded broker");
+      }
+      faults.heal_all();
+      {
+        RouteService service(g, brokers, &faults, config);
+        bsr::sim::HealthView view;
+        view.version = 1;
+        view.routable.assign(g.num_vertices(), true);
+        view.routable[top] = false;
+        view.routable[brokers.members()[3]] = false;
+        service.on_health_view(view, 1.0);
+        drain(service);
+        ASSERT_FALSE(service.degraded());
+        check(service, view.routable, "health-view belief");
+      }
     }
-    const NodeId top = brokers.members()[0];  // a landmark under any state
-    const NodeId second = brokers.members()[1];
-    faults.fail_vertex(top);
-    {
-      RouteService service(g, brokers, &faults, config);
-      expect_matches_reference(service, g, brokers, faults, everyone, 6,
-                               "failed landmark");
-    }
-    faults.heal_vertex(top);
-    const NodeId hop = g.neighbors(second)[0];
-    faults.fail_edge(second, hop);
-    {
-      RouteService service(g, brokers, &faults, config);
-      expect_matches_reference(service, g, brokers, faults, everyone, 6,
-                               "failed link");
-    }
-    // Overlapping: the failed link's endpoint goes down too, a second layer
-    // lands on the same link, and a correlated group cuts the top broker's
-    // links.
-    faults.fail_vertex(second);
-    faults.fail_edge(second, hop);
-    faults.fail_group(bsr::graph::incident_group(g, top));
-    {
-      RouteService service(g, brokers, &faults, config);
-      expect_matches_reference(service, g, brokers, faults, everyone, 6,
-                               "overlapping failures");
-    }
-    faults.heal_all();
-    {
-      RouteService service(g, brokers, &faults, config);
-      bsr::sim::HealthView view;
-      view.version = 1;
-      view.routable.assign(g.num_vertices(), true);
-      view.routable[top] = false;
-      view.routable[brokers.members()[3]] = false;
-      service.on_health_view(view, 1.0);
-      drain(service);
-      ASSERT_FALSE(service.degraded());
-      expect_matches_reference(service, g, brokers, faults, view.routable, 6,
-                               "health-view belief");
-    }
+    EXPECT_GT(uncovered, 0u) << "no reachable pair lies in a component without a landmark";
   }
 }
 
