@@ -27,7 +27,6 @@
 #define BSR_OBS_FORCE_OFF 1
 #define bfs bare_bfs
 #define unite_star bare_unite_star
-#define unite_edges bare_unite_edges
 #define maxsg bare_maxsg
 #define RouteService BareRouteService
 #define to_string bare_to_string
@@ -37,7 +36,6 @@
 #include "sim/route_service.cpp"
 #undef bfs
 #undef unite_star
-#undef unite_edges
 #undef maxsg
 #undef RouteService
 #undef to_string

@@ -1,5 +1,5 @@
-// perf_scale — the Internet-scale kernel suite: locality renumbering,
-// direction-optimizing BFS, and the incremental-gain MaxSG, measured at the
+// perf_scale — the Internet-scale kernel suite: locality renumbering, the
+// fault-filtered FIFO BFS, and the incremental-gain MaxSG, measured at the
 // paper's full topology (REPRO_SCALE=1.0, ~52k vertices) plus a 10x stress
 // topology (~500k vertices, ~3.5M edges).
 //
@@ -11,9 +11,9 @@
 // Three head-to-head measurements, each verified bit-identical before the
 // timed passes (the speedups are only meaningful because the answers are
 // exactly equal):
-//   1. fault-filtered BFS: classic top-down engine::bfs vs bfs_dir_opt on
-//      the original labeling vs bfs_dir_opt on the degree-renumbered graph
-//      (distances compared through the relabeling per source);
+//   1. fault-filtered BFS: engine::bfs on the original labeling vs on the
+//      degree-renumbered graph (distances compared through the relabeling
+//      per source);
 //   2. MaxSG: the pre-anchor snapshot-sweep implementation (reference copy
 //      below) vs the live incremental-gain broker::maxsg vs the same on the
 //      renumbered graph with original-id results;
@@ -157,22 +157,20 @@ class Digest {
 
 struct BfsScale {
   double classic_s = 0.0;
-  double diropt_s = 0.0;
   double renum_s = 0.0;
-  std::uint64_t edges_scanned = 0;  // per repetition (classic accounting)
+  std::uint64_t edges_scanned = 0;  // per repetition
   std::uint64_t dist_digest = 0;    // over original-id (vertex, dist) pairs
   int reps = 0;
 
   [[nodiscard]] double meps(double seconds) const {
     return seconds > 0 ? double(edges_scanned) * reps / seconds / 1e6 : 0.0;
   }
-  [[nodiscard]] double diropt_speedup() const { return classic_s / diropt_s; }
   [[nodiscard]] double renum_speedup() const { return classic_s / renum_s; }
 };
 
-/// Times the three BFS variants over the same fault plane and sources, after
-/// an untimed pass proving every per-source distance array identical (the
-/// renumbered run compared through the relabeling).
+/// Times engine::bfs over the same fault plane and sources on both
+/// labelings, after an untimed pass proving every per-source distance array
+/// identical through the relabeling.
 BfsScale bench_bfs(bsr::bench::Harness& harness, const std::string& label,
                    const CsrGraph& g, const bsr::graph::FaultPlane& plane,
                    const CsrGraph& g_ren, const bsr::graph::FaultPlane& plane_ren,
@@ -198,23 +196,14 @@ BfsScale bench_bfs(bsr::bench::Harness& harness, const std::string& label,
     }
     for (const NodeId v : ws.visit_order()) out.edges_scanned += g.degree(v);
 
-    engine::bfs_dir_opt(g, s, ws, filt);
-    for (NodeId v = 0; v < n; ++v) {
-      const std::uint32_t d = ws.visited(v) ? ws.dist_unchecked(v) : kUnreachable;
-      if (d != truth[v]) {
-        std::cerr << "MISMATCH: dir-opt source " << s << " vertex " << v << ": "
-                  << d << " vs classic " << truth[v] << "\n";
-        std::exit(1);
-      }
-    }
-    engine::bfs_dir_opt(g_ren, ren.to_new(s), ws_ren, filt_ren);
+    engine::bfs(g_ren, ren.to_new(s), ws_ren, filt_ren);
     for (NodeId v = 0; v < n; ++v) {
       const NodeId w = ren.to_new(v);
       const std::uint32_t d =
           ws_ren.visited(w) ? ws_ren.dist_unchecked(w) : kUnreachable;
       if (d != truth[v]) {
-        std::cerr << "MISMATCH: renumbered dir-opt source " << s << " vertex "
-                  << v << ": " << d << " vs classic " << truth[v] << "\n";
+        std::cerr << "MISMATCH: renumbered source " << s << " vertex " << v
+                  << ": " << d << " vs original " << truth[v] << "\n";
         std::exit(1);
       }
     }
@@ -232,21 +221,13 @@ BfsScale bench_bfs(bsr::bench::Harness& harness, const std::string& label,
                            })
                       .wall_ms /
                   1e3;
-  auto& diropt_run = harness.run(label + ".dir_opt", reps, [&] {
+  auto& renum_run = harness.run(label + ".classic_renum", reps, [&] {
     for (const NodeId s : sources) {
-      engine::bfs_dir_opt(g, s, ws, filt);
-      sink += ws.visit_order().size();
-    }
-  });
-  out.diropt_s = diropt_run.wall_ms / 1e3;
-  auto& renum_run = harness.run(label + ".dir_opt_renum", reps, [&] {
-    for (const NodeId s : sources) {
-      engine::bfs_dir_opt(g_ren, ren.to_new(s), ws_ren, filt_ren);
+      engine::bfs(g_ren, ren.to_new(s), ws_ren, filt_ren);
       sink += ws_ren.visit_order().size();
     }
   });
   out.renum_s = renum_run.wall_ms / 1e3;
-  bsr::bench::Harness::metric(diropt_run, "speedup", out.diropt_speedup());
   bsr::bench::Harness::metric(renum_run, "speedup", out.renum_speedup());
   if (sink == 0xdeadbeef) std::cerr << "";  // keep `sink` observable
 
@@ -256,13 +237,10 @@ BfsScale bench_bfs(bsr::bench::Harness& harness, const std::string& label,
 void print_bfs(const char* label, const BfsScale& b, std::size_t num_sources) {
   std::cout << label << " (" << num_sources << " sources x " << b.reps
             << " reps, " << b.edges_scanned << " edge scans/rep):\n"
-            << "  classic top-down:      "
+            << "  original labeling:     "
             << bsr::io::format_double(b.classic_s, 3) << "s  ("
             << bsr::io::format_double(b.meps(b.classic_s), 1) << " Medges/s)\n"
-            << "  dir-opt:               "
-            << bsr::io::format_double(b.diropt_s, 3) << "s  (x"
-            << bsr::io::format_double(b.diropt_speedup(), 2) << ")\n"
-            << "  dir-opt + renumbered:  "
+            << "  renumbered:            "
             << bsr::io::format_double(b.renum_s, 3) << "s  (x"
             << bsr::io::format_double(b.renum_speedup(), 2) << ")\n\n";
 }
@@ -274,11 +252,9 @@ std::string json_bfs(const BfsScale& b, std::size_t num_sources) {
        << "    \"reps\": " << b.reps << ",\n"
        << "    \"edge_scans_per_rep\": " << b.edges_scanned << ",\n"
        << "    \"classic_seconds\": " << b.classic_s << ",\n"
-       << "    \"dir_opt_seconds\": " << b.diropt_s << ",\n"
-       << "    \"dir_opt_renum_seconds\": " << b.renum_s << ",\n"
+       << "    \"classic_renum_seconds\": " << b.renum_s << ",\n"
        << "    \"classic_medges_per_sec\": " << b.meps(b.classic_s) << ",\n"
-       << "    \"dir_opt_speedup\": " << b.diropt_speedup() << ",\n"
-       << "    \"dir_opt_renum_speedup\": " << b.renum_speedup() << "\n"
+       << "    \"renum_speedup\": " << b.renum_speedup() << "\n"
        << "  }";
   return json.str();
 }
@@ -327,7 +303,7 @@ std::uint64_t robust_digest(const bsr::broker::RobustResult& r) {
 
 int main() {
   const auto ctx = bsr::bench::make_context(
-      "perf_scale: renumbering + dir-opt BFS + incremental-gain MaxSG at scale");
+      "perf_scale: renumbering + filtered BFS + incremental-gain MaxSG at scale");
   const CsrGraph& g = ctx.topo.graph;
   const NodeId n = g.num_vertices();
   std::cout << "threads: " << engine::num_threads() << " (BSR_THREADS)\n\n";
@@ -598,8 +574,7 @@ int main() {
   harness.metric("edges", static_cast<double>(g.num_edges()));
   harness.metric("gap_before", static_cast<double>(gap_before));
   harness.metric("gap_after", static_cast<double>(gap_after));
-  harness.metric("bfs_dir_opt_speedup", fault_bfs.diropt_speedup());
-  harness.metric("bfs_dir_opt_renum_speedup", fault_bfs.renum_speedup());
+  harness.metric("bfs_renum_speedup", fault_bfs.renum_speedup());
   harness.metric("maxsg_anchor_speedup", maxsg_speedup);
   harness.metric("maxsg_anchor_renum_speedup", maxsg_renum_speedup);
   harness.raw_section("filtered_bfs", json_bfs(fault_bfs, sources.size()));

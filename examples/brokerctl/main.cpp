@@ -1,6 +1,7 @@
 // brokerctl — command-line front end for the broker-set toolkit. usage()
 // below is the synopsis; each command group lives in its own file.
 #include "cli.hpp"
+#include "graph/engine.hpp"
 
 namespace brokerctl {
 
@@ -86,6 +87,9 @@ int dispatch(int argc, char** argv, int first) {
 int main(int argc, char** argv) {
   if (argc < 2) return brokerctl::usage();
   try {
+    // Reads BSR_THREADS up front, so a malformed value fails every
+    // subcommand, not only those that shard.
+    (void)bsr::graph::engine::num_threads();
     return brokerctl::dispatch(argc, argv);
   } catch (const std::exception& error) {
     std::cerr << "brokerctl: " << error.what() << '\n';

@@ -5,6 +5,8 @@
 #include <bit>
 #include <cstdlib>
 #include <limits>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -17,10 +19,12 @@ namespace {
 int env_threads() {
   const char* raw = std::getenv("BSR_THREADS");
   if (raw == nullptr || *raw == '\0') return 1;
-  const long parsed = std::strtol(raw, nullptr, 10);
-  if (parsed < 1) return 1;
-  if (parsed > 256) return 256;
-  return static_cast<int>(parsed);
+  char* end = nullptr;
+  const long parsed = std::strtol(raw, &end, 10);
+  if (end == raw || *end != '\0') {
+    throw std::runtime_error(std::string("invalid BSR_THREADS: ") + raw);
+  }
+  return static_cast<int>(std::clamp(parsed, 1L, 256L));
 }
 
 // 0 = "use the environment"; set_num_threads stores an explicit override.

@@ -1,13 +1,16 @@
 // Static-dispatch traversal engine.
 //
-// Every BFS over a graph's vertices, but for the four searches named below,
-// goes through the function templates here, parameterized on a *filter
-// struct*: the predicate body is known at instantiation time and folds into
-// the scan loop, so a dominated-subgraph BFS costs the same as an unfiltered
-// BFS plus two bitmask loads (no indirect call per edge relaxation).
-// engine::bfs also takes an optional *stop policy* (DepthCap, TargetStop;
-// exhaustive without one): the l-hop sweeps and the router's early exit are
-// rules of the one FIFO loop, not copies of it.
+// Two BFS kernels: engine::bfs, one FIFO search from one source, and
+// engine::lane_sweep, up to kLanes trees per level-synchronous pass over a
+// compacted Subgraph. Every BFS over a graph's vertices, but for the four
+// searches named below, runs on one of them. engine::bfs and the union
+// helpers are function templates parameterized on a *filter struct*: the
+// predicate body is known at instantiation time and folds into the scan
+// loop, so a dominated-subgraph BFS costs the same as an unfiltered BFS plus
+// two bitmask loads (no indirect call per edge relaxation). engine::bfs also
+// takes an optional *stop policy* (DepthCap, TargetStop; exhaustive without
+// one): the l-hop sweeps and the router's early exit are rules of the one
+// FIFO loop, not copies of it.
 //
 // Filters implement
 //     bool operator()(NodeId u, std::size_t slot, NodeId v) const
@@ -33,12 +36,11 @@
 // edge scans, ascending id in each lane_sweep level — so dist arrays,
 // parents, component labels, greedy tie-breaks, and double accumulation
 // orders are pure functions of the input, and invariant under BSR_THREADS
-// (parallel reductions are integer-only and merged in shard order). A stop policy only cuts the FIFO loop short: discovery
-// order, dist and parents up to the stop are the exhaustive run's.
+// (parallel reductions are integer-only and merged in shard order). A stop
+// policy only cuts the FIFO loop short: discovery order, dist and parents up
+// to the stop are the exhaustive run's.
 #pragma once
 
-#include <algorithm>
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -172,8 +174,8 @@ void bfs(const CsrGraph& g, NodeId source, Workspace& ws, Filter admit,
 
 /// Compacted CSR of a subgraph of a CsrGraph: the same vertex ids, only
 /// the admitted edges, each list in the parent graph's (ascending) order.
-/// Built by compact_dominated; lane_sweep and unite_edges traverse it like
-/// a CsrGraph, with no per-edge filter.
+/// Built by compact_dominated; lane_sweep and RouteService's epoch build
+/// traverse it like a CsrGraph, with no per-edge filter.
 struct Subgraph {
   std::vector<std::uint64_t> offsets;  // size num_vertices + 1
   std::vector<NodeId> adjacency;       // both directions of every kept edge
@@ -242,122 +244,11 @@ inline constexpr NodeId kLaneNoParent = std::numeric_limits<NodeId>::max();
 void lane_sweep(const Subgraph& g, std::span<const NodeId> roots,
                 std::span<std::uint16_t> dist, std::span<NodeId> parent);
 
-/// Direction-optimizing BFS (top-down <-> bottom-up switching).
-///
-/// Classic BFS scans every edge out of the frontier; when the frontier is a
-/// large fraction of the graph (which on the internet topology happens by
-/// level 2-3), most of those scans hit already-visited vertices. The
-/// bottom-up step inverts the loop: every *unvisited* vertex scans its own
-/// adjacency for a frontier parent and stops at the first hit, so a level
-/// that would touch most of E costs only one successful probe per vertex.
-/// Heuristic (Beamer et al.): switch top-down -> bottom-up when the
-/// frontier's out-degree exceeds 1/alpha of the unexplored degree, and back
-/// once the frontier thins below n/beta vertices. Unvisited vertices are
-/// enumerated through a dense bitset (Workspace::visited_bits) so whole
-/// 64-vertex blocks of visited regions are skipped per word.
-///
-/// Requires a *symmetric* filter: admit(u, slot of v in u, v) must equal
-/// admit(v, slot of u in v, u) for every structural edge — true for
-/// AllEdges, DominatedEdgeFilter, FaultAwareFilter, and conjunctions
-/// thereof.
-///
-/// Guarantees the exact distances and reachable set of bfs(); visit order
-/// *within a level* may differ (bottom-up levels discover in ascending
-/// vertex order) and parents are level-equivalent rather than identical, so
-/// callers comparing against bfs() must compare distance-derived outputs.
-template <class Filter = AllEdges>
-void bfs_dir_opt(const CsrGraph& g, NodeId source, Workspace& ws, Filter admit = {},
-                 std::uint32_t alpha = 15, std::uint32_t beta = 18) {
-  BSR_DCHECK(source < g.num_vertices());
-  BSR_DCHECK(alpha > 0 && beta > 0);
-  const NodeId n = g.num_vertices();
-  ws.begin(n);
-  auto& visited = ws.visited_bits(n);
-  auto& frontier = ws.frontier_bits(n);
-  const std::size_t words = visited.size();
-
-  ws.discover(source, 0);
-  visited[source >> 6] |= std::uint64_t{1} << (source & 63);
-
-  // Control state for the switch heuristic: degree mass on the current
-  // frontier vs degree mass not yet explored. Both are exact integers, so
-  // the top-down/bottom-up schedule is deterministic.
-  std::uint64_t frontier_degree = g.degree(source);
-  std::uint64_t unexplored_degree = 2 * g.num_edges() - frontier_degree;
-  std::size_t level_begin = 0;
-  std::uint32_t depth = 0;
-  bool bottom_up = false;
-
-  while (level_begin < ws.frontier_size()) {
-    const std::size_t level_end = ws.frontier_size();
-    if (!bottom_up) {
-      if (frontier_degree > unexplored_degree / alpha) bottom_up = true;
-    } else {
-      if (level_end - level_begin < n / beta) bottom_up = false;
-    }
-    std::uint64_t next_degree = 0;
-    if (bottom_up) {
-      std::fill(frontier.begin(), frontier.end(), 0);
-      for (std::size_t i = level_begin; i < level_end; ++i) {
-        const NodeId u = ws.frontier_at(i);
-        frontier[u >> 6] |= std::uint64_t{1} << (u & 63);
-      }
-      for (std::size_t w = 0; w < words; ++w) {
-        std::uint64_t todo = ~visited[w];
-        if (w == words - 1 && (n & 63) != 0) {
-          todo &= (std::uint64_t{1} << (n & 63)) - 1;  // mask padding bits
-        }
-        while (todo != 0) {
-          const auto v =
-              static_cast<NodeId>((w << 6) + std::countr_zero(todo));
-          todo &= todo - 1;
-          const auto neigh = g.neighbors(v);
-          for (std::size_t i = 0; i < neigh.size(); ++i) {
-            const NodeId u = neigh[i];
-            BSR_STATS_ONLY(++ws.stats_edges_scanned;)
-            if (((frontier[u >> 6] >> (u & 63)) & 1) != 0 && admit(v, i, u)) {
-              ws.discover(v, depth + 1, u);
-              visited[v >> 6] |= std::uint64_t{1} << (v & 63);
-              next_degree += g.degree(v);
-              break;
-            }
-          }
-        }
-      }
-      BSR_COUNT(EngineBfsBottomUpLevels);
-    } else {
-      for (std::size_t head = level_begin; head < level_end; ++head) {
-        const NodeId u = ws.frontier_at(head);
-        const auto neigh = g.neighbors(u);
-        for (std::size_t i = 0; i < neigh.size(); ++i) {
-          const NodeId v = neigh[i];
-          if (((visited[v >> 6] >> (v & 63)) & 1) == 0 && admit(u, i, v)) {
-            ws.discover(v, depth + 1, u);
-            visited[v >> 6] |= std::uint64_t{1} << (v & 63);
-            next_degree += g.degree(v);
-          }
-        }
-        BSR_STATS_ONLY(ws.stats_edges_scanned += neigh.size();)
-      }
-    }
-    frontier_degree = next_degree;
-    unexplored_degree -= next_degree;
-    level_begin = level_end;
-    ++depth;
-  }
-  BSR_COUNT(EngineBfsRuns);
-  BSR_COUNT_N(EngineBfsEdgesScanned, ws.stats_edges_scanned);
-  BSR_COUNT_N(EngineBfsVerticesVisited, ws.frontier_size());
-}
-
 /// Unions the endpoints of every admitted edge into `uf` (a
 /// RollbackUnionFind). Edges are scanned in canonical ascending (u, v) order
 /// with u < v, so root identities are a function of the graph and filter.
-/// Runs over a CsrGraph or a compacted Subgraph (whose lists keep the parent
-/// graph's order, so AllEdges over compact_dominated(g, ...) unites the same
-/// sequence as the matching filter over g).
-template <class Graph, class UF, class Filter>
-void unite_edges(const Graph& g, UF& uf, Filter admit) {
+template <class UF, class Filter>
+void unite_edges(const CsrGraph& g, UF& uf, Filter admit) {
   const NodeId n = g.num_vertices();
   BSR_STATS_ONLY(std::uint64_t scans = 0; std::uint64_t admitted = 0;)
   for (NodeId u = 0; u < n; ++u) {
@@ -395,7 +286,9 @@ void unite_star(const CsrGraph& g, UF& uf, NodeId center, Filter admit) {
 // --- parallel driver -------------------------------------------------------
 
 /// Effective worker count: BSR_THREADS env var (clamped to [1, 256]) unless
-/// overridden by set_num_threads(). 1 (the default) means fully serial.
+/// overridden by set_num_threads(). Unset or empty means 1, fully serial.
+/// Throws std::runtime_error("invalid BSR_THREADS: <value>") when the
+/// variable is set to anything but a whole base-10 integer.
 [[nodiscard]] int num_threads();
 
 /// Overrides the worker count for this process; n <= 0 restores the

@@ -41,16 +41,6 @@ std::vector<NodeId> Workspace::path_to(NodeId v) const {
   return path;
 }
 
-std::vector<std::uint64_t>& Workspace::visited_bits(NodeId n) {
-  visited_bits_.assign((static_cast<std::size_t>(n) + 63) / 64, 0);
-  return visited_bits_;
-}
-
-std::vector<std::uint64_t>& Workspace::frontier_bits(NodeId n) {
-  frontier_bits_.assign((static_cast<std::size_t>(n) + 63) / 64, 0);
-  return frontier_bits_;
-}
-
 void Workspace::begin_marks(NodeId n) {
   ensure(n);
   if (++mark_epoch_ == 0) {

@@ -14,6 +14,8 @@
 //   * the mark domain     — a reusable "seen this round?" set (root dedup in
 //     greedy gain sweeps, coverage marking, ...).
 // They never interfere, so a caller may run a BFS while holding marks.
+// engine::bfs is the one kernel that traverses through a Workspace;
+// engine::lane_sweep keeps its own per-thread lane masks.
 //
 // Workspaces are cheap to reuse across graphs of different sizes: ensure()
 // grows (never shrinks) and every accessor BSR_DCHECKs its index, so running
@@ -122,17 +124,6 @@ class Workspace {
     return mark_stamp_[v] == mark_epoch_;
   }
 
-  // --- bitset scratch ------------------------------------------------------
-
-  /// Dense one-bit-per-vertex scratch for the direction-optimizing BFS:
-  /// `visited_bits` mirrors the traversal's visited set (word-level skips
-  /// over fully-visited regions), `frontier_bits` holds the current level
-  /// for O(1) membership tests from the bottom-up side. Both are zeroed on
-  /// acquire — O(n/64) words, negligible next to the traversal itself; the
-  /// stamp-based domains above stay O(1) per begin().
-  [[nodiscard]] std::vector<std::uint64_t>& visited_bits(NodeId n);
-  [[nodiscard]] std::vector<std::uint64_t>& frontier_bits(NodeId n);
-
   /// Telemetry scratch: edges scanned by the current traversal, reset by
   /// begin(). A memory accumulator beats a stack local here — the BFS inner
   /// loop is already at the register-pressure limit, and a spilled stack
@@ -150,8 +141,6 @@ class Workspace {
   std::uint32_t epoch_ = 0;                // 0 = "no traversal yet"
   std::vector<std::uint32_t> mark_stamp_;  // marked iff == mark_epoch_
   std::uint32_t mark_epoch_ = 0;
-  std::vector<std::uint64_t> visited_bits_;   // dir-opt BFS scratch
-  std::vector<std::uint64_t> frontier_bits_;  // dir-opt BFS scratch
 };
 
 }  // namespace bsr::graph::engine

@@ -111,18 +111,6 @@ std::size_t RouteService::usable_brokers(std::vector<std::uint8_t>& up,
   return count;
 }
 
-void RouteService::materialize_components() {
-  // RollbackUnionFind::find is const (no path compression), so concurrent
-  // reads from shards are safe, and the label values are independent of the
-  // sharding.
-  engine::for_each_shard(graph_->num_vertices(),
-                         [&](std::size_t, std::size_t begin, std::size_t end) {
-                           for (std::size_t v = begin; v < end; ++v) {
-                             comp_[v] = uf_.find(static_cast<NodeId>(v));
-                           }
-                         });
-}
-
 void RouteService::build_epoch(double now, std::uint64_t attempt) {
   const NodeId n = graph_->num_vertices();
   usable_broker_count_ = usable_brokers(vertex_up_, usable_mask_);
@@ -214,32 +202,32 @@ void RouteService::try_patch(double now) {
   // new edges on top of the epoch's union-find yields exactly the current
   // edge set — reachability stays exact, the landmark bounds stay
   // admissible (paths only got shorter), and old next hops stay usable.
-  // Roots may differ from a fresh build's; comp_ is only compared for
-  // equality. Staged through temporaries + a checkpoint so an injected
-  // crash leaves the serving epoch untouched.
+  // A patch runs on a fresh epoch, so every change since the snapshot was a
+  // heal. A new edge either has an endpoint whose up or usable state
+  // changed, or is a link that came back, which only lowers the failed-link
+  // count; every G_B edge has a usable-broker endpoint, so after a link heal
+  // the usable brokers' stars cover the rest. One loop unites both kinds of
+  // star under the filter pair a build compacts with (without a plane
+  // nothing comes back, and it unites nothing). Roots may differ from a
+  // fresh build's; comp_ is only compared for equality. Staged through
+  // temporaries + a checkpoint so an injected crash leaves the serving epoch
+  // untouched.
   std::vector<std::uint8_t> new_up;
   std::vector<bool> new_mask;
   const std::size_t new_count = usable_brokers(new_up, new_mask);
   const std::uint64_t new_failed_edges = failed_edges();
+  const bool link_healed = new_failed_edges < failed_edges_;
+  const NodeId n = graph_->num_vertices();
 
   const auto mark = uf_.checkpoint();
   const bool crash = draw_crash(injection_.crash_next_patches);
-  if (new_failed_edges < failed_edges_) {
-    // A link came back (a patch runs on a fresh epoch, so every change since
-    // the snapshot was a heal, and only a link heal lowers the count): its
-    // endpoints need not have changed state, so re-unite all of G_B.
-    engine::unite_edges(engine::compact_dominated(*graph_, new_mask, faults_),
-                        uf_, engine::AllEdges{});
-  } else if (faults_ != nullptr) {  // without a plane nothing comes back
-    // Only vertices came back: every new edge has an endpoint whose up or
-    // usable state changed, so their stars under the filter pair
-    // compact_dominated keeps are the whole delta.
-    const engine::BothFilters<engine::DominatedEdgeFilter, engine::FaultAwareFilter>
-        admit{engine::DominatedEdgeFilter{&new_mask}, engine::FaultAwareFilter{faults_}};
-    for (NodeId v = 0; v < graph_->num_vertices(); ++v) {
-      if (new_up[v] != vertex_up_[v] || new_mask[v] != usable_mask_[v]) {
-        engine::unite_star(*graph_, uf_, v, admit);
-      }
+  const engine::BothFilters<engine::DominatedEdgeFilter, engine::FaultAwareFilter>
+      admit{engine::DominatedEdgeFilter{&new_mask}, engine::FaultAwareFilter{faults_}};
+  for (NodeId v = 0; v < n; ++v) {
+    const bool changed =
+        new_up[v] != vertex_up_[v] || new_mask[v] != usable_mask_[v];
+    if (changed || (link_healed && new_mask[v])) {
+      engine::unite_star(*graph_, uf_, v, admit);
     }
   }
   if (crash) {
@@ -253,7 +241,7 @@ void RouteService::try_patch(double now) {
   usable_mask_ = std::move(new_mask);
   usable_broker_count_ = new_count;
   failed_edges_ = new_failed_edges;
-  materialize_components();
+  for (NodeId v = 0; v < n; ++v) comp_[v] = uf_.find(v);
   epoch_truth_version_ = truth_version_;
   ++stats_.patches;
   BSR_COUNT(RouteServicePatches);

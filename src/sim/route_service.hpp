@@ -50,15 +50,15 @@
 // diverge:
 //
 //   * Heal-only deltas are patched incrementally: union-find checkpoint,
-//     unite the new edges, re-materialize labels. When only vertices came
-//     back, the new edges are the stars of the vertices whose up/usable
-//     state changed since the epoch's snapshot (engine::unite_star, the
-//     degree of what healed); only when a link came back — the fault plane's
-//     failed-link count fell below the snapshot's — is all of G_B compacted
-//     and re-united. Additions keep reachability exact and distance bounds
-//     admissible, so the epoch is re-stamped fresh without a rebuild. A
-//     crashed patch rolls back to the checkpoint and falls through to the
-//     rebuild path.
+//     unite the new edges, re-read the labels. One loop unites
+//     (engine::unite_star, under the build's filter pair) the star of every
+//     vertex whose up/usable state changed since the epoch's snapshot, and,
+//     when a link came back — the fault plane's failed-link count fell below
+//     the snapshot's — the star of every usable broker too, which is all of
+//     G_B. Nothing is compacted. Additions keep reachability exact and
+//     distance bounds admissible, so the epoch is re-stamped fresh without a
+//     rebuild. A crashed patch rolls back to the checkpoint and falls
+//     through to the rebuild path.
 //   * Faults cannot be patched into a union-find, so the service enters
 //     explicit degraded mode: it keeps serving the stale epoch, tagging
 //     answers kStaleServed, until the staleness bound (max_stale_events)
@@ -398,8 +398,6 @@ class RouteService {
   [[nodiscard]] std::uint64_t failed_edges() const noexcept {
     return faults_ != nullptr ? faults_->num_failed_edges() : 0;
   }
-  /// Re-derives comp_ from uf_ (after a heal patch).
-  void materialize_components();
   void build_epoch(double now, std::uint64_t attempt);
   void try_patch(double now);
   void start_due_build(double now);

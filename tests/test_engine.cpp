@@ -96,70 +96,6 @@ TEST(Engine, BothFiltersIsConjunction) {
   EXPECT_EQ(ws.dist(4), kUnreachable);  // blocked by the fault, not the mask
 }
 
-TEST(Engine, DirOptBfsMatchesClassicDistances) {
-  // Distance equality across heuristic settings: defaults, forced bottom-up
-  // (huge alpha switches after the first level, huge beta never switches
-  // back), and forced top-down (alpha 0xffffffff never trips... use 1).
-  engine::Workspace ws_classic, ws_dir;
-  for (std::uint64_t seed = 0; seed < 5; ++seed) {
-    const CsrGraph g = make_random(140, 0.05, seed);
-    for (NodeId s = 0; s < g.num_vertices(); s += 19) {
-      engine::bfs(g, s, ws_classic, engine::AllEdges{});
-      const auto expected = dense_dist(ws_classic, g.num_vertices());
-      engine::bfs_dir_opt(g, s, ws_dir, engine::AllEdges{});
-      EXPECT_EQ(dense_dist(ws_dir, g.num_vertices()), expected);
-      engine::bfs_dir_opt(g, s, ws_dir, engine::AllEdges{}, 1u << 30, 1u << 30);
-      EXPECT_EQ(dense_dist(ws_dir, g.num_vertices()), expected);
-      engine::bfs_dir_opt(g, s, ws_dir, engine::AllEdges{}, 1, 1);
-      EXPECT_EQ(dense_dist(ws_dir, g.num_vertices()), expected);
-    }
-  }
-}
-
-TEST(Engine, DirOptBfsMatchesClassicUnderFilters) {
-  // The bottom-up step probes edges from the unvisited side, so it relies on
-  // filter symmetry — exercised here for both built-in filters and their
-  // conjunction, with the bottom-up path forced on.
-  for (std::uint64_t seed = 0; seed < 5; ++seed) {
-    const CsrGraph g = make_connected_random(120, 0.04, seed);
-    const std::vector<bool> mask = random_mask(g.num_vertices(), 0.3, seed + 50);
-    FaultPlane plane(g);
-    Rng rng(seed + 900);
-    for (const Edge& e : g.edges()) {
-      if (rng.bernoulli(0.15)) plane.fail_edge(e.u, e.v);
-    }
-    engine::Workspace ws_classic, ws_dir;
-    const auto check = [&](auto filter) {
-      for (NodeId s = 0; s < g.num_vertices(); s += 31) {
-        engine::bfs(g, s, ws_classic, filter);
-        engine::bfs_dir_opt(g, s, ws_dir, filter, 1u << 30, 1u << 30);
-        EXPECT_EQ(dense_dist(ws_dir, g.num_vertices()),
-                  dense_dist(ws_classic, g.num_vertices()));
-      }
-    };
-    check(engine::DominatedEdgeFilter{&mask});
-    check(engine::FaultAwareFilter{&plane});
-    check(engine::BothFilters{engine::DominatedEdgeFilter{&mask},
-                              engine::FaultAwareFilter{&plane}});
-  }
-}
-
-TEST(Engine, DirOptBfsVisitsSameVertexSet) {
-  // Visit *order* within a level may differ; the visited set and per-level
-  // population may not.
-  const CsrGraph g = make_random(200, 0.02, 3);
-  engine::Workspace ws_classic, ws_dir;
-  engine::bfs(g, 0, ws_classic, engine::AllEdges{});
-  engine::bfs_dir_opt(g, 0, ws_dir, engine::AllEdges{}, 1u << 30, 1u << 30);
-  ASSERT_EQ(ws_dir.frontier_size(), ws_classic.frontier_size());
-  std::vector<NodeId> a(ws_classic.visit_order().begin(),
-                        ws_classic.visit_order().end());
-  std::vector<NodeId> b(ws_dir.visit_order().begin(), ws_dir.visit_order().end());
-  std::sort(a.begin(), a.end());
-  std::sort(b.begin(), b.end());
-  EXPECT_EQ(a, b);
-}
-
 /// Reference compaction: every slot of g through `admit`, in g's order,
 /// with has_edges set for every vertex that kept a slot.
 template <class Filter>
@@ -236,9 +172,8 @@ NodeId first_edgeless(const engine::Subgraph& sub) {
 
 TEST(Engine, SubgraphEntryPointBitIdenticalToFilteredTraversal) {
   // compact_dominated must reproduce a full filtered scan slot for slot
-  // (offsets, adjacency and has_edges), and unite_edges over the Subgraph
-  // must repeat the filtered pass's union-find roots. Every compaction holds
-  // edge-less vertices.
+  // (offsets, adjacency and has_edges), so anything read off it sees the
+  // filtered graph. Every compaction holds edge-less vertices.
   for (std::uint64_t seed = 0; seed < 6; ++seed) {
     const CsrGraph g = seed % 2 == 0 ? make_random(150, 0.04, seed)
                                      : make_connected_random(150, 0.04, seed);
@@ -250,11 +185,6 @@ TEST(Engine, SubgraphEntryPointBitIdenticalToFilteredTraversal) {
       ASSERT_EQ(c.sub.has_edges, ref.has_edges);
       ASSERT_LT(first_edgeless(c.sub), n)
           << "every compaction should keep an edge-less vertex";
-
-      RollbackUnionFind uf_filtered(n), uf_sub(n);
-      engine::unite_edges(g, uf_filtered, c.admit);
-      engine::unite_edges(c.sub, uf_sub, engine::AllEdges{});
-      for (NodeId v = 0; v < n; ++v) EXPECT_EQ(uf_sub.find(v), uf_filtered.find(v));
     });
   }
 }

@@ -557,53 +557,93 @@ std::vector<Flow> all_pairs(NodeId n) {
   return pairs;
 }
 
-std::uint64_t compact_scans() {
-  return bsr::obs::snapshot().counter(bsr::obs::Counter::kEngineCompactEdgeScans);
+std::uint64_t counter(bsr::obs::Counter c) {
+  return bsr::obs::snapshot().counter(c);
 }
 
 TEST(RouteServicePatch, PatchedEpochsAnswerLikeFreshBuilds) {
-  // A patch unites only what came back: the stars of healed vertices, or
-  // all of G_B once a link heals. Either way every pair's reachability must
-  // equal a service built from scratch on the same fault state.
+  // A patch unites, in one loop, the star of every vertex whose up/usable
+  // state changed and, once a link heals, the star of every usable broker.
+  // Nothing is compacted, the unite scans are exactly those stars' degrees
+  // (each vertex once), and every pair's reachability must equal a service
+  // built from scratch on the same fault state.
   for (std::uint64_t seed = 0; seed < 4; ++seed) {
     const CsrGraph g = make_connected_random(120, 0.03, 5200 + seed);
     const NodeId n = g.num_vertices();
     const BrokerSet brokers = top_degree_brokers(g, 24);
     const std::vector<Flow> pairs = all_pairs(n);
-    NodeId plain = n;  // a non-broker with a broker neighbour
-    for (NodeId v = 0; v < n && plain == n; ++v) {
-      for (const NodeId u : g.neighbors(v)) {
-        if (!brokers.contains(v) && brokers.contains(u)) plain = v;
+    std::vector<NodeId> plain;  // two non-brokers with a broker neighbour
+    for (NodeId v = 0; v < n && plain.size() < 2; ++v) {
+      const auto neigh = g.neighbors(v);
+      if (!brokers.contains(v) &&
+          std::any_of(neigh.begin(), neigh.end(),
+                      [&](NodeId u) { return brokers.contains(u); })) {
+        plain.push_back(v);
       }
     }
-    ASSERT_LT(plain, n);
+    ASSERT_EQ(plain.size(), 2u);
     const NodeId hub = brokers.members()[0];
     const NodeId b1 = brokers.members()[3];
     const NodeId b2 = brokers.members()[7];
-    // A link off the failed group, so healing it lowers the failed count.
+    // Two distinct links off the failed group, so healing either lowers the
+    // failed count.
     const NodeId group_center = brokers.members()[2];
     const NodeId link_end = brokers.members()[1];
-    const auto hops = g.neighbors(link_end);
-    const NodeId link_hop =
-        *std::find_if(hops.begin(), hops.end(),
-                      [&](NodeId v) { return v != group_center; });
+    const auto hop_off_group = [&](NodeId end) {
+      const auto hops = g.neighbors(end);
+      return *std::find_if(hops.begin(), hops.end(), [&](NodeId v) {
+        return v != group_center && v != link_end;
+      });
+    };
+    const NodeId link_hop = hop_off_group(link_end);
+    const NodeId link2_end = brokers.members()[5];
+    const NodeId link2_hop = hop_off_group(link2_end);
     FaultPlane faults(g);
-    for (const NodeId v : {hub, b1, b2, plain}) faults.fail_vertex(v);
+    for (const NodeId v : {hub, b1, b2, plain[0], plain[1]}) faults.fail_vertex(v);
     faults.fail_edge(link_end, link_hop);
+    faults.fail_edge(link2_end, link2_hop);
     faults.fail_group(bsr::graph::incident_group(g, group_center));
     RouteService service(g, brokers, &faults);
+
+    // The fault state the serving epoch last saw.
+    const auto usable = [&](NodeId v) {
+      return brokers.contains(v) && faults.vertex_ok(v);
+    };
+    std::vector<bool> seen_up(n), seen_usable(n);
+    std::uint64_t seen_failed_edges = 0;
+    const auto see = [&] {
+      for (NodeId v = 0; v < n; ++v) {
+        seen_up[v] = faults.vertex_ok(v);
+        seen_usable[v] = usable(v);
+      }
+      seen_failed_edges = faults.num_failed_edges();
+    };
+    see();
 
     std::vector<RouteAnswer> got, want;
     const auto heal_and_compare = [&](double now, const char* state,
                                       bool link_heal) {
+      ASSERT_EQ(faults.num_failed_edges() < seen_failed_edges, link_heal) << state;
+      std::uint64_t star_degrees = 0;
+      for (NodeId v = 0; v < n; ++v) {
+        const bool changed =
+            faults.vertex_ok(v) != seen_up[v] || usable(v) != seen_usable[v];
+        if (changed || (link_heal && usable(v))) star_degrees += g.degree(v);
+      }
       const std::uint64_t patches = service.stats().patches;
-      const std::uint64_t scans = compact_scans();
+      const std::uint64_t compact =
+          counter(bsr::obs::Counter::kEngineCompactEdgeScans);
+      const std::uint64_t unite = counter(bsr::obs::Counter::kEngineUniteEdgeScans);
       service.on_heal(now);
       ASSERT_EQ(service.stats().patches, patches + 1) << state;
       if (BSR_STATS_ENABLED) {
-        // The star path never compacts; the link path always does.
-        EXPECT_EQ(compact_scans() > scans, link_heal) << state;
+        EXPECT_EQ(counter(bsr::obs::Counter::kEngineCompactEdgeScans), compact)
+            << state;
+        EXPECT_EQ(counter(bsr::obs::Counter::kEngineUniteEdgeScans) - unite,
+                  star_degrees)
+            << state;
       }
+      see();
       RouteService fresh(g, brokers, &faults);
       service.serve_batch(pairs, now, got);
       fresh.serve_batch(pairs, now, want);
@@ -615,15 +655,18 @@ TEST(RouteServicePatch, PatchedEpochsAnswerLikeFreshBuilds) {
     };
     faults.heal_vertex(hub);
     heal_and_compare(1.0, "landmark hub heal", false);
-    faults.heal_vertex(plain);
+    faults.heal_vertex(plain[0]);
     heal_and_compare(2.0, "non-broker heal", false);
     faults.heal_vertex(b1);  // two vertices behind one notification
     faults.heal_vertex(b2);
     heal_and_compare(3.0, "two broker heals", false);
     faults.heal_edge(link_end, link_hop);
     heal_and_compare(4.0, "link heal", true);
+    faults.heal_edge(link2_end, link2_hop);  // both terms of the loop fire
+    faults.heal_vertex(plain[1]);
+    heal_and_compare(5.0, "link and non-broker heal", true);
     faults.heal_group(bsr::graph::incident_group(g, group_center));
-    heal_and_compare(5.0, "group heal", true);
+    heal_and_compare(6.0, "group heal", true);
     EXPECT_TRUE(faults.pristine());
     EXPECT_EQ(service.epoch_id(), 1u);  // every heal patched, none rebuilt
   }
