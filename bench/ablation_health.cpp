@@ -51,10 +51,7 @@ int main() {
   std::cout << "broker set: " << brokers.size() << " members\n";
 
   // Correlated link damage: one failure group per IXP.
-  std::vector<bsr::graph::FailureGroup> groups;
-  for (bsr::graph::NodeId v = ctx.topo.num_ases; v < ctx.topo.num_vertices(); ++v) {
-    groups.push_back(bsr::graph::incident_group(g, v));
-  }
+  const auto groups = bsr::topology::ixp_failure_groups(ctx.topo);
 
   bsr::sim::HealthChurnConfig churn_cfg;
   churn_cfg.departure_rate = 0.4;

@@ -39,11 +39,7 @@ int main() {
             << "%\n";
 
   // One failure group per IXP: all membership edges drop together.
-  std::vector<bsr::graph::FailureGroup> groups;
-  groups.reserve(num_ixps);
-  for (bsr::graph::NodeId v = ctx.topo.num_ases; v < ctx.topo.num_vertices(); ++v) {
-    groups.push_back(bsr::graph::incident_group(g, v));
-  }
+  auto groups = bsr::topology::ixp_failure_groups(ctx.topo);
   // Plus uncorrelated cuts of half the dominated links: singleton groups over
   // the broker-incident edges the brokered plane depends on.
   bsr::graph::Rng rng(ctx.env.seed + 40);

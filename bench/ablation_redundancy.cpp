@@ -53,10 +53,7 @@ int main() {
   // (at large k the greedy's hub picks are incidentally redundant already).
   const std::uint32_t k = ctx.env.scaled(24, 6);
 
-  std::vector<bsr::graph::FailureGroup> groups;
-  for (bsr::graph::NodeId v = ctx.topo.num_ases; v < ctx.topo.num_vertices(); ++v) {
-    groups.push_back(bsr::graph::incident_group(g, v));
-  }
+  const auto groups = bsr::topology::ixp_failure_groups(ctx.topo);
 
   // --- selections ----------------------------------------------------------
   bsr::broker::BrokerSet plain(g.num_vertices());

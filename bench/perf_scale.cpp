@@ -425,10 +425,7 @@ int main() {
             << greedy_direct.coverage << ")\n\n";
 
   // --- robust_maxsg --------------------------------------------------------
-  std::vector<bsr::graph::FailureGroup> ixp_groups;
-  for (NodeId v = ctx.topo.num_ases; v < n; ++v) {
-    ixp_groups.push_back(bsr::graph::incident_group(g, v));
-  }
+  const auto ixp_groups = bsr::topology::ixp_failure_groups(ctx.topo);
   const auto run_robust = [&](const char* name, std::uint32_t robust_k,
                               const bsr::broker::RobustOptions& options) {
     bsr::broker::RobustResult result;

@@ -102,16 +102,6 @@ bsr::broker::BrokerSet run_algorithm(
                            "' (valid: maxsg mcbg greedy db prb weighted)");
 }
 
-std::vector<bsr::graph::FailureGroup> ixp_failure_groups(
-    const bsr::topology::InternetTopology& topo) {
-  std::vector<bsr::graph::FailureGroup> groups;
-  groups.reserve(topo.num_ixps);
-  for (bsr::graph::NodeId v = topo.num_ases; v < topo.num_vertices(); ++v) {
-    groups.push_back(bsr::graph::incident_group(topo.graph, v));
-  }
-  return groups;
-}
-
 void print_slo_summary(const bsr::obs::SloReport& report) {
   std::cout << "slo: " << report.samples << " samples, " << report.breaches
             << " breach episode(s), " << report.recovers << " recovered"

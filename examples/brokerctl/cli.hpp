@@ -122,9 +122,6 @@ double parse_positive_double(const std::string& what, const std::string& text,
 BrokerSet run_algorithm(const bsr::topology::InternetTopology& topo,
                         const std::string& algo, std::uint32_t k,
                         std::uint64_t seed);
-/// One failure group per IXP: all of its membership edges at once.
-std::vector<bsr::graph::FailureGroup> ixp_failure_groups(
-    const bsr::topology::InternetTopology& topo);
 /// Verdict block shared by the live (`serve --slo`) and offline (`slo`)
 /// evaluators.
 void print_slo_summary(const bsr::obs::SloReport& report);

@@ -67,7 +67,7 @@ int cmd_faults(int argc, char** argv) {
     std::cerr << "brokerctl faults: topology has no IXPs to fail\n";
     return 1;
   }
-  const auto groups = ixp_failure_groups(topo);
+  const auto groups = bsr::topology::ixp_failure_groups(topo);
   bsr::graph::Rng rng(env.seed + 50);
   std::vector<bsr::graph::NodeId> order(groups.size());
   for (std::size_t i = 0; i < order.size(); ++i) {
@@ -135,7 +135,7 @@ int cmd_robust(int argc, char** argv) {
       std::cerr << "brokerctl robust: topology has no IXPs to fail\n";
       return 1;
     }
-    groups = ixp_failure_groups(topo);
+    groups = bsr::topology::ixp_failure_groups(topo);
   }
 
   bsr::broker::RobustOptions options;

@@ -191,7 +191,7 @@ int cmd_health(int argc, char** argv) {
       argc > 5 ? parse_positive_double("probe-interval", argv[5], 100.0) : 1.0;
   const BrokerSet brokers = run_algorithm(topo, argv[3], k, env.seed);
 
-  const auto groups = ixp_failure_groups(topo);
+  const auto groups = bsr::topology::ixp_failure_groups(topo);
   bsr::sim::HealthChurnConfig churn;
   bsr::sim::LinkChurnConfig link;
   link.outage_rate = groups.empty() ? 0.0 : 0.05;

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "broker/coverage.hpp"
-#include "graph/engine.hpp"
 #include "graph/renumbering.hpp"
 #include "obs/stats.hpp"
 #include "obs/trace.hpp"
@@ -48,24 +47,10 @@ GreedyMcbResult greedy_mcb(const CsrGraph& g, std::uint32_t k,
     }
   };
   std::priority_queue<Entry> heap;
-  BSR_STATS_ONLY(std::uint64_t evals = 0;)
-  // The initial full gain pass is the only O(|E|) step — shard it.
-  // marginal_gain is const (pure reads of the covered bitmap), the gains are
-  // integers in disjoint slots, and the heap is built by a serial
-  // ascending-id push afterwards, so the heap state is independent of the
-  // shard count.
-  {
-    std::vector<std::uint32_t> init_gain(n);
-    bsr::graph::engine::for_each_shard(
-        n, [&](std::size_t, std::size_t begin, std::size_t end) {
-          for (std::size_t v = begin; v < end; ++v) {
-            init_gain[v] =
-                tracker.marginal_gain(to_graph(static_cast<NodeId>(v)));
-          }
-        });
-    BSR_STATS_ONLY(evals += n;)
-    for (NodeId v = 0; v < n; ++v) heap.push(Entry{init_gain[v], v, 0});
-  }
+  // Before any pick nothing is covered, and CsrGraph lists hold no
+  // duplicates or self-loops, so every first gain is 1 + deg(v).
+  for (NodeId v = 0; v < n; ++v) heap.push(Entry{1 + g.degree(to_graph(v)), v, 0});
+  BSR_STATS_ONLY(std::uint64_t evals = n;)
 
   std::uint32_t round = 0;
   while (result.brokers.size() < k && !heap.empty() && !tracker.all_covered()) {

@@ -7,10 +7,9 @@
 // stale gains sit in a max-heap and are only recomputed when popped, which
 // in practice turns O(k|V|) gain evaluations into nearly O(|V| log |V|).
 //
-// The initial full gain pass (the only O(|E|) step) is sharded across
-// BSR_THREADS workers; gains are integers written to disjoint slots and
-// pushed into the heap in ascending-id order afterwards, so the heap — and
-// therefore the selection — is bit-identical at any thread count.
+// The heap starts from the exact first gains, 1 + deg(v) (nothing is covered
+// yet), pushed in ascending-id order; the run is serial, so the selection
+// cannot depend on BSR_THREADS.
 #pragma once
 
 #include <cstdint>

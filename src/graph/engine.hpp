@@ -1,8 +1,9 @@
 // Static-dispatch traversal engine.
 //
-// Two BFS kernels: engine::bfs, one FIFO search from one source, and
+// Three BFS kernels: engine::bfs, one FIFO search from one source;
+// engine::product_bfs, the same FIFO search over (vertex, state) pairs; and
 // engine::lane_sweep, up to kLanes trees per level-synchronous pass over a
-// compacted Subgraph. Every BFS over a graph's vertices, but for the four
+// compacted Subgraph. Every BFS over a graph's vertices, but for the two
 // searches named below, runs on one of them. engine::bfs and the union
 // helpers are function templates parameterized on a *filter struct*: the
 // predicate body is known at instantiation time and folds into the scan
@@ -10,7 +11,9 @@
 // two bitmask loads (no indirect call per edge relaxation). engine::bfs also
 // takes an optional *stop policy* (DepthCap, TargetStop; exhaustive without
 // one): the l-hop sweeps and the router's early exit are rules of the one
-// FIFO loop, not copies of it.
+// FIFO loop, not copies of it. product_bfs takes a *step rule* in place of
+// the filter: the valley-free phases and the router's heal budget are rules
+// of its loop.
 //
 // Filters implement
 //     bool operator()(NodeId u, std::size_t slot, NodeId v) const
@@ -18,27 +21,23 @@
 // FaultAwareFilter answer link-state queries in O(1) via
 // FaultPlane::edge_up_at(u, slot) instead of an O(log d) edge lookup.
 //
-// Four searches stay outside the engine, each for a reason:
+// Two searches stay outside the engine, each for a reason:
 //   * broker/disjoint.cpp's shortest_avoiding records only parents. Run on
 //     engine::bfs with the target stop, whose workspace also writes
 //     distances, disjoint_dominating_paths measured 1.7-3.5 % slower in
 //     median at scale 0.3 (alternating processes, same paths).
-//   * sim::Router::route_healed searches (vertex, heals used) states, not
-//     vertices: the same vertex is reached again with a different budget.
-//   * topology::valley_free_distances / valley_free_path search (vertex,
-//     phase) states under per-edge policy predicates.
 //   * graph::betweenness's Brandes pivot counts shortest paths, so it must
 //     see every edge into the next level, also into visited vertices; a
 //     filter is only consulted for unvisited ones.
 //
 // Determinism contract (see docs/ENGINE.md): every kernel visits vertices in
-// a fixed order — FIFO queue order for bfs, ascending (u, slot) order for
-// edge scans, ascending id in each lane_sweep level — so dist arrays,
-// parents, component labels, greedy tie-breaks, and double accumulation
-// orders are pure functions of the input, and invariant under BSR_THREADS
-// (parallel reductions are integer-only and merged in shard order). A stop
-// policy only cuts the FIFO loop short: discovery order, dist and parents up
-// to the stop are the exhaustive run's.
+// a fixed order — FIFO queue order for bfs and product_bfs, ascending
+// (u, slot) order for edge scans, ascending id in each lane_sweep level — so
+// dist arrays, parents, component labels, greedy tie-breaks, and double
+// accumulation orders are pure functions of the input, and invariant under
+// BSR_THREADS (parallel reductions are integer-only and merged in shard
+// order). A stop policy only cuts the FIFO loop short: discovery order, dist
+// and parents up to the stop are the exhaustive run's.
 #pragma once
 
 #include <cstddef>
@@ -170,6 +169,71 @@ void bfs(const CsrGraph& g, NodeId source, Workspace& ws, Filter admit,
   BSR_COUNT(EngineBfsRuns);
   BSR_COUNT_N(EngineBfsEdgesScanned, ws.stats_edges_scanned);
   BSR_COUNT_N(EngineBfsVerticesVisited, ws.frontier_size());
+}
+
+/// A step rule's answer for an edge the search may not take; product_bfs
+/// returns it when no TargetStop fired.
+inline constexpr std::uint32_t kNoState = std::numeric_limits<std::uint32_t>::max();
+
+/// FIFO BFS over (vertex, state) pairs of `g`, from (source, 0). Pair (v, s),
+/// s < num_states, has id v * num_states + s, and `ws` holds dist, parents
+/// and visit order by id. States leave the queue in FIFO order and scan
+/// g.neighbors(u) in ascending slot order: step(u, s, slot, v) names the
+/// state that edge leads to, or kNoState, and (v, that state) is discovered
+/// unless it already was. With TargetStop{t} it returns the id of the first
+/// state of vertex t discovered (at once when t is the source), otherwise
+/// kNoState. Counts like engine::bfs, a state being the visited unit.
+template <class Step, class... Stop>
+std::uint32_t product_bfs(const CsrGraph& g, std::uint32_t num_states,
+                          NodeId source, Workspace& ws, Step step, Stop... stop) {
+  // An empty pack folds `||` to false: the exhaustive search never stops.
+  static_assert(sizeof...(Stop) == 0 ||
+                (sizeof...(Stop) == 1 && (std::is_same_v<Stop, TargetStop> && ...)));
+  BSR_DCHECK(source < g.num_vertices());
+  BSR_DCHECK(std::uint64_t{g.num_vertices()} * num_states < kUnreachable);
+  std::uint32_t found = kNoState;
+  ws.begin(g.num_vertices() * num_states);
+  ws.discover(source * num_states, 0);
+  if (((source == stop.target) || ...)) {
+    found = source * num_states;
+    goto done;
+  }
+  for (std::size_t head = 0; head < ws.frontier_size(); ++head) {
+    const std::uint32_t state = ws.frontier_at(head);
+    const NodeId u = state / num_states;
+    const std::uint32_t s = state % num_states;
+    const std::uint32_t du = ws.dist_unchecked(state);
+    const auto neigh = g.neighbors(u);
+    for (std::size_t i = 0; i < neigh.size(); ++i) {
+      const NodeId v = neigh[i];
+      const std::uint32_t next = step(u, s, i, v);
+      if (next == kNoState) continue;
+      const std::uint32_t to = v * num_states + next;
+      if (ws.visited(to)) continue;
+      ws.discover(to, du + 1, state);
+      if (((v == stop.target) || ...)) {
+        BSR_STATS_ONLY(ws.stats_edges_scanned += i + 1;)
+        found = to;
+        goto done;
+      }
+    }
+    BSR_STATS_ONLY(ws.stats_edges_scanned += neigh.size();)
+  }
+[[maybe_unused]] done:
+  BSR_COUNT(EngineBfsRuns);
+  BSR_COUNT_N(EngineBfsEdgesScanned, ws.stats_edges_scanned);
+  BSR_COUNT_N(EngineBfsVerticesVisited, ws.frontier_size());
+  return found;
+}
+
+/// The vertex path source..state / num_states of the last product_bfs on
+/// `ws`: the tree path to `state` with each state mapped to its vertex.
+[[nodiscard]] inline std::vector<NodeId> product_path(const Workspace& ws,
+                                                      std::uint32_t num_states,
+                                                      std::uint32_t state) {
+  std::vector<NodeId> path = ws.path_to(state);
+  for (NodeId& v : path) v /= num_states;
+  return path;
 }
 
 /// Compacted CSR of a subgraph of a CsrGraph: the same vertex ids, only

@@ -14,8 +14,9 @@
 //   * the mark domain     — a reusable "seen this round?" set (root dedup in
 //     greedy gain sweeps, coverage marking, ...).
 // They never interfere, so a caller may run a BFS while holding marks.
-// engine::bfs is the one kernel that traverses through a Workspace;
-// engine::lane_sweep keeps its own per-thread lane masks.
+// engine::bfs and engine::product_bfs (whose ids are (vertex, state)
+// pairs) traverse through a Workspace; engine::lane_sweep keeps its own
+// per-thread lane masks.
 //
 // Workspaces are cheap to reuse across graphs of different sizes: ensure()
 // grows (never shrinks) and every accessor BSR_DCHECKs its index, so running

@@ -1,7 +1,5 @@
 #include "sim/router.hpp"
 
-#include <algorithm>
-
 #include "graph/check.hpp"
 #include "graph/engine.hpp"
 #include "graph/sampling.hpp"
@@ -10,7 +8,6 @@
 
 namespace bsr::sim {
 
-using bsr::graph::kUnreachable;
 using bsr::graph::NodeId;
 
 const char* to_string(RouteTier tier) noexcept {
@@ -82,55 +79,26 @@ Route Router::route_impl(NodeId src, NodeId dst, bool dominated) {
 
 Route Router::route_healed(NodeId src, NodeId dst, std::uint32_t max_heals,
                            std::uint32_t& healed_links) {
-  // BFS over (vertex, heals-used) states: dominated edges only, vertices
+  // BFS over (vertex, heals used) states: dominated edges only, vertices
   // must be up, and crossing a *failed* dominated link consumes one heal.
-  // First arrival at dst (any heal count) is the min-hop degraded route.
-  healed_links = 0;
-  Route route;
+  // The first state of dst discovered (any heal count) is the min-hop
+  // degraded route.
+  namespace engine = bsr::graph::engine;
   const std::uint32_t layers = max_heals + 1;
-  const std::size_t num_states =
-      static_cast<std::size_t>(graph_->num_vertices()) * layers;
-  BSR_DCHECK(num_states < kUnreachable);
-  state_parent_.assign(num_states, kUnreachable);
-  state_queue_.clear();
-
-  const auto state_of = [layers](NodeId v, std::uint32_t heals) {
-    return static_cast<std::uint32_t>(v) * layers + heals;
-  };
-  const std::uint32_t start = state_of(src, 0);
-  state_parent_[start] = start;
-  state_queue_.push_back(start);
-  BSR_GAUGE_MAX(RouterStateHighWater, num_states);
-  for (std::size_t head = 0; head < state_queue_.size(); ++head) {
-    const std::uint32_t s = state_queue_[head];
-    const NodeId u = s / layers;
-    const std::uint32_t heals = s % layers;
-    const auto nbrs = graph_->neighbors(u);
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      const NodeId v = nbrs[i];
-      if (!brokers_->dominates_edge(u, v)) continue;
-      if (!faults_->vertex_ok(v)) continue;
-      std::uint32_t next_heals = heals;
-      if (!faults_->edge_up_at(u, i)) {
-        if (heals == max_heals) continue;  // heal budget exhausted
-        ++next_heals;
-      }
-      const std::uint32_t t = state_of(v, next_heals);
-      if (state_parent_[t] != kUnreachable) continue;
-      state_parent_[t] = s;
-      if (v == dst) {
-        healed_links = next_heals;
-        for (std::uint32_t w = t; w != start; w = state_parent_[w]) {
-          route.path.push_back(w / layers);
+  BSR_GAUGE_MAX(RouterStateHighWater, std::size_t{graph_->num_vertices()} * layers);
+  const std::uint32_t goal = engine::product_bfs(
+      *graph_, layers, src, ws_,
+      [&](NodeId u, std::uint32_t heals, std::size_t slot, NodeId v) {
+        if (!brokers_->dominates_edge(u, v) || !faults_->vertex_ok(v)) {
+          return engine::kNoState;
         }
-        route.path.push_back(src);
-        std::reverse(route.path.begin(), route.path.end());
-        return route;
-      }
-      state_queue_.push_back(t);
-    }
-  }
-  return route;  // unreachable within the heal budget
+        if (faults_->edge_up_at(u, slot)) return heals;
+        return heals == max_heals ? engine::kNoState : heals + 1;
+      },
+      engine::TargetStop{dst});
+  if (goal == engine::kNoState) return {};  // unreachable within the heal budget
+  healed_links = goal % layers;
+  return Route{engine::product_path(ws_, layers, goal)};
 }
 
 Route Router::route_free(NodeId src, NodeId dst) {
@@ -161,7 +129,6 @@ TieredRoute Router::route_with_degradation(NodeId src, NodeId dst,
       BSR_HISTO(RouterHops, out.route.hops());
       return out;
     }
-    out.healed_links = 0;
   }
   if (policy.allow_free_fallback) {
     out.route = route_free(src, dst);

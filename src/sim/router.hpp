@@ -132,6 +132,8 @@ class Router {
  private:
   /// engine::bfs with the target stop on ws_, through one of four filters.
   Route route_impl(bsr::graph::NodeId src, bsr::graph::NodeId dst, bool dominated);
+  /// engine::product_bfs over (vertex, heals used) on ws_; sets
+  /// healed_links only when it finds a route.
   Route route_healed(bsr::graph::NodeId src, bsr::graph::NodeId dst,
                      std::uint32_t max_heals, std::uint32_t& healed_links);
 
@@ -139,9 +141,7 @@ class Router {
   const bsr::broker::BrokerSet* brokers_;
   const bsr::graph::FaultPlane* faults_ = nullptr;
   const HealthView* health_view_ = nullptr;
-  bsr::graph::engine::Workspace ws_;          // epoch-stamped; no O(V) clears
-  std::vector<std::uint32_t> state_parent_;  // (vertex, heals) product BFS
-  std::vector<std::uint32_t> state_queue_;
+  bsr::graph::engine::Workspace ws_;  // epoch-stamped; vertices or (vertex, heals)
 };
 
 /// Tier composition over sampled (src != dst) pairs — the operator's

@@ -167,6 +167,15 @@ double InternetTopology::ixp_attachment_rate() const {
   return static_cast<double>(attached) / static_cast<double>(num_ases);
 }
 
+std::vector<bsr::graph::FailureGroup> ixp_failure_groups(const InternetTopology& topo) {
+  std::vector<bsr::graph::FailureGroup> groups;
+  groups.reserve(topo.num_ixps);
+  for (NodeId v = topo.num_ases; v < topo.num_vertices(); ++v) {
+    groups.push_back(bsr::graph::incident_group(topo.graph, v));
+  }
+  return groups;
+}
+
 InternetTopology make_internet(const InternetConfig& config) {
   config.validate();
   Rng rng(config.seed);

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "graph/csr_graph.hpp"
+#include "graph/fault_plane.hpp"
 #include "graph/rng.hpp"
 #include "topology/relationships.hpp"
 #include "topology/types.hpp"
@@ -100,5 +101,10 @@ struct InternetTopology {
 
 /// Generates a topology; deterministic in config.seed.
 [[nodiscard]] InternetTopology make_internet(const InternetConfig& config);
+
+/// One failure group per IXP, in ascending IXP id: all of its membership
+/// edges at once (graph::incident_group).
+[[nodiscard]] std::vector<bsr::graph::FailureGroup> ixp_failure_groups(
+    const InternetTopology& topo);
 
 }  // namespace bsr::topology

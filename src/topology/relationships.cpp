@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "graph/engine.hpp"
+
 namespace bsr::topology {
 
 using bsr::graph::CsrGraph;
@@ -114,6 +116,42 @@ double EdgeRelations::peer_fraction() const {
   return static_cast<double>(peers) / static_cast<double>(rel_by_slot_.size());
 }
 
+bool EdgeRelations::aligned_with(const CsrGraph& g) const noexcept {
+  return std::ranges::equal(offsets_, g.offsets()) &&
+         std::ranges::equal(adjacency_, g.adjacency());
+}
+
+namespace {
+
+namespace engine = bsr::graph::engine;
+
+// The states of a valley-free walk's product BFS are its phases:
+//   0 = still climbing (only c2p hops so far)
+//   1 = crossed the single allowed peer hop
+//   2 = descending (one or more p2c hops taken)
+// Allowed transitions from phase p over edge u->v:
+//   c2p (v is u's provider): only from phase 0, stay 0
+//   peer:                    from phase 0, go to 1
+//   p2c (v is u's customer): from any phase, go to 2
+constexpr std::uint32_t kPhases = 3;
+
+std::uint32_t next_phase(const EdgeRelations& rels, NodeId u, std::uint32_t phase,
+                         std::size_t slot, NodeId v) {
+  const EdgeRel rel = rels.canonical_rels_of(u)[slot];  // slot-aligned: O(1)
+  if (rel == EdgeRel::kPeer) return phase == 0 ? 1 : engine::kNoState;
+  if (!EdgeRelations::rel_means_v_provides_u(rel, u, v)) return 2;
+  return phase == 0 ? 0 : engine::kNoState;
+}
+
+// Its own workspace rather than engine::tls_workspace(), so a caller may hold a
+// traversal there across a valley-free call.
+engine::Workspace& valley_free_workspace() {
+  thread_local engine::Workspace ws;
+  return ws;
+}
+
+}  // namespace
+
 std::vector<std::uint32_t> valley_free_distances(
     const CsrGraph& g, const EdgeRelations& rels, NodeId source,
     const std::function<bool(NodeId, NodeId)>& edge_ok,
@@ -121,122 +159,43 @@ std::vector<std::uint32_t> valley_free_distances(
   if (source >= g.num_vertices()) {
     throw std::invalid_argument("valley_free_distances: source out of range");
   }
-  // State-expanded BFS. Phases of a valley-free walk:
-  //   0 = still climbing (only c2p hops so far)
-  //   1 = crossed the single allowed peer hop
-  //   2 = descending (one or more p2c hops taken)
-  // Allowed transitions from phase p over edge u->v:
-  //   c2p (v is u's provider): only from phase 0, stay 0
-  //   peer:                    from phase 0, go to 1
-  //   p2c (v is u's customer): from any phase, go to 2
-  //   override edge:           from any phase, keep phase
-  constexpr int kPhases = 3;
-  const NodeId n = g.num_vertices();
-  std::vector<std::uint32_t> dist_state(static_cast<std::size_t>(n) * kPhases,
-                                        kUnreachable);
-  std::vector<std::uint32_t> dist(n, kUnreachable);
-  std::vector<std::uint64_t> queue;  // encoded state: v * kPhases + phase
-  queue.reserve(n);
-
-  const auto push = [&](NodeId v, int phase, std::uint32_t d) {
-    const std::size_t idx = static_cast<std::size_t>(v) * kPhases + phase;
-    if (dist_state[idx] != kUnreachable) return;
-    dist_state[idx] = d;
-    dist[v] = std::min(dist[v], d);
-    queue.push_back(idx);
-  };
-
-  push(source, 0, 0);
-  for (std::size_t head = 0; head < queue.size(); ++head) {
-    const std::uint64_t state = queue[head];
-    const auto u = static_cast<NodeId>(state / kPhases);
-    const int phase = static_cast<int>(state % kPhases);
-    const std::uint32_t du = dist_state[state];
-    const auto nbrs = g.neighbors(u);
-    const auto rel_row = rels.canonical_rels_of(u);  // slot-aligned: O(1)/edge
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      const NodeId v = nbrs[i];
-      if (edge_ok && !edge_ok(u, v)) continue;
-      if (override_edge && override_edge(u, v)) {
-        push(v, phase, du + 1);
-        continue;
-      }
-      const EdgeRel rel = rel_row[i];
-      if (rel == EdgeRel::kPeer) {
-        if (phase == 0) push(v, 1, du + 1);
-      } else if (EdgeRelations::rel_means_v_provides_u(rel, u, v)) {
-        if (phase == 0) push(v, 0, du + 1);
-      } else {
-        push(v, 2, du + 1);  // p2c hop allowed from any phase
-      }
-    }
+  if (!rels.aligned_with(g)) {
+    throw std::invalid_argument("valley_free_distances: relations of another graph");
+  }
+  auto& ws = valley_free_workspace();
+  engine::product_bfs(g, kPhases, source, ws,
+                      [&](NodeId u, std::uint32_t phase, std::size_t slot, NodeId v) {
+                        if (edge_ok && !edge_ok(u, v)) return engine::kNoState;
+                        // Override edges are usable from any phase and keep it.
+                        if (override_edge && override_edge(u, v)) return phase;
+                        return next_phase(rels, u, phase, slot, v);
+                      });
+  // States leave the queue in nondecreasing distance, so the first state of
+  // a vertex in visit order is its nearest.
+  std::vector<std::uint32_t> dist(g.num_vertices(), kUnreachable);
+  for (const NodeId state : ws.visit_order()) {
+    std::uint32_t& d = dist[state / kPhases];
+    if (d == kUnreachable) d = ws.dist_unchecked(state);
   }
   return dist;
 }
 
 std::vector<NodeId> valley_free_path(const CsrGraph& g, const EdgeRelations& rels,
                                      NodeId src, NodeId dst) {
+  if (!rels.aligned_with(g)) {
+    throw std::invalid_argument("valley_free_path: relations of another graph");
+  }
   if (src >= g.num_vertices() || dst >= g.num_vertices()) return {};
-  if (src == dst) return {src};
-
-  constexpr int kPhases = 3;
-  const std::size_t states = static_cast<std::size_t>(g.num_vertices()) * kPhases;
-  constexpr std::uint64_t kNoParent = ~0ull;
-  std::vector<std::uint64_t> parent(states, kNoParent);
-  std::vector<std::uint64_t> queue;
-
-  const auto push = [&](NodeId v, int phase, std::uint64_t from_state) {
-    const std::size_t idx = static_cast<std::size_t>(v) * kPhases + phase;
-    if (parent[idx] != kNoParent) return;
-    parent[idx] = from_state;
-    queue.push_back(idx);
-  };
-
-  const std::size_t start = static_cast<std::size_t>(src) * kPhases;
-  parent[start] = start;  // self-parent marks the root
-  queue.push_back(start);
-  std::size_t goal_state = kNoParent;
-  for (std::size_t head = 0; head < queue.size() && goal_state == kNoParent; ++head) {
-    const std::uint64_t state = queue[head];
-    const auto u = static_cast<NodeId>(state / kPhases);
-    const int phase = static_cast<int>(state % kPhases);
-    const auto nbrs = g.neighbors(u);
-    const auto rel_row = rels.canonical_rels_of(u);
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      const NodeId v = nbrs[i];
-      const EdgeRel rel = rel_row[i];
-      if (rel == EdgeRel::kPeer) {
-        if (phase == 0) push(v, 1, state);
-      } else if (EdgeRelations::rel_means_v_provides_u(rel, u, v)) {
-        if (phase == 0) push(v, 0, state);
-      } else {
-        push(v, 2, state);
-      }
-      if (v == dst) {
-        // First time dst enters the queue is a shortest admissible path.
-        for (int p = 0; p < kPhases; ++p) {
-          const std::size_t idx = static_cast<std::size_t>(dst) * kPhases + p;
-          if (parent[idx] != kNoParent) {
-            goal_state = idx;
-            break;
-          }
-        }
-        if (goal_state != kNoParent) break;
-      }
-    }
-  }
-  if (goal_state == kNoParent) return {};
-
-  std::vector<NodeId> path;
-  std::uint64_t state = goal_state;
-  while (true) {
-    path.push_back(static_cast<NodeId>(state / kPhases));
-    const std::uint64_t up = parent[state];
-    if (up == state) break;  // root
-    state = up;
-  }
-  std::reverse(path.begin(), path.end());
-  return path;
+  auto& ws = valley_free_workspace();
+  // The first state of dst discovered is a shortest admissible path.
+  const std::uint32_t goal = engine::product_bfs(
+      g, kPhases, src, ws,
+      [&rels](NodeId u, std::uint32_t phase, std::size_t slot, NodeId v) {
+        return next_phase(rels, u, phase, slot, v);
+      },
+      engine::TargetStop{dst});
+  if (goal == engine::kNoState) return {};
+  return engine::product_path(ws, kPhases, goal);
 }
 
 std::vector<EdgeRel> infer_relationships_by_degree(const CsrGraph& g,

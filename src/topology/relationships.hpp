@@ -99,6 +99,11 @@ class EdgeRelations {
 
   [[nodiscard]] double peer_fraction() const;
 
+  /// True iff the CSR arrays this snapshot holds (offsets and adjacency)
+  /// equal g's, i.e. the slot-aligned accessors index g's lists. One pass
+  /// over both arrays.
+  [[nodiscard]] bool aligned_with(const bsr::graph::CsrGraph& g) const noexcept;
+
   friend bool operator==(const EdgeRelations&, const EdgeRelations&) = default;
 
  private:
@@ -120,7 +125,9 @@ using EdgeOverrideFn = std::function<bool(bsr::graph::NodeId, bsr::graph::NodeId
 /// Override edges may be used at any point without changing phase.
 /// `edge_ok` (optional) additionally restricts usable edges — pass the
 /// dominated-subgraph predicate to evaluate broker sets under policy.
-/// Returns hop distances (graph::kUnreachable when unreachable).
+/// Returns hop distances (graph::kUnreachable when unreachable). Throws
+/// std::invalid_argument when `source` is out of range or `rels` was not
+/// built over `g` (EdgeRelations::aligned_with).
 [[nodiscard]] std::vector<std::uint32_t> valley_free_distances(
     const bsr::graph::CsrGraph& g, const EdgeRelations& rels,
     bsr::graph::NodeId source,
@@ -129,8 +136,9 @@ using EdgeOverrideFn = std::function<bool(bsr::graph::NodeId, bsr::graph::NodeId
 
 /// Shortest valley-free path src..dst as a vertex sequence (what a
 /// hop-count-minimizing BGP decision process would pick under export
-/// policies); empty if unreachable. Same state-expanded BFS as
-/// valley_free_distances, with parent tracking.
+/// policies); empty if unreachable or an id is out of range. Same
+/// state-expanded BFS and phase rule as valley_free_distances, stopped at
+/// dst. Throws std::invalid_argument when `rels` was not built over `g`.
 [[nodiscard]] std::vector<bsr::graph::NodeId> valley_free_path(
     const bsr::graph::CsrGraph& g, const EdgeRelations& rels,
     bsr::graph::NodeId src, bsr::graph::NodeId dst);

@@ -477,6 +477,76 @@ TEST(EngineStop, ExhaustivePathToMatchesParentWalk) {
   });
 }
 
+/// The parity cover of g: vertex 2v + p is v reached by a walk of parity p,
+/// adjacent to 2w + (1 - p) for every neighbour w of v.
+CsrGraph parity_cover(const CsrGraph& g) {
+  GraphBuilder b(2 * g.num_vertices());
+  for (const Edge& e : g.edges()) {
+    b.add_edge(2 * e.u, 2 * e.v + 1);
+    b.add_edge(2 * e.u + 1, 2 * e.v);
+  }
+  return b.build();
+}
+
+TEST(ProductBfs, ParityRuleIsBfsOnTheParityCover) {
+  // Two states per vertex, every hop flipping the state: a product search
+  // is engine::bfs on the product graph, state id for vertex id — the same
+  // visit order, distances, parents and counters. A TargetStop returns the
+  // first state of the target in that order, cut where the cover's BFS
+  // stopped at that state would cut, and product_path maps its tree path to
+  // vertices.
+  const auto flip = [](NodeId, std::uint32_t s, std::size_t, NodeId) { return 1 - s; };
+  std::size_t reached = 0, unreached = 0;
+  for (std::uint64_t seed = 0; seed < 6; ++seed) {
+    const CsrGraph g = seed % 2 == 0 ? make_random(60, 0.03, seed)
+                                     : make_connected_random(60, 0.04, seed);
+    const CsrGraph cover = parity_cover(g);
+    engine::Workspace ref, cut, ws;
+    for (NodeId s = 0; s < g.num_vertices(); s += 7) {
+      const auto ref_counts =
+          bfs_counter_delta([&] { engine::bfs(cover, 2 * s, ref, engine::AllEdges{}); });
+      std::uint32_t found = 0;
+      const auto counts =
+          bfs_counter_delta([&] { found = engine::product_bfs(g, 2, s, ws, flip); });
+      EXPECT_EQ(found, engine::kNoState);
+      EXPECT_EQ(counts, ref_counts);
+      const auto order = ref.visit_order();
+      ASSERT_TRUE(std::ranges::equal(ws.visit_order(), order));
+      for (const NodeId state : order) {
+        EXPECT_EQ(ws.dist(state), ref.dist(state));
+        if (state != 2 * s) {
+          EXPECT_EQ(ws.parent(state), ref.parent(state));
+        }
+      }
+      for (NodeId t = 0; t < g.num_vertices(); t += 3) {
+        const auto first = std::find_if(order.begin(), order.end(),
+                                        [t](NodeId state) { return state / 2 == t; });
+        const auto stop_counts = bfs_counter_delta(
+            [&] { found = engine::product_bfs(g, 2, s, ws, flip, engine::TargetStop{t}); });
+        if (first == order.end()) {
+          ++unreached;
+          EXPECT_EQ(found, engine::kNoState);
+          EXPECT_EQ(stop_counts, ref_counts);
+          continue;
+        }
+        ++reached;
+        ASSERT_EQ(found, *first);
+        const auto cut_counts = bfs_counter_delta([&] {
+          engine::bfs(cover, 2 * s, cut, engine::AllEdges{}, engine::TargetStop{found});
+        });
+        EXPECT_EQ(stop_counts, cut_counts);
+        EXPECT_TRUE(std::ranges::equal(ws.visit_order(), cut.visit_order()));
+        std::vector<NodeId> expected = ref.path_to(found);
+        for (NodeId& v : expected) v /= 2;
+        EXPECT_EQ(engine::product_path(ws, 2, found), expected);
+        EXPECT_EQ(expected.size(), ws.dist(found) + 1);
+      }
+    }
+  }
+  EXPECT_GT(reached, 0u);
+  EXPECT_GT(unreached, 0u);
+}
+
 TEST(Engine, UniteEdgesMatchesConnectedComponents) {
   for (std::uint64_t seed = 0; seed < 5; ++seed) {
     const CsrGraph g = make_random(70, 0.03, seed);

@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
+#include <vector>
 
 #include "graph/bfs.hpp"
 #include "graph/graph_builder.hpp"
 #include "test_util.hpp"
 #include "topology/internet.hpp"
+#include "topology/renumber.hpp"
 
 namespace bsr::topology {
 namespace {
@@ -208,6 +211,42 @@ TEST(ValleyFree, RejectsOutOfRangeSource) {
   EXPECT_THROW((void)valley_free_distances(h.graph, h.rels, n + 1000),
                std::invalid_argument);
   EXPECT_EQ(valley_free_distances(h.graph, h.rels, n - 1)[n - 1], 0u);
+}
+
+TEST(ValleyFree, RejectsRelationsOfAnotherGraph) {
+  // Renumbering keeps every slot count but moves the lists, so the
+  // original labels no longer line up with the renumbered graph's slots:
+  // both searches must refuse the pair instead of reading wrong labels.
+  auto cfg = InternetConfig{}.scaled(0.02);
+  cfg.seed = 5;
+  const auto topo = make_internet(cfg);
+  const auto renumbered = renumber_topology(topo);
+  const CsrGraph& g = renumbered.topo.graph;
+  ASSERT_EQ(g.adjacency().size(), topo.graph.adjacency().size());
+  ASSERT_FALSE(std::ranges::equal(g.adjacency(), topo.graph.adjacency()));
+  EXPECT_THROW((void)valley_free_distances(g, topo.relations, 0), std::invalid_argument);
+  EXPECT_THROW((void)valley_free_path(g, topo.relations, 0, 1), std::invalid_argument);
+  EXPECT_EQ(valley_free_distances(g, renumbered.topo.relations, 0)[0], 0u);
+
+  // Relations of a sparser graph on the same vertices: their rows are
+  // shorter than the denser graph's lists.
+  const CsrGraph path = bsr::test::make_path(5);
+  const CsrGraph complete = bsr::test::make_complete(5);
+  const EdgeRelations rels(path, path.edges(),
+                           std::vector<EdgeRel>(path.num_edges(), EdgeRel::kPeer));
+  EXPECT_THROW((void)valley_free_distances(complete, rels, 0), std::invalid_argument);
+  EXPECT_THROW((void)valley_free_path(complete, rels, 0, 4), std::invalid_argument);
+}
+
+TEST(EdgeRelations, AlignedOnlyWithTheGraphItSnapshots) {
+  const CsrGraph path = bsr::test::make_path(5);
+  const CsrGraph cycle = bsr::test::make_cycle(5);
+  const EdgeRelations rels(path, path.edges(),
+                           std::vector<EdgeRel>(path.num_edges(), EdgeRel::kPeer));
+  EXPECT_TRUE(rels.aligned_with(path));
+  EXPECT_FALSE(rels.aligned_with(cycle));
+  EXPECT_FALSE(rels.aligned_with(bsr::test::make_path(6)));
+  EXPECT_FALSE(EdgeRelations{}.aligned_with(path));
 }
 
 TEST(ValleyFreePath, ReconstructsAdmissiblePath) {
